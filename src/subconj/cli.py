@@ -7,80 +7,21 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .harness import (
     CHECK_IDS,
-    CorpusEntry,
     CorpusManifest,
-    GroupRecord,
-    _serialize_witness,
     analyze_corpus,
-    analyze_entry,
+    analyze_group,
     emit_report,
     run_checks,
     witness_search,
 )
 from .perms import ParseError
-from .predicates import ClassId, UNDECIDED, decide, hierarchy_report
-from .structure import is_solvable, prime_factors, sylow_shape, sylow_subgroup
+from .predicates import ClassId
 from .zoo import construct, format_group_file, ingest
-
-
-def _load_group_record(target, classes):
-    """Analyze one group given by name or file path; returns a GroupRecord."""
-    if os.path.exists(target) or os.sep in target:
-        group = ingest(target)
-        name = os.path.basename(target)
-        if classes == "pi":
-            return _pi_only_record(name, group)
-        report = hierarchy_report(group, group_id=name)
-        shapes = []
-        for p in prime_factors(group.order()):
-            s = sylow_shape(sylow_subgroup(group, p))
-            shapes.append({"p": p, "tag": s.tag, "order": s.order, "rank": s.rank})
-        return GroupRecord(
-            name=name,
-            order=group.order(),
-            solvable=is_solvable(group),
-            sylow_shapes=shapes,
-            verdicts={cid.value: report.verdicts[cid] for cid in ClassId},
-            witnesses=[
-                _serialize_witness(report.witnesses[cid])
-                for cid in ClassId
-                if cid in report.witnesses
-            ],
-        )
-    if classes == "pi":
-        return _pi_only_record(target, construct(target))
-    return analyze_entry(CorpusEntry(target))
-
-
-def _pi_only_record(name, group):
-    verdicts = {}
-    witnesses = []
-    for cid in ClassId:
-        if not cid.is_pi:
-            verdicts[cid.value] = UNDECIDED
-            continue
-        v, w = decide(group, cid)
-        verdicts[cid.value] = v
-        if w is not None:
-            witnesses.append(_serialize_witness(w))
-    shapes = []
-    for p in prime_factors(group.order()):
-        s = sylow_shape(sylow_subgroup(group, p))
-        shapes.append({"p": p, "tag": s.tag, "order": s.order, "rank": s.rank})
-    return GroupRecord(
-        name=name,
-        order=group.order(),
-        solvable=is_solvable(group),
-        sylow_shapes=shapes,
-        verdicts=verdicts,
-        witnesses=witnesses,
-    )
 
 
 def _print_record(record):
@@ -102,27 +43,20 @@ def _print_record(record):
 
 
 def cmd_analyze(args):
-    record = _load_group_record(args.group, args.classes)
+    target = args.group
+    if os.path.exists(target) or os.sep in target:
+        group, name = ingest(target), os.path.basename(target)
+    else:
+        group, name = construct(target), target
+    if args.classes == "all":
+        classes = tuple(ClassId)
+    else:
+        classes = tuple(c for c in ClassId if c.is_pi)
+    record, _ = analyze_group(group, name, classes=classes)
     _print_record(record)
     if args.json:
-        doc = {
-            "groups": [
-                {
-                    "id": record.name,
-                    "order": record.order,
-                    "solvable": record.solvable,
-                    "sylow_shapes": [
-                        {"p": s["p"], "tag": s["tag"], "order": s["order"]}
-                        for s in record.sylow_shapes
-                    ],
-                    "classes": record.verdicts,
-                    "witnesses": record.witnesses,
-                }
-            ],
-            "checks": [],
-        }
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(emit_report([record], []))
     return 0
 
 

@@ -50,7 +50,7 @@ class _Chain:
     def __init__(self, gens0, degree):
         self.degree = degree
         self.levels = []
-        identity = tuple(range(degree))
+        self.identity = tuple(range(degree))
         gens0 = [g for g in gens0 if not _is_id(g)]
         for g in gens0:
             self._ensure_base_point(g)
@@ -60,7 +60,6 @@ class _Chain:
         while i >= 0:
             self._complete_level(i)
             i -= 1
-        self.identity = identity
 
     def _fixes_prefix(self, g, i):
         return all(g[lvl.point] == lvl.point for lvl in self.levels[:i])
@@ -75,8 +74,7 @@ class _Chain:
 
     def _orbit(self, i):
         level = self.levels[i]
-        identity = tuple(range(self.degree))
-        trans = {level.point: identity}
+        trans = {level.point: self.identity}
         queue = [level.point]
         while queue:
             a = queue.pop(0)
@@ -115,14 +113,11 @@ class _Chain:
                 if j == len(self.levels):
                     pt = min(k for k in range(self.degree) if residue[k] != k)
                     self.levels.append(_Level(pt))
-                    self.levels[-1].transversal = {pt: self.identity_tuple()}
+                    self.levels[-1].transversal = {pt: self.identity}
                 for l in range(i + 1, j + 1):
                     self.levels[l].gens.append(residue)
                 for l in range(j, i, -1):
                     self._complete_level(l)
-
-    def identity_tuple(self):
-        return tuple(range(self.degree))
 
     def order(self):
         n = 1
@@ -164,8 +159,9 @@ class Group:
         self._orders = None
         self._invs = None
         self._conj_maps = None
-        self._rmul = {}
         self._classes = None
+        # subgroup-class enumerations, filled once per key by the predicates
+        self.analysis_cache = {}
 
     def order(self):
         return self._order
@@ -269,17 +265,6 @@ class Group:
             self._conj_maps = maps
         return self._conj_maps
 
-    def rmul_map(self, j):
-        """Right-multiplication index map i -> i*j, cached per j."""
-        m = self._rmul.get(j)
-        if m is None:
-            self._materialize()
-            t = self._elts0[j]
-            idx = self._index
-            m = [idx[_mult(a, t)] for a in self._elts0]
-            self._rmul[j] = m
-        return m
-
     def conjugacy_classes_idx(self):
         """Element conjugacy classes as sorted tuples of indices."""
         if self._classes is None:
@@ -306,12 +291,6 @@ class Group:
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
-
-    def class_size_of_idx(self, i):
-        for c in self.conjugacy_classes_idx():
-            if i in c:
-                return len(c)
-        raise ValueError("index out of range")
 
     # ------------------------------------------------------------------
     # closures on index sets
@@ -434,9 +413,6 @@ class Subgroup:
 
     def elements(self):
         return tuple(self.parent.perm_at(i) for i in sorted(self.indices))
-
-    def contains_idx(self, i):
-        return i in self.indices
 
     def __contains__(self, perm):
         try:
@@ -614,7 +590,6 @@ class Quotient:
             raise RuntimeError("coset action order mismatch")
         self.parent = group
         self.normal = normal_sub
-        self.reps = reps
         # element index -> coset id, via one BFS over the parent
         ecoset = [-1] * group.order()
         ecoset[group.identity_idx] = 0
@@ -629,17 +604,6 @@ class Quotient:
                     queue.append(y)
         self.ecoset = ecoset
         self.trivial_point = 0
-
-    def project(self, perm):
-        """Image of a parent element in the quotient group."""
-        p = self.parent
-        r = p.index_of(perm)
-        mul = p.mul_idx
-        images = tuple(self.ecoset[mul(rep, r)] for rep in self.reps)
-        q = Permutation._from0(images)
-        if q not in self.group:  # pragma: no cover - internal consistency
-            raise RuntimeError("projection left the quotient group")
-        return q
 
     def pullback(self, qsub):
         """Parent subgroup mapping onto a subgroup of the quotient."""

@@ -126,18 +126,11 @@ def _serialize_witness(witness):
     }
 
 
-def _is_cyclic_two_group(group):
-    n = group.order()
-    if n & (n - 1):
-        return False
-    if n == 1:
-        return True
-    return any(p.order() == n for p in group.elements())
-
-
 def _match_t12_target(group):
-    """Match G against the allowed quotient targets; (name, level) or None."""
-    if _is_cyclic_two_group(group):
+    """Match G/O_2'(G) against the allowed quotient targets; (name, level) or
+    None.  Such a quotient has no odd-order normal subgroup, so it is cyclic
+    only as a cyclic 2-group."""
+    if group.full_subgroup().is_cyclic():
         a = group.order().bit_length() - 1
         return f"C_2^{a}", "exact"
     for name in _T12_TARGET_NAMES:
@@ -166,10 +159,13 @@ def _sylow_has_c4_and_e4(group, syl):
     return has_c4 and has_e4
 
 
-def analyze_entry(entry):
-    """Build and fully analyze one corpus entry into a GroupRecord."""
-    group = entry.build()
-    report = hierarchy_report(group, group_id=entry.name, full_cap=entry.full_cap)
+def analyze_group(group, name, classes=tuple(ClassId), full_cap=None):
+    """Verdicts, solvability and Sylow shapes of one group, without facts.
+
+    Classes outside ``classes`` are reported "undecided".  Returns the
+    GroupRecord and the Sylow subgroup per prime, for the facts pass.
+    """
+    report = hierarchy_report(group, group_id=name, full_cap=full_cap, classes=classes)
     solvable = is_solvable(group)
     shapes = []
     syl_by_p = {}
@@ -178,20 +174,25 @@ def analyze_entry(entry):
         syl_by_p[p] = syl
         s = sylow_shape(syl)
         shapes.append({"p": p, "tag": s.tag, "order": s.order, "rank": s.rank})
-    verdicts = {cid.value: report.verdicts[cid] for cid in ClassId}
-    witnesses = [
-        _serialize_witness(report.witnesses[cid])
-        for cid in ClassId
-        if cid in report.witnesses
-    ]
     record = GroupRecord(
-        name=entry.name,
+        name=name,
         order=group.order(),
         solvable=solvable,
         sylow_shapes=shapes,
-        verdicts=verdicts,
-        witnesses=witnesses,
+        verdicts={cid.value: report.verdicts[cid] for cid in ClassId},
+        witnesses=[
+            _serialize_witness(report.witnesses[cid])
+            for cid in ClassId
+            if cid in report.witnesses
+        ],
     )
+    return record, syl_by_p
+
+
+def analyze_entry(entry):
+    """Build and fully analyze one corpus entry into a GroupRecord."""
+    group = entry.build()
+    record, syl_by_p = analyze_group(group, entry.name, full_cap=entry.full_cap)
     record.facts = _collect_facts(entry, group, record, syl_by_p)
     return record
 
@@ -222,22 +223,19 @@ def _collect_facts(entry, group, record, syl_by_p):
         if not syl.is_cyclic()
     }
 
-    # quotients by odd-order normal subgroups
-    odd = []
+    # A_pi verdicts of the quotients by proper normal subgroups: the
+    # odd-order ones for every group (T5), all of them for solvable ones (T16)
+    odd, proper = [], []
     for n in normals:
-        if n.order % 2 == 1 and 1 < n.order < group.order():
-            q = quotient(group, n)
-            v, _ = decide(q, ClassId.A_PI)
-            odd.append([n.order, v])
+        odd_order = n.order % 2 == 1
+        if 1 < n.order < group.order() and (odd_order or solvable):
+            v, _ = decide(quotient(group, n), ClassId.A_PI)
+            proper.append([n.order, v])
+            if odd_order:
+                odd.append([n.order, v])
     facts["odd_normal_quotients"] = odd
 
     if solvable:
-        proper = []
-        for n in normals:
-            if 1 < n.order < group.order():
-                q = quotient(group, n)
-                v, _ = decide(q, ClassId.A_PI)
-                proper.append([n.order, v])
         facts["proper_quotients"] = proper
 
         o2p = o_pprime(group, 2)
@@ -251,7 +249,7 @@ def _collect_facts(entry, group, record, syl_by_p):
             "matched": matched[0] if matched else None,
             "level": matched[1] if matched else None,
         }
-        facts["g_over_o2prime_cyclic2"] = _is_cyclic_two_group(q)
+        facts["g_over_o2prime_cyclic2"] = q.full_subgroup().is_cyclic()
 
         if facts["all_sylow_cyclic"]:
             facts["metacyclic_or_cyclic"] = _is_metacyclic_or_cyclic(group, normals)
@@ -278,14 +276,9 @@ def _is_metacyclic_or_cyclic(group, normals):
         if not n.is_cyclic():
             continue
         q = quotient(group, n) if n.order > 1 else group
-        if _group_is_cyclic(q):
+        if q.full_subgroup().is_cyclic():
             return True
     return False
-
-
-def _group_is_cyclic(group):
-    n = group.order()
-    return n == 1 or any(p.order() == n for p in group.elements())
 
 
 def _product_quotient_facts(name, group):

@@ -142,7 +142,7 @@ def _first_split_bucket(classes, keep):
 
 
 def _cached_p_classes(group, p):
-    cache = _analysis_cache(group)
+    cache = group.analysis_cache
     key = ("p_classes", p)
     if key not in cache:
         cache[key] = p_subgroup_classes(group, p)
@@ -150,19 +150,11 @@ def _cached_p_classes(group, p):
 
 
 def _cached_all_classes(group, cap=None):
-    cache = _analysis_cache(group)
+    cache = group.analysis_cache
     key = "all_classes"
     if key not in cache:
         cache[key] = all_subgroup_classes(group, cap=cap)
     return cache[key]
-
-
-def _analysis_cache(group):
-    cache = getattr(group, "_analysis_cache", None)
-    if cache is None:
-        cache = {}
-        group._analysis_cache = cache
-    return cache
 
 
 def decide(group, class_id, full_cap=None):
@@ -283,15 +275,20 @@ def _property_holds(sub, kind):
     raise ValueError(kind)
 
 
-def hierarchy_report(group, group_id="", full_cap=None):
+def hierarchy_report(group, group_id="", full_cap=None, classes=tuple(ClassId)):
     """All ten verdicts with chain consistency enforced.
 
-    The pi computation is shared across B_pi/H_pi/N_pi by construction; their
-    verdict equality is asserted anyway, as is every definitional containment
-    (member of a smaller class forces member of each decided larger class).
+    Only the classes in ``classes`` are decided; the others are reported
+    "undecided".  The pi computation is shared across B_pi/H_pi/N_pi by
+    construction; their verdict equality is asserted anyway, as is every
+    definitional containment (member of a smaller class forces member of each
+    decided larger class).
     """
     report = ClassReport(group_id=group_id, order=group.order())
     for cid in ClassId:
+        if cid not in classes:
+            report.verdicts[cid] = UNDECIDED
+            continue
         verdict, witness = decide(group, cid, full_cap=full_cap)
         report.verdicts[cid] = verdict
         if witness is not None:

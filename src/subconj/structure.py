@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .caps import CapExceeded
 from .fields import is_prime
-from .groups import center, normalizer, quotient, quotient_with_map
+from .groups import center, is_normal, normalizer, quotient, quotient_with_map
 
 
 def prime_factors(n):
@@ -48,32 +48,20 @@ def _commutator_seed(group, gens_a, gens_b):
     return out
 
 
-def _closure_normal_under(group, seed, conj_gens):
-    """Smallest subgroup containing seed that is normalized by conj_gens."""
-    mul = group.mul_idx
-    inv = group.inv_idx
-    gens = [j for j in dict.fromkeys(seed) if j != group.identity_idx]
-    while True:
-        members = group.closure_idx(gens)
-        missing = []
-        for g in conj_gens:
-            gi = inv(g)
-            for x in gens:
-                c = mul(mul(gi, x), g)
-                if c not in members:
-                    missing.append(c)
-        if not missing:
-            return members
-        gens.extend(dict.fromkeys(missing))
-
-
 def derived_subgroup(group, sub=None):
-    """[H, H] for a subgroup handle (the whole group when sub is omitted)."""
+    """[H, H] for a normal subgroup handle (the whole group when omitted).
+
+    H must be normal in G, as every term of the derived series is: then
+    [H, H] is normal in G too, so it is the normal closure in G of the
+    commutators of H's generators.
+    """
     if sub is None:
         sub = group.full_subgroup()
+    elif not is_normal(group, sub):
+        raise ValueError("derived_subgroup needs a normal subgroup")
     gens = sub.gens_idx()
     seed = _commutator_seed(group, gens, gens)
-    return group.subgroup_from_indices(_closure_normal_under(group, seed, gens))
+    return group.subgroup_from_indices(group.normal_closure_idx(seed))
 
 
 def derived_series(group):
@@ -376,25 +364,6 @@ def is_supersolvable(group):
     return False
 
 
-def _generating_sequence(group):
-    """Short deterministic generating sequence, largest element orders first."""
-    group._materialize()
-    n = group.order()
-    if n == 1:
-        return []
-    by_order = sorted(range(n), key=lambda i: (-group.order_of_idx(i), i))
-    seq = []
-    current = frozenset({group.identity_idx})
-    for i in by_order:
-        if i in current:
-            continue
-        seq.append(i)
-        current = group.closure_idx(seq)
-        if len(current) == n:
-            return seq
-    raise RuntimeError("failed to generate the group from its elements")
-
-
 def _element_invariants(group):
     """Per element: (order, conjugacy class size)."""
     inv = [None] * group.order()
@@ -419,7 +388,8 @@ def is_isomorphic_small(a, b, cap=None):
         raise CapExceeded("isomorphism search", f"order {a.order()} > {cap}")
     if structural_fingerprint(a) != structural_fingerprint(b):
         return False
-    gens = _generating_sequence(a)
+    # greedy: largest element orders first, which keeps the search shallow
+    gens = a.subgroup_from_indices(range(a.order())).gens_idx()
     if not gens:
         return True
     inv_a = _element_invariants(a)

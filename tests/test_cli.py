@@ -34,6 +34,13 @@ def test_analyze_writes_json(tmp_path):
     assert doc["groups"][0]["id"] == "Cyclic(6)"
     assert doc["groups"][0]["order"] == 6
     assert doc["checks"] == []
+    # the same group entry as a corpus run over a one-entry manifest
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{"id": "Cyclic(6)"}]}), encoding="utf-8")
+    corpus_out = tmp_path / "corpus.json"
+    run_cli("corpus", "run", "--manifest", str(manifest), "--json", str(corpus_out))
+    corpus_doc = json.loads(corpus_out.read_text(encoding="utf-8"))
+    assert corpus_doc["groups"] == doc["groups"]
 
 
 def test_analyze_group_file(tmp_path):
@@ -42,6 +49,11 @@ def test_analyze_group_file(tmp_path):
     result = run_cli("analyze", str(path))
     assert result.returncode == 0
     assert "order   2" in result.stdout
+    assert "B=member" in result.stdout
+    result = run_cli("analyze", str(path), "--classes", "pi")
+    assert result.returncode == 0
+    assert "B=undecided H=undecided N=undecided A=undecided C=undecided" in result.stdout
+    assert "B_pi=member" in result.stdout
 
 
 def test_parse_error_exits_2(tmp_path):

@@ -48,7 +48,10 @@ def test_abelian_series_stops_immediately():
 
 
 def test_s4_derived_series_orders():
-    assert [h.order for h in derived_series(S(4))] == [24, 12, 4, 1]
+    g = S(4)
+    assert [h.order for h in derived_series(g)] == [24, 12, 4, 1]
+    with pytest.raises(ValueError):  # <(1,2,3)> is not normal in S4
+        derived_subgroup(g, g.subgroup([P("(1,2,3)", 4)]))
 
 
 def test_derived_subgroup_matches_commutator_oracle():
