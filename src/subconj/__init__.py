@@ -21,7 +21,6 @@ from .groups import (
     is_normal,
     normalizer,
     quotient,
-    quotient_with_map,
     semidirect_product,
 )
 from .perms import ParseError, Permutation, parse_permutation
@@ -47,8 +46,6 @@ from .structure import (
     is_nilpotent,
     is_solvable,
     is_supersolvable,
-    lower_central_series,
-    minimal_normal_subgroups,
     normal_subgroups,
     o_pprime,
     structural_fingerprint,

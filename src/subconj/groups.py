@@ -454,13 +454,6 @@ class Subgroup:
         mul = p.mul_idx
         return Subgroup(p, frozenset(mul(mul(gi, x), g) for x in self.indices))
 
-    def as_group(self):
-        """Standalone Group on the same points, for recursive analyses."""
-        gens = self.generators
-        if not gens:
-            return Group((), degree=self.parent.degree, caps=self.parent.caps)
-        return Group(gens, caps=self.parent.caps)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -556,7 +549,12 @@ def is_normal(group, sub):
 
 
 class Quotient:
-    """Coset action of G on a normal subgroup N: a Group plus the projection."""
+    """Action of G on the cosets of a normal subgroup N.
+
+    ``group`` is that action as a permutation group on the cosets, a faithful
+    image of G/N.  Only the action is kept: there is no map from G's elements
+    to their cosets.
+    """
 
     def __init__(self, group, normal_sub):
         if not is_normal(group, normal_sub):
@@ -588,33 +586,6 @@ class Quotient:
         self.group = Group(perms, degree=max(n_cosets, 1), caps=group.caps)
         if self.group.order() * normal_sub.order != group.order():
             raise RuntimeError("coset action order mismatch")
-        self.parent = group
-        self.normal = normal_sub
-        # element index -> coset id, via one BFS over the parent
-        ecoset = [-1] * group.order()
-        ecoset[group.identity_idx] = 0
-        queue = [group.identity_idx]
-        while queue:
-            x = queue.pop()
-            cx = ecoset[x]
-            for gpos, g in enumerate(gen_idx):
-                y = mul(x, g)
-                if ecoset[y] < 0:
-                    ecoset[y] = images[gpos][cx]
-                    queue.append(y)
-        self.ecoset = ecoset
-        self.trivial_point = 0
-
-    def pullback(self, qsub):
-        """Parent subgroup mapping onto a subgroup of the quotient."""
-        qg = self.group
-        cosets = {qg.perm_at(i)._t[self.trivial_point] for i in qsub.indices}
-        members = [i for i, c in enumerate(self.ecoset) if c in cosets]
-        return self.parent.subgroup_from_indices(members)
-
-
-def quotient_with_map(group, normal_sub):
-    return Quotient(group, normal_sub)
 
 
 def quotient(group, normal_sub):

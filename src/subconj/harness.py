@@ -134,9 +134,9 @@ def _match_t12_target(group):
         a = group.order().bit_length() - 1
         return f"C_2^{a}", "exact"
     for name in _T12_TARGET_NAMES:
-        target = construct(name)
-        if target.order() != group.order():
+        if SEMIDIRECT_DATASETS[name][1] != group.order():
             continue
+        target = construct(name)
         if group.order() <= group.caps.iso_cap:
             if is_isomorphic_small(group, target):
                 return name, "exact"

@@ -269,9 +269,9 @@ def _property_holds(sub, kind):
         idx = sorted(sub.indices)
         return all(mul(x, y) == mul(y, x) for x in idx for y in idx)
     if kind == "nilpotent":
-        return is_nilpotent(sub.as_group())
+        return is_nilpotent(parent, sub)
     if kind == "supersolvable":
-        return is_supersolvable(sub.as_group())
+        return is_supersolvable(parent, sub)
     raise ValueError(kind)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .caps import CapExceeded
 from .fields import is_prime
-from .groups import center, is_normal, normalizer, quotient, quotient_with_map
+from .groups import center, is_normal, normalizer
 
 
 def prime_factors(n):
@@ -36,18 +36,6 @@ def p_part(n, p):
     return m
 
 
-def _commutator_seed(group, gens_a, gens_b):
-    mul = group.mul_idx
-    inv = group.inv_idx
-    out = []
-    for a in gens_a:
-        for b in gens_b:
-            c = mul(mul(mul(inv(a), inv(b)), a), b)
-            if c != group.identity_idx:
-                out.append(c)
-    return out
-
-
 def derived_subgroup(group, sub=None):
     """[H, H] for a normal subgroup handle (the whole group when omitted).
 
@@ -60,7 +48,9 @@ def derived_subgroup(group, sub=None):
     elif not is_normal(group, sub):
         raise ValueError("derived_subgroup needs a normal subgroup")
     gens = sub.gens_idx()
-    seed = _commutator_seed(group, gens, gens)
+    mul = group.mul_idx
+    inv = group.inv_idx
+    seed = [mul(mul(mul(inv(a), inv(b)), a), b) for a in gens for b in gens]
     return group.subgroup_from_indices(group.normal_closure_idx(seed))
 
 
@@ -80,22 +70,21 @@ def is_solvable(group):
     return derived_series(group)[-1].order == 1
 
 
-def lower_central_series(group):
-    """G >= [G,G] >= [[G,G],G] >= ... until the series stabilizes."""
-    series = [group.full_subgroup()]
-    ggens = group.gen_indices()
-    while True:
-        seed = _commutator_seed(group, series[-1].gens_idx(), ggens)
-        nxt = group.subgroup_from_indices(group.normal_closure_idx(seed))
-        if nxt.order == series[-1].order:
-            return series
-        series.append(nxt)
-        if nxt.order == 1:
-            return series
+def is_nilpotent(group, sub=None):
+    """Whether a subgroup handle H (the whole group when omitted) is nilpotent.
 
-
-def is_nilpotent(group):
-    return lower_central_series(group)[-1].order == 1
+    H is nilpotent iff every Sylow subgroup is normal, i.e. unique.  The
+    Sylow p-subgroups together hold every p-element, so that is the case iff
+    H has exactly |H|_p elements of p-power order for every prime p.
+    """
+    if sub is None:
+        sub = group.full_subgroup()
+    counts = sub.element_order_counter()
+    for p in prime_factors(sub.order):
+        p_elements = sum(c for o, c in counts.items() if p_part(o, p) == o)
+        if p_elements != p_part(sub.order, p):
+            return False
+    return True
 
 
 def sylow_subgroup(group, p, containing=None):
@@ -175,23 +164,6 @@ def fitting_subgroup(group):
     return group.subgroup_from_indices(group.closure_idx(sorted(seed)))
 
 
-def minimal_normal_subgroups(group):
-    """Inclusion-minimal nontrivial normal subgroups."""
-    closures = {}
-    for cls in group.conjugacy_classes_idx():
-        rep = cls[0]
-        if rep == group.identity_idx and len(cls) == 1:
-            continue
-        nc = group.normal_closure_idx([rep])
-        closures.setdefault(nc, rep)
-    out = []
-    for nc in closures:
-        if not any(other < nc for other in closures):
-            out.append(group.subgroup_from_indices(nc))
-    out.sort(key=lambda s: (s.order, s.key()))
-    return out
-
-
 def normal_subgroups(group):
     """All normal subgroups, via joins of element-class closures."""
     trivial = frozenset({group.identity_idx})
@@ -217,23 +189,21 @@ def normal_subgroups(group):
 def o_pprime(group, p):
     """O_{p'}(G): the largest normal subgroup of order coprime to p.
 
-    Iterates the definition: absorb the minimal normal subgroups of p'-order,
-    recurse in the quotient and pull the result back.
+    Grows K = 1 by element classes.  Every normal p'-subgroup lies in
+    O_{p'}(G), so while K does, the normal closure of K and x has p'-order
+    exactly when x lies in O_{p'}(G); one pass over the classes absorbs them all.
     """
-    coprime = [m for m in minimal_normal_subgroups(group) if m.order % p != 0]
-    if not coprime:
-        return group.trivial_subgroup()
-    seed = set()
-    for m in coprime:
-        seed |= m.indices
-    k = group.subgroup_from_indices(group.closure_idx(sorted(seed)))
-    if k.order % p == 0:  # pragma: no cover - product of p'-normals is p'
-        raise RuntimeError("p'-core construction produced a bad subgroup")
-    if k.order == group.order():
-        return group.full_subgroup()
-    q = quotient_with_map(group, k)
-    rest = o_pprime(q.group, p)
-    return q.pullback(rest)
+    members = frozenset({group.identity_idx})
+    normal_gens = []
+    for cls in group.conjugacy_classes_idx():
+        x = cls[0]
+        if x in members or group.order_of_idx(x) % p == 0:
+            continue
+        grown = group.normal_closure_idx([*normal_gens, x])
+        if len(grown) % p:
+            members = grown
+            normal_gens.append(x)
+    return group.subgroup_from_indices(members)
 
 
 # ----------------------------------------------------------------------
@@ -343,25 +313,39 @@ def structural_fingerprint(group):
     )
 
 
-def is_supersolvable(group):
-    """Existence of a normal series with cyclic factors, all normal in G.
+def is_supersolvable(group, sub=None):
+    """Whether a subgroup handle H (the whole group when omitted) is
+    supersolvable: has a series of normal subgroups of H with cyclic factors.
 
-    Recursive form: a normal subgroup of prime order whose quotient is again
-    supersolvable.
+    Grows N = 1 by steps <N, x> of prime index over N that are normal in H.
+    Every quotient H/N of a supersolvable H is supersolvable, so it has a
+    normal subgroup of prime order; the growth therefore stalls below H
+    exactly when H is not supersolvable.
     """
-    if group.order() == 1:
-        return True
-    group._materialize()
-    maps = group.conj_maps()
-    for i in range(group.order()):
-        o = group.order_of_idx(i)
-        if not is_prime(o):
-            continue
-        axis = group.closure_idx([i])
-        if all(m[i] in axis for m in maps):
-            z = group.subgroup_from_indices(axis, (i,))
-            return is_supersolvable(quotient(group, z))
-    return False
+    if sub is None:
+        sub = group.full_subgroup()
+    mul = group.mul_idx
+    inv = group.inv_idx
+    hgens = sub.gens_idx()
+    members = frozenset({group.identity_idx})
+    gens = []
+    while len(members) < sub.order:
+        tried = set(members)
+        for x in sorted(sub.indices):
+            if x in tried:
+                continue
+            grown = group.closure_idx([x], base=members, base_gens=gens)
+            if not is_prime(len(grown) // len(members)):
+                continue
+            if all(mul(mul(inv(h), x), h) in grown for h in hgens):
+                members = grown
+                gens.append(x)
+                break
+            # every element of grown outside N generates grown over N
+            tried |= grown
+        else:
+            return False
+    return True
 
 
 def _element_invariants(group):

@@ -38,14 +38,14 @@ class SubgroupClass:
 
     def is_nilpotent(self):
         if "nilpotent" not in self._props:
-            self._props["nilpotent"] = is_nilpotent(self.representative.as_group())
+            rep = self.representative
+            self._props["nilpotent"] = is_nilpotent(rep.parent, rep)
         return self._props["nilpotent"]
 
     def is_supersolvable(self):
         if "supersolvable" not in self._props:
-            self._props["supersolvable"] = is_supersolvable(
-                self.representative.as_group()
-            )
+            rep = self.representative
+            self._props["supersolvable"] = is_supersolvable(rep.parent, rep)
         return self._props["supersolvable"]
 
 

@@ -47,12 +47,17 @@ def naive_order(g):
 
 
 def brute_force_subgroups(group):
-    """Every subgroup as a frozenset of Permutations, by subset closure.
+    """Every subgroup as a frozenset of Permutations, by subset closure."""
+    return _subgroups_of(group.elements())
+
+
+def _subgroups_of(elements):
+    """Every subgroup of the group whose elements are given.
 
     Grows the collection from all cyclic subgroups by adjoining single
     elements until nothing new appears.
     """
-    elements = list(group.elements())
+    elements = list(elements)
     subs = set()
     frontier = []
     for x in elements:
@@ -116,3 +121,35 @@ def normal_subgroups_oracle(group):
         if all(conjugate_set(s, g) == s for g in elements):
             out.append(s)
     return out
+
+
+def o_pprime_oracle(group, p):
+    """O_p'(G): the largest normal subgroup whose order is coprime to p."""
+    coprime = [s for s in normal_subgroups_oracle(group) if len(s) % p]
+    return max(coprime, key=len)
+
+
+def is_nilpotent_oracle(elements):
+    """Whether the lower central series G >= [G,G] >= [[G,G],G] >= ... of the
+    group on ``elements`` reaches the identity."""
+    group = set(elements)
+    term = group
+    while True:
+        comms = {a.inverse() * b.inverse() * a * b for a in term for b in group}
+        nxt = naive_closure(sorted(comms))
+        if nxt == term:
+            return len(term) == 1
+        term = nxt
+
+
+def is_supersolvable_oracle(elements):
+    """Huppert's theorem: a finite group is supersolvable iff every maximal
+    subgroup has prime index."""
+    group = frozenset(elements)
+    proper = [s for s in _subgroups_of(group) if s != group]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    return all(_is_prime(len(group) // len(m)) for m in maximal)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))

@@ -22,5 +22,12 @@ def test_tracer_installs_and_uninstalls():
         uninstall(saved)
     assert harness.analyze_entry is original
     names = {span[0] for span in tracer.spans}
-    assert {"harness.analyze_entry", "predicates.decide", "structure.sylow"} <= names
+    assert {
+        "harness.analyze_entry",
+        "predicates.decide",
+        "structure.sylow",
+        "structure.nilpotent",
+        "structure.supersolvable",
+        "structure.o_pprime",
+    } <= names
     assert tracer.counters["groups.mul_idx_calls"] > 0

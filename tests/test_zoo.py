@@ -7,7 +7,7 @@ from subconj import (
     derived_subgroup,
     format_group_file,
     ingest,
-    minimal_normal_subgroups,
+    normal_subgroups,
     parse_group_file,
     quotient,
     structural_fingerprint,
@@ -24,7 +24,7 @@ def test_psl28_order_and_simplicity():
     g = construct("PSL2(8)")
     assert g.order() == 504
     assert derived_subgroup(g).order == 504  # perfect
-    assert [m.order for m in minimal_normal_subgroups(g)] == [504]  # simple
+    assert [n.order for n in normal_subgroups(g)] == [1, 504]  # simple
 
 
 def test_sl25_order_and_unique_involution():
