@@ -6,6 +6,11 @@ that, groups whose order fits under the element cap expose an indexed view of
 their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
+Products of element indices come from a right-regular multiplication table
+(one ``array('H')`` row per element) when the table fits in ``_TABLE_BYTES``,
+i.e. for orders up to 2000.  Larger groups compute each product from the two
+image tuples instead; the results are the same, only slower.
+
 Groups and subgroups are immutable after construction.  The lazy caches
 (element list, conjugation maps, ...) are populated once and only read
 afterwards, so sharing across threads or analyses is safe.
@@ -13,6 +18,7 @@ afterwards, so sharing across threads or analyses is safe.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 
 from .caps import DEFAULT_CAPS, CapExceeded
@@ -33,6 +39,26 @@ def _inv(a):
 
 def _is_id(a):
     return all(i == j for i, j in enumerate(a))
+
+
+# Largest multiplication table (2 bytes per entry) a group keeps: order 2000.
+_TABLE_BYTES = 8_000_000
+
+
+class _ProductRow:
+    """Right multiplication by one element as an index map, computing one
+    image-tuple product per lookup; stands in for a table row above the
+    table bound."""
+
+    __slots__ = ("_elts0", "_index", "_t")
+
+    def __init__(self, elts0, index, t):
+        self._elts0 = elts0
+        self._index = index
+        self._t = t
+
+    def __getitem__(self, i):
+        return self._index[_mult(self._elts0[i], self._t)]
 
 
 class _Level:
@@ -156,6 +182,7 @@ class Group:
         # lazy caches
         self._elts0 = None
         self._index = None
+        self._rows = None
         self._orders = None
         self._invs = None
         self._conj_maps = None
@@ -209,6 +236,33 @@ class Group:
             )
         self._elts0 = sorted(seen)
         self._index = {t: i for i, t in enumerate(self._elts0)}
+        if 2 * self._order**2 <= _TABLE_BYTES:
+            self._rows = self._right_regular_rows()
+
+    def _right_regular_rows(self):
+        """rows[j][i] = index of x_i * x_j, for every j.
+
+        Generator rows cost one tuple product per element; every other row is
+        composed along a BFS spanning tree of the Cayley graph from the
+        identity, as row(x_a * g) = row(g) o row(a).
+        """
+        n = self._order
+        elts, index = self._elts0, self._index
+        gen_rows = [
+            array("H", [index[_mult(t, g._t)] for t in elts]) for g in self.generators
+        ]
+        id_idx = index[tuple(range(self.degree))]
+        rows = [None] * n
+        rows[id_idx] = array("H", range(n))
+        queue = [id_idx]
+        for a in queue:
+            ra = rows[a]
+            for rg in gen_rows:
+                b = rg[a]
+                if rows[b] is None:
+                    rows[b] = array("H", map(rg.__getitem__, ra))
+                    queue.append(b)
+        return rows
 
     def elements(self):
         """All elements, sorted by image tuple; requires order <= element cap."""
@@ -232,8 +286,28 @@ class Group:
         return Permutation._from0(self._elts0[i])
 
     def mul_idx(self, i, j):
+        if self._rows is not None:
+            return self._rows[j][i]
         e = self._elts0
         return self._index[_mult(e[i], e[j])]
+
+    def right_row(self, j):
+        """The index map i -> index of x_i * x_j (a table row when the group
+        has one)."""
+        self._materialize()
+        if self._rows is not None:
+            return self._rows[j]
+        return _ProductRow(self._elts0, self._index, self._elts0[j])
+
+    def pow_idx(self, i, k):
+        """Index of x_i ** k for k >= 0, by square-and-multiply."""
+        result = self.identity_idx
+        while k:
+            if k & 1:
+                result = self.mul_idx(result, i)
+            i = self.mul_idx(i, i)
+            k >>= 1
+        return result
 
     def inv_idx(self, i):
         if self._invs is None:
@@ -303,13 +377,13 @@ class Group:
         generators, which keeps repeated one-element extensions cheap.
         """
         self._materialize()
-        mul = self.mul_idx
         id_idx = self.identity_idx
         new_gens = [j for j in dict.fromkeys(seed) if j != id_idx]
+        new_rows = [self.right_row(j) for j in new_gens]
         if base is None:
             members = {id_idx}
             frontier = []
-            all_gens = new_gens
+            all_rows = new_rows
             for j in new_gens:
                 if j not in members:
                     members.add(j)
@@ -324,16 +398,18 @@ class Group:
                     frontier.append(j)
             # base members are closed under base_gens but not the new seeds
             for a in list(members):
-                for j in new_gens:
-                    b = mul(a, j)
+                for row in new_rows:
+                    b = row[a]
                     if b not in members:
                         members.add(b)
                         frontier.append(b)
-            all_gens = list(dict.fromkeys([*base_gens, *new_gens]))
+            all_rows = [
+                self.right_row(j) for j in dict.fromkeys([*base_gens, *new_gens])
+            ]
         while frontier:
             a = frontier.pop()
-            for j in all_gens:
-                b = mul(a, j)
+            for row in all_rows:
+                b = row[a]
                 if b not in members:
                     members.add(b)
                     frontier.append(b)
@@ -573,7 +649,7 @@ class Quotient:
             r = reps[k]
             for gpos, g in enumerate(gen_idx):
                 t = mul(r, g)
-                key = min(mul(n, t) for n in nset)
+                key = min(map(group.right_row(t).__getitem__, nset))
                 c = coset_id.get(key)
                 if c is None:
                     c = len(reps)

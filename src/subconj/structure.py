@@ -109,11 +109,7 @@ def sylow_subgroup(group, p, containing=None):
             o = group.order_of_idx(i)
             if o % p == 0:
                 # power down to the p-part of the element order
-                seed = i
-                rest = o // p_part(o, p)
-                if rest > 1:
-                    t = group.perm_at(i) ** rest
-                    seed = group.index_of(t)
+                seed = group.pow_idx(i, o // p_part(o, p))
                 break
     current = group.subgroup_from_indices(group.closure_idx([seed]), (seed,))
     while current.order < target:

@@ -134,8 +134,7 @@ def p_subgroup_classes(group, p):
                 o = group.order_of_idx(x)
                 if o != p_part(o, p):
                     continue
-                xp = group.index_of(group.perm_at(x) ** p)
-                if xp not in rep.indices:
+                if group.pow_idx(x, p) not in rep.indices:
                     continue
                 key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
                 new_cid, new = registry.classify(key)
@@ -164,7 +163,6 @@ def all_subgroup_classes(group, cap=None):
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
     group._materialize()
-    mul = group.mul_idx
     registry = _OrbitRegistry(group)
     trivial = frozenset({group.identity_idx})
     queue = []
@@ -192,7 +190,7 @@ def all_subgroup_classes(group, cap=None):
             if new:
                 queue.append(new_cid)
             # elements of the coset Hx generate the same extension
-            covered.update(mul(h, x) for h in rep_key)
+            covered.update(map(group.right_row(x).__getitem__, rep_key))
     return registry.subgroup_classes()
 
 

@@ -19,6 +19,7 @@ from subconj import (
     semidirect_product,
     structural_fingerprint,
 )
+from subconj import groups
 from subconj.caps import Caps
 
 from oracles import exhaustive_conjugator, naive_closure, naive_order
@@ -313,3 +314,81 @@ def test_random_generators_build_consistent_groups(images):
     assert g.order() == len(naive_closure(gens, degree=5))
     for gen in gens:
         assert gen in g
+
+
+# ----------------------------------------------------------------------
+# multiplication table against the image-tuple products it replaces
+
+TABLE_GROUPS = ("Symmetric(4)", "SL2(3)", "Q8xC3", "Dihedral(6)", "E25xSL(2,3)")
+
+
+@pytest.fixture(scope="module")
+def tabled_groups():
+    out = {name: construct(name) for name in TABLE_GROUPS}
+    for g in out.values():
+        g._materialize()
+        assert g._rows is not None
+    return out
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(TABLE_GROUPS), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_table_products_match_permutation_products(tabled_groups, name, a, b):
+    g = tabled_groups[name]
+    i, j = a % g.order(), b % g.order()
+    product = g.mul_idx(i, j)
+    assert product == g.right_row(j)[i] == g.index_of(g.perm_at(i) * g.perm_at(j))
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_table_rows_cover_every_element(name):
+    # the rows are composed along a spanning tree; every node, generators
+    # included, must get a row
+    g = construct(name)
+    g._materialize()
+    assert len(g._rows) == g.order()
+    ident = list(range(g.order()))
+    for j in range(g.order()):
+        row = g._rows[j]
+        assert sorted(row) == ident
+        assert row[g.identity_idx] == j
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_pow_idx_matches_permutation_power(name):
+    g = construct(name)
+    for i in range(0, g.order(), 7):
+        for k in (0, 1, 2, 3, 5, 12):
+            assert g.pow_idx(i, k) == g.index_of(g.perm_at(i) ** k)
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_closure_without_table_matches_table(monkeypatch, name):
+    tabled = construct(name)
+    with monkeypatch.context() as m:
+        m.setattr(groups, "_TABLE_BYTES", 0)
+        plain = construct(name)
+        plain._materialize()
+    tabled._materialize()
+    assert tabled._rows is not None and plain._rows is None
+    n = tabled.order()
+    seeds = [[i, (5 * i + 3) % n] for i in range(0, n, max(1, n // 12))]
+    for seed in seeds:
+        assert tabled.closure_idx(seed) == plain.closure_idx(seed)
+        base = tabled.closure_idx(seed[:1])
+        for x in (seed[1], (seed[1] + 11) % n):
+            assert tabled.closure_idx(
+                [x], base=base, base_gens=seed[:1]
+            ) == plain.closure_idx([x], base=base, base_gens=seed[:1])
+
+
+@pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)"])
+def test_analysis_without_table_matches_table(monkeypatch, name):
+    from subconj.harness import analyze_group
+
+    tabled, _ = analyze_group(construct(name), name)
+    monkeypatch.setattr(groups, "_TABLE_BYTES", 0)
+    plain_group = construct(name)
+    plain, _ = analyze_group(plain_group, name)
+    assert plain_group._rows is None
+    assert plain == tabled
