@@ -2,8 +2,12 @@
 
 Every operation that could blow up on a large ingested group checks one of
 these limits and raises :class:`CapExceeded` instead of silently degrading.
-Defaults can be overridden through ``SUBCONJ_*`` environment variables, or per
-corpus entry in a manifest.
+The limits are read only from the group's own ``caps`` (no function takes a
+bound as an argument): :data:`DEFAULT_CAPS`, whose fields the ``SUBCONJ_*``
+environment variables override, or ``Group(..., caps=Caps(...))``.
+Quotients and products inherit the caps of their source group, and a corpus
+manifest's per-entry ``full_cap`` builds the entry's group with
+``full_subgroup_cap`` set to it.
 """
 
 from __future__ import annotations

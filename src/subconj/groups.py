@@ -669,15 +669,21 @@ def quotient(group, normal_sub):
     return Quotient(group, normal_sub).group
 
 
+def _factor_gens(a, b):
+    """Generators of A and of B on the disjoint union of their point sets."""
+    na, nb = a.degree, b.degree
+    ga = [Permutation._from0(g._t + tuple(range(na, na + nb))) for g in a.generators]
+    gb = [
+        Permutation._from0(tuple(range(na)) + tuple(x + na for x in g._t))
+        for g in b.generators
+    ]
+    return ga, gb
+
+
 def direct_product(a, b):
     """A x B acting on the disjoint union of the two point sets."""
-    na, nb = a.degree, b.degree
-    gens = []
-    for g in a.generators:
-        gens.append(Permutation._from0(g._t + tuple(range(na, na + nb))))
-    for g in b.generators:
-        gens.append(Permutation._from0(tuple(range(na)) + tuple(x + na for x in g._t)))
-    prod = Group(gens, degree=na + nb, caps=a.caps)
+    ga, gb = _factor_gens(a, b)
+    prod = Group(ga + gb, degree=a.degree + b.degree, caps=a.caps)
     if prod.order() != a.order() * b.order():  # pragma: no cover
         raise RuntimeError("direct product order mismatch")
     return prod
@@ -685,12 +691,7 @@ def direct_product(a, b):
 
 def direct_factors_embedded(prod, a, b):
     """The canonical copies of A and B inside direct_product(A, B)."""
-    na, nb = a.degree, b.degree
-    ga = [Permutation._from0(g._t + tuple(range(na, na + nb))) for g in a.generators]
-    gb = [
-        Permutation._from0(tuple(range(na)) + tuple(x + na for x in g._t))
-        for g in b.generators
-    ]
+    ga, gb = _factor_gens(a, b)
     return prod.subgroup(ga), prod.subgroup(gb)
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
-from .groups import center, direct_factors_embedded, is_normal, quotient
+from .groups import Group, center, direct_factors_embedded, is_normal, quotient
 from .predicates import (
     MEMBER,
     NON_MEMBER,
@@ -41,10 +41,16 @@ from .zoo import SEMIDIRECT_DATASETS, SUPPORTED_Q, _split_product, construct
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    full_cap: int | None = None  # per-entry override for the plain-class cap
+    # when set, build() gives the group (and so its quotients) this
+    # full_subgroup_cap in place of the default
+    full_cap: int | None = None
 
     def build(self):
-        return construct(self.name)
+        group = construct(self.name)
+        if self.full_cap is None:
+            return group
+        caps = group.caps.override(full_subgroup_cap=self.full_cap)
+        return Group(group.generators, degree=group.degree, caps=caps)
 
 
 @dataclass
@@ -159,13 +165,13 @@ def _sylow_has_c4_and_e4(group, syl):
     return has_c4 and has_e4
 
 
-def analyze_group(group, name, classes=tuple(ClassId), full_cap=None):
+def analyze_group(group, name, classes=tuple(ClassId)):
     """Verdicts, solvability and Sylow shapes of one group, without facts.
 
     Classes outside ``classes`` are reported "undecided".  Returns the
     GroupRecord and the Sylow subgroup per prime, for the facts pass.
     """
-    report = hierarchy_report(group, group_id=name, full_cap=full_cap, classes=classes)
+    report = hierarchy_report(group, group_id=name, classes=classes)
     solvable = is_solvable(group)
     shapes = []
     syl_by_p = {}
@@ -192,12 +198,12 @@ def analyze_group(group, name, classes=tuple(ClassId), full_cap=None):
 def analyze_entry(entry):
     """Build and fully analyze one corpus entry into a GroupRecord."""
     group = entry.build()
-    record, syl_by_p = analyze_group(group, entry.name, full_cap=entry.full_cap)
-    record.facts = _collect_facts(entry, group, record, syl_by_p)
+    record, syl_by_p = analyze_group(group, entry.name)
+    record.facts = _collect_facts(group, record, syl_by_p)
     return record
 
 
-def _collect_facts(entry, group, record, syl_by_p):
+def _collect_facts(group, record, syl_by_p):
     facts = {}
     a_pi = record.verdicts[ClassId.A_PI.value]
     solvable = record.solvable
@@ -209,8 +215,8 @@ def _collect_facts(entry, group, record, syl_by_p):
         if shape2["tag"] not in ("Cyclic", "ElementaryAbelian", "QuaternionQ8"):
             facts["suzuki_candidate"] = not _sylow_has_c4_and_e4(group, s2)
 
-    if "*" in entry.name:
-        facts["factor_quotients"] = _product_quotient_facts(entry.name, group)
+    if "*" in record.name:
+        facts["factor_quotients"] = _product_quotient_facts(record.name, group)
 
     if a_pi != MEMBER:
         return facts
@@ -257,7 +263,7 @@ def _collect_facts(entry, group, record, syl_by_p):
             facts["derived_coprime"] = (
                 gcd(derived.order, group.order() // derived.order) == 1
             )
-            v, _ = decide(group, ClassId.B, full_cap=entry.full_cap)
+            v, _ = decide(group, ClassId.B)
             facts["b_verdict"] = v
 
         shape2 = next((s for s in record.sylow_shapes if s["p"] == 2), None)
@@ -623,18 +629,8 @@ def _check_hierarchy(records):
         decided = {v for v in trio if v != UNDECIDED}
         if len(decided) > 1:
             failures.append(f"{r.name}: B_pi/H_pi/N_pi verdicts disagree")
-    def smallest(in_cls, out_cls):
-        hits = [
-            r
-            for r in records
-            if r.verdict(in_cls) == MEMBER and r.verdict(out_cls) == NON_MEMBER
-        ]
-        if not hits:
-            return None
-        return min(hits, key=lambda r: (r.order, r.name))
-
-    a_not_n = smallest(ClassId.A_PI, ClassId.N_PI)
-    c_not_a = smallest(ClassId.C_PI, ClassId.A_PI)
+    a_not_n = witness_search(records, ClassId.A_PI, ClassId.N_PI)
+    c_not_a = witness_search(records, ClassId.C_PI, ClassId.A_PI)
     if a_not_n is None:
         failures.append("no corpus witness for A_pi strictly above N_pi")
     else:

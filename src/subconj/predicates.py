@@ -149,27 +149,29 @@ def _cached_p_classes(group, p):
     return cache[key]
 
 
-def _cached_all_classes(group, cap=None):
+def _cached_all_classes(group):
     cache = group.analysis_cache
     key = "all_classes"
     if key not in cache:
-        cache[key] = all_subgroup_classes(group, cap=cap)
+        cache[key] = all_subgroup_classes(group)
     return cache[key]
 
 
-def decide(group, class_id, full_cap=None):
+def decide(group, class_id):
     """Decide membership of the group in one class.
 
-    Returns (verdict, witness-or-None).  Caps yield "undecided" rather than an
-    error; for a plain class whose full enumeration is capped, a non-member
-    verdict is still returned when the pi-counterpart already fails, since a
-    prime-power witness pair is a witness for the plain class too.
+    Returns (verdict, witness-or-None).  Every bound comes from ``group.caps``
+    (the environment defaults, or ``Group(..., caps=Caps(...))``).  Caps yield
+    "undecided" rather than an error; for a plain class whose full enumeration
+    is capped, a non-member verdict is still returned when the pi-counterpart
+    already fails, since a prime-power witness pair is a witness for the plain
+    class too.
     """
     if not isinstance(class_id, ClassId):
         class_id = ClassId(class_id)
     if class_id.is_pi:
         return _decide_pi(group, class_id)
-    return _decide_plain(group, class_id, full_cap)
+    return _decide_plain(group, class_id)
 
 
 def _decide_pi(group, class_id):
@@ -191,9 +193,9 @@ def _decide_pi(group, class_id):
     return MEMBER, None
 
 
-def _decide_plain(group, class_id, full_cap=None):
+def _decide_plain(group, class_id):
     try:
-        classes = _cached_all_classes(group, cap=full_cap)
+        classes = _cached_all_classes(group)
     except CapExceeded:
         verdict, witness = _decide_pi(group, class_id.pi_counterpart)
         if verdict == NON_MEMBER:
@@ -275,21 +277,21 @@ def _property_holds(sub, kind):
     raise ValueError(kind)
 
 
-def hierarchy_report(group, group_id="", full_cap=None, classes=tuple(ClassId)):
+def hierarchy_report(group, group_id="", classes=tuple(ClassId)):
     """All ten verdicts with chain consistency enforced.
 
     Only the classes in ``classes`` are decided; the others are reported
-    "undecided".  The pi computation is shared across B_pi/H_pi/N_pi by
-    construction; their verdict equality is asserted anyway, as is every
-    definitional containment (member of a smaller class forces member of each
-    decided larger class).
+    "undecided".  Bounds come from ``group.caps`` alone, as in :func:`decide`.
+    The pi computation is shared across B_pi/H_pi/N_pi by construction; their
+    verdict equality is asserted anyway, as is every definitional containment
+    (member of a smaller class forces member of each decided larger class).
     """
     report = ClassReport(group_id=group_id, order=group.order())
     for cid in ClassId:
         if cid not in classes:
             report.verdicts[cid] = UNDECIDED
             continue
-        verdict, witness = decide(group, cid, full_cap=full_cap)
+        verdict, witness = decide(group, cid)
         report.verdicts[cid] = verdict
         if witness is not None:
             report.witnesses[cid] = witness

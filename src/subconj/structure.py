@@ -132,24 +132,8 @@ def sylow_subgroup(group, p, containing=None):
 
 
 def core_p(group, p):
-    """O_p(G): the intersection of all conjugates of one Sylow p-subgroup."""
-    syl = sylow_subgroup(group, p)
-    maps = group.conj_maps()
-    cap = group.caps.orbit_key_cap
-    seen = {syl.indices}
-    queue = [syl.indices]
-    core = set(syl.indices)
-    while queue:
-        s = queue.pop()
-        for m in maps:
-            t = frozenset(map(m.__getitem__, s))
-            if t not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("orbit keys", f"Sylow orbit beyond {cap}")
-                seen.add(t)
-                queue.append(t)
-                core &= t
-    return group.subgroup_from_indices(core)
+    """O_p(G): the largest normal p-subgroup."""
+    return _largest_normal(group, lambda n: p_part(n, p) == n)
 
 
 def fitting_subgroup(group):
@@ -183,20 +167,27 @@ def normal_subgroups(group):
 
 
 def o_pprime(group, p):
-    """O_{p'}(G): the largest normal subgroup of order coprime to p.
+    """O_{p'}(G): the largest normal subgroup of order coprime to p."""
+    return _largest_normal(group, lambda n: n % p != 0)
 
-    Grows K = 1 by element classes.  Every normal p'-subgroup lies in
-    O_{p'}(G), so while K does, the normal closure of K and x has p'-order
-    exactly when x lies in O_{p'}(G); one pass over the classes absorbs them all.
+
+def _largest_normal(group, admits):
+    """The largest normal subgroup whose order ``admits`` accepts, where the
+    accepted orders are those of a p-group or of a p'-group.
+
+    Grows K = 1 by element classes.  Every normal subgroup of accepted order
+    lies in the one sought, so while K does, the normal closure of K and x
+    has accepted order exactly when x lies in it; one pass over the classes
+    absorbs them all.
     """
     members = frozenset({group.identity_idx})
     normal_gens = []
     for cls in group.conjugacy_classes_idx():
         x = cls[0]
-        if x in members or group.order_of_idx(x) % p == 0:
+        if x in members or not admits(group.order_of_idx(x)):
             continue
         grown = group.normal_closure_idx([*normal_gens, x])
-        if len(grown) % p:
+        if admits(len(grown)):
             members = grown
             normal_gens.append(x)
     return group.subgroup_from_indices(members)
@@ -354,14 +345,13 @@ def _element_invariants(group):
     return inv
 
 
-def is_isomorphic_small(a, b, cap=None):
+def is_isomorphic_small(a, b):
     """Exact isomorphism decision by generator-image backtracking.
 
-    Only available up to the configured cap; beyond it callers must fall back
+    Only available up to ``a.caps.iso_cap``; beyond it callers must fall back
     to fingerprint comparison and say so.
     """
-    if cap is None:
-        cap = a.caps.iso_cap
+    cap = a.caps.iso_cap
     if a.order() != b.order():
         return False
     if a.order() > cap:

@@ -147,7 +147,7 @@ def p_subgroup_classes(group, p):
     return registry.subgroup_classes()
 
 
-def all_subgroup_classes(group, cap=None):
+def all_subgroup_classes(group):
     """Every subgroup up to conjugacy (trivial and full group included).
 
     Starts from the trivial class and extends each representative H by single
@@ -158,8 +158,7 @@ def all_subgroup_classes(group, cap=None):
     cyclic extension would miss them).
     """
     n = group.order()
-    if cap is None:
-        cap = group.caps.full_subgroup_cap
+    cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
     group._materialize()

@@ -129,6 +129,12 @@ def o_pprime_oracle(group, p):
     return max(coprime, key=len)
 
 
+def core_p_oracle(group, p):
+    """O_p(G): the largest normal subgroup of p-power order."""
+    powers = {p**k for k in range(len(group.elements()).bit_length())}
+    return max((s for s in normal_subgroups_oracle(group) if len(s) in powers), key=len)
+
+
 def is_nilpotent_oracle(elements):
     """Whether the lower central series G >= [G,G] >= [[G,G],G] >= ... of the
     group on ``elements`` reaches the identity."""

@@ -181,7 +181,9 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_per_entry_cap_degrades_gracefully():
-    record = analyze_entry(CorpusEntry("Alternating(5)", full_cap=10))
+    entry = CorpusEntry("Alternating(5)", full_cap=10)
+    assert entry.build().caps.full_subgroup_cap == 10
+    record = analyze_entry(entry)
     assert record.verdicts["B"] == "undecided"
     assert record.verdicts["B_pi"] == MEMBER
 

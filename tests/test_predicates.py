@@ -4,7 +4,9 @@ from subconj import (
     MEMBER,
     NON_MEMBER,
     UNDECIDED,
+    Caps,
     ClassId,
+    Group,
     center,
     construct,
     decide,
@@ -152,6 +154,12 @@ def test_capped_plain_class_is_undecided():
     g = construct("SL2(13)")  # order 2184 over the default full cap
     v, w = decide(g, ClassId.B)
     assert v == UNDECIDED and w is None
+    # the bound is the group's own, so the call order cannot change a verdict
+    a5 = construct("Alternating(5)")
+    for order in ((ClassId.B, ClassId.B_PI), (ClassId.B_PI, ClassId.B)):
+        g = Group(a5.generators, degree=a5.degree, caps=Caps(full_subgroup_cap=10))
+        verdicts = {cid: decide(g, cid)[0] for cid in order}
+        assert verdicts == {ClassId.B: UNDECIDED, ClassId.B_PI: MEMBER}
 
 
 def test_capped_plain_class_still_detects_non_membership():

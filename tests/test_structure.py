@@ -2,6 +2,7 @@ import pytest
 
 from subconj import (
     CapExceeded,
+    Caps,
     Group,
     all_subgroup_classes,
     are_conjugate,
@@ -29,6 +30,7 @@ from subconj.structure import p_part, prime_factors
 
 from oracles import (
     commutator_subgroup_oracle,
+    core_p_oracle,
     is_nilpotent_oracle,
     is_supersolvable_oracle,
     normal_subgroups_oracle,
@@ -254,6 +256,7 @@ def test_o_pprime_matches_oracle(name):
     g = construct(name)
     for p in prime_factors(g.order()):
         assert set(o_pprime(g, p).elements()) == o_pprime_oracle(g, p)
+        assert set(core_p(g, p).elements()) == core_p_oracle(g, p)
 
 
 def test_shape_cyclic():
@@ -345,9 +348,10 @@ def test_iso_detects_non_isomorphic_same_counts():
 
 
 def test_iso_cap_enforced():
-    a = construct("PSL2(7)")
+    psl27 = construct("PSL2(7)")
+    a = Group(psl27.generators, degree=psl27.degree, caps=Caps(iso_cap=100))
     with pytest.raises(CapExceeded, match="isomorphism"):
-        is_isomorphic_small(a, a, cap=100)
+        is_isomorphic_small(a, a)
 
 
 def test_supersolvability_calls():
