@@ -11,6 +11,12 @@ Products of element indices come from a right-regular multiplication table
 i.e. for orders up to 2000.  Larger groups compute each product from the two
 image tuples instead; the results are the same, only slower.
 
+Two exact shortcuts follow from Lagrange's theorem, that the order of a
+subgroup divides the order of the group.  A subgroup with more than half the
+elements is the whole group, so a closure stops as soon as it passes n/2.  And
+since H <= N_G(H), a right coset Hg lies in N_G(H) or misses it as a whole, so
+the normaliser tests one element per coset of H.
+
 Groups and subgroups are immutable after construction.  The lazy caches
 (element list, conjugation maps, ...) are populated once and only read
 afterwards, so sharing across threads or analyses is safe.
@@ -291,6 +297,11 @@ class Group:
         e = self._elts0
         return self._index[_mult(e[i], e[j])]
 
+    def has_table(self):
+        """True when products come from the multiplication table."""
+        self._materialize()
+        return self._rows is not None
+
     def right_row(self, j):
         """The index map i -> index of x_i * x_j (a table row when the group
         has one)."""
@@ -375,6 +386,11 @@ class Group:
         ``base`` may be an already-closed index set with generating indices
         ``base_gens``; its members are only pushed through the new seed
         generators, which keeps repeated one-element extensions cheap.
+
+        By Lagrange a subgroup with more than n/2 elements is the whole group,
+        so the walk stops once the members pass that size.  The test is
+        strict: an index-2 subgroup has exactly n/2 elements and closes
+        normally.
         """
         self._materialize()
         id_idx = self.identity_idx
@@ -406,7 +422,10 @@ class Group:
             all_rows = [
                 self.right_row(j) for j in dict.fromkeys([*base_gens, *new_gens])
             ]
+        half = self._order // 2
         while frontier:
+            if len(members) > half:
+                return frozenset(range(self._order))
             a = frontier.pop()
             for row in all_rows:
                 b = row[a]
@@ -597,22 +616,36 @@ def centralizer(group, sub):
 
 
 def normalizer(group, sub):
-    """N_G(H) = elements g with g^-1 H g = H."""
+    """N_G(H) = elements g with g^-1 H g = H.
+
+    H <= N_G(H), so every element of a right coset Hg lies in N_G(H) exactly
+    when g does: one element is tested per coset of H, and the whole coset is
+    kept or dropped with it.
+    """
     group._materialize()
     mul = group.mul_idx
     inv = group.inv_idx
     hgens = sub.gens_idx()
     hset = sub.indices
+    seen = bytearray(group.order())
     members = []
     for i in range(group.order()):
+        if seen[i]:
+            continue
+        row = group.right_row(i)
+        coset = [row[h] for h in hset]
+        for c in coset:
+            seen[c] = 1
         j = inv(i)
         if all(mul(mul(j, h), i) in hset for h in hgens):
-            members.append(i)
+            members.extend(coset)
     return group.subgroup_from_indices(members)
 
 
 def center(group):
-    return centralizer(group, group.full_subgroup())
+    """Z(G): the union of the one-element conjugacy classes."""
+    classes = group.conjugacy_classes_idx()
+    return group.subgroup_from_indices(c[0] for c in classes if len(c) == 1)
 
 
 def is_normal(group, sub):

@@ -231,7 +231,7 @@ def verify_witness(group, witness):
 
     Checks order equality and the quantified property directly on the element
     sets, then non-conjugacy: by scanning every group element when the group
-    is small enough, otherwise by a full conjugation-orbit walk.
+    has a multiplication table, otherwise by a full conjugation-orbit walk.
     """
     a, b = witness.sub_a, witness.sub_b
     if a.order != b.order or a.order != witness.order:
@@ -243,7 +243,7 @@ def verify_witness(group, witness):
         for sub in (a, b):
             if len(prime_factors(sub.order)) != 1 or sub.order % witness.prime:
                 return False, "not a p-subgroup"
-    if group.order() <= 2000:
+    if group.has_table():
         mul = group.mul_idx
         inv = group.inv_idx
         target = b.indices

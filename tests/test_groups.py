@@ -21,6 +21,7 @@ from subconj import (
 )
 from subconj import groups
 from subconj.caps import Caps
+from subconj.subgroups import all_subgroup_classes
 
 from oracles import exhaustive_conjugator, naive_closure, naive_order
 
@@ -391,4 +392,135 @@ def test_analysis_without_table_matches_table(monkeypatch, name):
     plain_group = construct(name)
     plain, _ = analyze_group(plain_group, name)
     assert plain_group._rows is None
+    # the re-verification method follows the product path: a scan over every
+    # element with a table, an orbit walk without; everything else is equal
+    methods = [w.pop("verified") for w in tabled.witnesses]
+    assert methods == ["exhaustive-scan"] * len(tabled.witnesses)
+    methods = [w.pop("verified") for w in plain.witnesses]
+    assert methods == ["orbit-walk"] * len(plain.witnesses)
     assert plain == tabled
+
+
+# ----------------------------------------------------------------------
+# Lagrange exits (closure past n/2, one normaliser test per coset) and the
+# center from the conjugacy classes, against naive scans, with and without
+# the table
+
+LAGRANGE_CASES = [(name, table) for name in TABLE_GROUPS for table in (True, False)]
+
+
+def _build(name, table):
+    """construct(name), materialised with or without its multiplication table."""
+    with pytest.MonkeyPatch.context() as m:
+        if not table:
+            m.setattr(groups, "_TABLE_BYTES", 0)
+        g = construct(name)
+        g._materialize()
+    assert g.has_table() == table
+    return g
+
+
+@pytest.fixture(scope="module")
+def subgroup_reps():
+    # found once on the tabled groups; both builds index the same sorted
+    # element list, so the index sets carry over
+    return {
+        name: [c.representative for c in all_subgroup_classes(construct(name))]
+        for name in TABLE_GROUPS
+    }
+
+
+@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
+def test_closure_idx_matches_naive_closure(subgroup_reps, name, table):
+    g = _build(name, table)
+    n = g.order()
+
+    def naive(seed):
+        perms = [g.perm_at(i) for i in seed]
+        return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
+
+    gens = g.gen_indices()
+    assert g.closure_idx(gens) == naive(gens) == frozenset(range(n))
+    # every subgroup class, index-2 ones included, and each grown through
+    # base= one generator at a time
+    for rep in subgroup_reps[name]:
+        rgens = list(rep.gens_idx())
+        assert g.closure_idx(rgens) == naive(rgens) == rep.indices
+        for k in range(1, len(rgens)):
+            base = g.closure_idx(rgens[:k])
+            grown = g.closure_idx(rgens[k : k + 1], base=base, base_gens=rgens[:k])
+            assert grown == naive(rgens[: k + 1])
+    for i in range(0, n, max(1, n // 12)):
+        seed = [i, (5 * i + 3) % n]
+        assert g.closure_idx(seed) == naive(seed)
+        base = g.closure_idx(seed[:1])
+        assert g.closure_idx(seed[1:], base=base, base_gens=seed[:1]) == naive(seed)
+
+
+@pytest.mark.parametrize("table", (True, False))
+def test_closure_idx_closes_an_index_two_subgroup(table):
+    # |A4| = 12 = |S4| / 2 exactly: the exit past n/2 must not fire
+    g = _build("Symmetric(4)", table)
+    a, b = g.index_of(P("(1,2,3)", 4)), g.index_of(P("(2,3,4)", 4))
+    a4 = g.closure_idx([a, b])
+    assert len(a4) == 12
+    assert g.closure_idx([b], base=g.closure_idx([a]), base_gens=[a]) == a4
+    t = g.index_of(P("(1,2)", 4))
+    assert g.closure_idx([t], base=a4, base_gens=[a, b]) == frozenset(range(24))
+
+
+def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
+    # without a table every row lookup is one tuple product; closing the whole
+    # group pops fewer than n/2 members instead of all n - 1
+    g = _build("E25xSL(2,3)", False)
+    gens = g.gen_indices()
+    calls = [0]
+    mult = groups._mult
+
+    def counted(a, b):
+        calls[0] += 1
+        return mult(a, b)
+
+    monkeypatch.setattr(groups, "_mult", counted)
+    assert g.closure_idx(gens) == frozenset(range(g.order()))
+    assert calls[0] <= (g.order() // 2) * len(gens)
+
+
+@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
+def test_normalizer_matches_brute_force(subgroup_reps, name, table):
+    g = _build(name, table)
+    elements = g.elements()
+    for rep in subgroup_reps[name]:
+        sub = g.subgroup_from_indices(rep.indices)
+        hset = frozenset(sub.elements())
+        hgens = rep.generators
+        scan = frozenset(
+            i
+            for i, x in enumerate(elements)
+            if all(x.inverse() * h * x in hset for h in hgens)
+        )
+        assert normalizer(g, sub).indices == scan
+
+
+@pytest.mark.parametrize("table", (True, False))
+def test_normalizer_tests_one_element_per_coset(monkeypatch, subgroup_reps, table):
+    # normalizer inverts exactly the elements it tests
+    g = _build("E25xSL(2,3)", table)
+    tested = []
+    inv = g.inv_idx
+
+    def counted(i):
+        tested.append(i)
+        return inv(i)
+
+    monkeypatch.setattr(g, "inv_idx", counted)
+    for rep in subgroup_reps["E25xSL(2,3)"]:
+        tested.clear()
+        normalizer(g, g.subgroup_from_indices(rep.indices))
+        assert len(tested) == g.order() // rep.order
+
+
+@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
+def test_center_matches_centralizer(name, table):
+    g = _build(name, table)
+    assert center(g).indices == centralizer(g, g.full_subgroup()).indices

@@ -188,6 +188,13 @@ def test_per_entry_cap_degrades_gracefully():
     assert record.verdicts["B_pi"] == MEMBER
 
 
+def test_c14_skips_a_capped_b_verdict():
+    # an undecided B verdict is a cap hit, not evidence against C14
+    record = analyze_entry(CorpusEntry("E25xSL(2,3)", full_cap=10))
+    assert record.verdicts["B"] == "undecided"
+    assert run_check("C14", [record]).status == "skipped"
+
+
 def test_parallel_analysis_matches_serial(records):
     parallel = analyze_corpus(SMALL_MANIFEST, jobs=2)
     serial_doc = report_document(records, run_checks(records))
