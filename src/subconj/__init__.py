@@ -12,12 +12,9 @@ from .fields import GF, Field, FieldElement, Mat2
 from .groups import (
     Group,
     Subgroup,
-    build_group,
     center,
     centralizer,
-    closure,
     direct_product,
-    element_order,
     is_normal,
     normalizer,
     quotient,
@@ -54,7 +51,6 @@ from .structure import (
 )
 from .subgroups import (
     SubgroupClass,
-    abelian_subgroup_classes,
     all_subgroup_classes,
     are_conjugate,
     p_subgroup_classes,

@@ -7,13 +7,13 @@ bound as an argument): :data:`DEFAULT_CAPS`, whose fields the ``SUBCONJ_*``
 environment variables override, or ``Group(..., caps=Caps(...))``.
 Quotients and products inherit the caps of their source group, and a corpus
 manifest's per-entry ``full_cap`` builds the entry's group with
-``full_subgroup_cap`` set to it.
+``dataclasses.replace(caps, full_subgroup_cap=full_cap)``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class CapExceeded(RuntimeError):
@@ -53,10 +53,6 @@ class Caps:
             if raw is not None:
                 values[field] = int(raw)
         return cls(**values)
-
-    def override(self, **kwargs):
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
 
 
 DEFAULT_CAPS = Caps.from_env()

@@ -9,7 +9,8 @@ frozensets of element indices, which keeps orbit walks and closures cheap.
 Products of element indices come from a right-regular multiplication table
 (one ``array('H')`` row per element) when the table fits in ``_TABLE_BYTES``,
 i.e. for orders up to 2000.  Larger groups compute each product from the two
-image tuples instead; the results are the same, only slower.
+image tuples instead; the results are the same, only slower.  ``right_row`` is
+the one place that chooses between the two.
 
 Two exact shortcuts follow from Lagrange's theorem, that the order of a
 subgroup divides the order of the group.  A subgroup with more than half the
@@ -199,13 +200,6 @@ class Group:
     def order(self):
         return self._order
 
-    def base(self):
-        """Base points (1-based) of the stabilizer chain."""
-        return tuple(lvl.point + 1 for lvl in self._chain.levels)
-
-    def basic_orbit_lengths(self):
-        return tuple(len(lvl.transversal) for lvl in self._chain.levels)
-
     def contains(self, perm):
         if perm.degree != self.degree:
             return False
@@ -292,10 +286,8 @@ class Group:
         return Permutation._from0(self._elts0[i])
 
     def mul_idx(self, i, j):
-        if self._rows is not None:
-            return self._rows[j][i]
-        e = self._elts0
-        return self._index[_mult(e[i], e[j])]
+        """Index of x_i * x_j, read from ``right_row(j)``."""
+        return self.right_row(j)[i]
 
     def has_table(self):
         """True when products come from the multiplication table."""
@@ -380,12 +372,15 @@ class Group:
     # ------------------------------------------------------------------
     # closures on index sets
 
-    def closure_idx(self, seed, base=None, base_gens=()):
+    def closure_idx(self, seed, base=(), base_gens=()):
         """Subgroup (as an index set) generated by ``base | seed``.
 
         ``base`` may be an already-closed index set with generating indices
-        ``base_gens``; its members are only pushed through the new seed
-        generators, which keeps repeated one-element extensions cheap.
+        ``base_gens``.  Members start as the identity and ``base``; the new
+        seeds go on the frontier, and only ``base``'s own members are pushed
+        through the new seeds' rows (they are closed under ``base_gens``
+        already), which keeps repeated one-element extensions cheap.  Every
+        frontier element is then pushed through all generator rows.
 
         By Lagrange a subgroup with more than n/2 elements is the whole group,
         so the walk stops once the members pass that size.  The test is
@@ -393,41 +388,23 @@ class Group:
         normally.
         """
         self._materialize()
-        id_idx = self.identity_idx
-        new_gens = [j for j in dict.fromkeys(seed) if j != id_idx]
-        new_rows = [self.right_row(j) for j in new_gens]
-        if base is None:
-            members = {id_idx}
-            frontier = []
-            all_rows = new_rows
-            for j in new_gens:
-                if j not in members:
-                    members.add(j)
-                    frontier.append(j)
-        else:
-            members = set(base)
-            members.add(id_idx)
-            frontier = []
-            for j in new_gens:
-                if j not in members:
-                    members.add(j)
-                    frontier.append(j)
-            # base members are closed under base_gens but not the new seeds
-            for a in list(members):
-                for row in new_rows:
-                    b = row[a]
-                    if b not in members:
-                        members.add(b)
-                        frontier.append(b)
-            all_rows = [
-                self.right_row(j) for j in dict.fromkeys([*base_gens, *new_gens])
-            ]
+        members = {self.identity_idx, *base}
+        frontier = [j for j in dict.fromkeys(seed) if j not in members]
+        members.update(frontier)
+        new_rows = [self.right_row(j) for j in frontier]
+        rows = [self.right_row(j) for j in dict.fromkeys(base_gens)] + new_rows
+        for a in base:
+            for row in new_rows:
+                b = row[a]
+                if b not in members:
+                    members.add(b)
+                    frontier.append(b)
         half = self._order // 2
         while frontier:
             if len(members) > half:
                 return frozenset(range(self._order))
             a = frontier.pop()
-            for row in all_rows:
+            for row in rows:
                 b = row[a]
                 if b not in members:
                     members.add(b)
@@ -585,23 +562,6 @@ def _greedy_gens(parent, indices):
 # module-level operations
 
 
-def build_group(generators, degree=None, caps=None):
-    """Group from a nonempty generator list (or an explicit degree)."""
-    return Group(generators, degree=degree, caps=caps)
-
-
-def element_order(group, perm):
-    """Least n >= 1 with perm^n = identity; perm must be a member."""
-    if perm not in group:
-        raise ValueError(f"{perm} is not a member of the group")
-    return perm.order()
-
-
-def closure(group, seed):
-    """Smallest subgroup of ``group`` containing the seed permutations."""
-    return group.subgroup(seed)
-
-
 def centralizer(group, sub):
     """C_G(H) = elements commuting with every element of H."""
     group._materialize()
@@ -740,9 +700,7 @@ def semidirect_product(normal, acting, action):
     Inconsistent relations (images that do not satisfy the relations of H)
     surface as an order mismatch and raise ValueError.
     """
-    n_elems = normal.elements()
-    n_size = len(n_elems)
-    n_index = {p._t: i for i, p in enumerate(n_elems)}
+    n_size = normal.order()
     n_gens = [normal.index_of(g) for g in normal.generators]
     if len(action) != len(acting.generators):
         raise ValueError("need one automorphism per generator of the acting group")
@@ -756,7 +714,16 @@ def semidirect_product(normal, acting, action):
             if p not in normal:
                 raise ValueError(f"automorphism image {p} lies outside the group")
             img_idx.append(normal.index_of(p))
-        auto_maps.append(_extend_automorphism(normal, n_gens, img_idx))
+        # the images define an automorphism iff the walk from the identity
+        # is consistent, injective and reaches every element
+        ident = normal.identity_idx
+        pairs = list(zip(n_gens, img_idx))
+        phi = extend_homomorphism(normal, normal, {ident: ident}, pairs)
+        if phi is None:
+            raise ValueError("generator images do not define an automorphism")
+        if len(phi) != n_size:
+            raise ValueError("generator images do not generate the normal subgroup")
+        auto_maps.append([phi[x] for x in range(n_size)])
 
     # Generators on elements(N) + points(H): N acts by right translation,
     # H-generators act by their automorphism on the N block.
@@ -782,31 +749,30 @@ def semidirect_product(normal, acting, action):
     return prod
 
 
-def _extend_automorphism(normal, gen_idx, img_idx):
-    """Extend generator images to a verified automorphism of the whole group.
+def extend_homomorphism(a, b, phi, pairs):
+    """Grow a partial injective map ``phi`` (a dict from element indices of
+    ``a`` to element indices of ``b``) along phi(x*g) = phi(x)*h for every
+    pair (g, h) in ``pairs``, starting from every index ``phi`` holds.
 
-    Walks the multiplication graph phi(x*g) = phi(x)*phi(g); any conflict or
-    failure of bijectivity means the images do not define an automorphism.
+    Walks the multiplication graph; returns the grown copy of ``phi``, or None
+    when one element gets two images or two elements get the same image.
     """
-    mul = normal.mul_idx
-    size = normal.order()
-    phi = [-1] * size
-    phi[normal.identity_idx] = normal.identity_idx
-    queue = [normal.identity_idx]
-    hit = {normal.identity_idx}
+    phi = dict(phi)
+    image = set(phi.values())
+    queue = list(phi)
     while queue:
         x = queue.pop()
-        for g, pg in zip(gen_idx, img_idx):
-            y = mul(x, g)
-            img = mul(phi[x], pg)
-            if phi[y] < 0:
-                if img in hit:
-                    raise ValueError("generator images do not define an automorphism")
-                phi[y] = img
-                hit.add(img)
+        fx = phi[x]
+        for g, h in pairs:
+            y = a.mul_idx(x, g)
+            fy = b.mul_idx(fx, h)
+            known = phi.get(y)
+            if known is None:
+                if fy in image:
+                    return None
+                phi[y] = fy
+                image.add(fy)
                 queue.append(y)
-            elif phi[y] != img:
-                raise ValueError("generator images do not define an automorphism")
-    if -1 in phi:
-        raise ValueError("generator images do not generate the normal subgroup")
+            elif known != fy:
+                return None
     return phi

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .groups import Group, center, direct_factors_embedded, is_normal, quotient
@@ -49,7 +49,7 @@ class CorpusEntry:
         group = construct(self.name)
         if self.full_cap is None:
             return group
-        caps = group.caps.override(full_subgroup_cap=self.full_cap)
+        caps = replace(group.caps, full_subgroup_cap=self.full_cap)
         return Group(group.generators, degree=group.degree, caps=caps)
 
 
@@ -676,13 +676,6 @@ def run_checks(records, only=None):
             continue
         results.append(fn(records))
     return results
-
-
-def run_check(check_id, records):
-    for cid, _desc, fn in CHECKS:
-        if cid == check_id:
-            return fn(records)
-    raise ValueError(f"unknown check id {check_id!r}; known: {CHECK_IDS}")
 
 
 def witness_search(records, class_in, class_out):

@@ -107,10 +107,6 @@ class Permutation:
             n >>= 1
         return result
 
-    def conjugate(self, g):
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def is_identity(self):
         t = self._t
         return all(t[i] == i for i in range(len(t)))

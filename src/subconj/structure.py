@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .caps import CapExceeded
 from .fields import is_prime
-from .groups import center, is_normal, normalizer
+from .groups import center, extend_homomorphism, is_normal, normalizer
 
 
 def prime_factors(n):
@@ -87,30 +87,24 @@ def is_nilpotent(group, sub=None):
     return True
 
 
-def sylow_subgroup(group, p, containing=None):
-    """A Sylow p-subgroup, grown from a p-element through normalizers.
+def sylow_subgroup(group, p):
+    """A Sylow p-subgroup, grown through normalizers.
 
-    ``containing`` may name a p-element to start the growth from; different
-    starting elements can land in different (conjugate) Sylow subgroups.
+    Starts from the p-part of the first element (by index) of order divisible
+    by p; while the subgroup P is below |G|_p, it is extended by the first
+    p-element of N_G(P) outside P.
     """
     n = group.order()
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
     target = p_part(n, p)
     group._materialize()
-    seed = None
-    if containing is not None:
-        seed = group.index_of(containing)
-        o = group.order_of_idx(seed)
-        if o == 1 or o != p_part(o, p):
-            raise ValueError("starting element must be a nontrivial p-element")
-    else:
-        for i in range(n):
-            o = group.order_of_idx(i)
-            if o % p == 0:
-                # power down to the p-part of the element order
-                seed = group.pow_idx(i, o // p_part(o, p))
-                break
+    for i in range(n):
+        o = group.order_of_idx(i)
+        if o % p == 0:
+            # power down to the p-part of the element order
+            seed = group.pow_idx(i, o // p_part(o, p))
+            break
     current = group.subgroup_from_indices(group.closure_idx([seed]), (seed,))
     while current.order < target:
         nz = normalizer(group, current)
@@ -249,20 +243,19 @@ def sylow_shape(sub):
 
 
 def _is_dihedral_2group(sub, n):
-    # a rotation of order n/2 plus an inverting involution outside it
+    # a rotation r of order n/2 plus an involution t outside it with t r t = r^-1
     parent = sub.parent
+    mul = parent.mul_idx
     half = n // 2
     for r in sorted(sub.indices):
         if parent.order_of_idx(r) != half:
             continue
         raxis = parent.closure_idx([r])
-        rperm = parent.perm_at(r)
-        rinv = rperm.inverse()
+        rinv = parent.inv_idx(r)
         for t in sorted(sub.indices):
             if t in raxis or parent.order_of_idx(t) != 2:
                 continue
-            tperm = parent.perm_at(t)
-            if tperm * rperm * tperm == rinv:
+            if mul(mul(t, r), t) == rinv:
                 return True
         return False
     return False
@@ -346,7 +339,9 @@ def _element_invariants(group):
 
 
 def is_isomorphic_small(a, b):
-    """Exact isomorphism decision by generator-image backtracking.
+    """Exact isomorphism decision by generator-image backtracking: each
+    candidate image of the next generator is checked by
+    :func:`groups.extend_homomorphism` over the generators chosen so far.
 
     Only available up to ``a.caps.iso_cap``; beyond it callers must fall back
     to fingerprint comparison and say so.
@@ -360,8 +355,6 @@ def is_isomorphic_small(a, b):
         return False
     # greedy: largest element orders first, which keeps the search shallow
     gens = a.subgroup_from_indices(range(a.order())).gens_idx()
-    if not gens:
-        return True
     inv_a = _element_invariants(a)
     inv_b = _element_invariants(b)
     candidates = [
@@ -370,40 +363,15 @@ def is_isomorphic_small(a, b):
 
     id_map = {a.identity_idx: b.identity_idx}
 
-    def extend(phi, pairs, a_gen, b_gen):
-        phi = dict(phi)
-        image = set(phi.values())
-        pairs = pairs + [(a_gen, b_gen)]
-        if a_gen in phi:
-            return phi if phi[a_gen] == b_gen else None
-        if b_gen in image:
-            return None
-        phi[a_gen] = b_gen
-        image.add(b_gen)
-        queue = list(phi)
-        while queue:
-            x = queue.pop()
-            fx = phi[x]
-            for ga, gb in pairs:
-                y = a.mul_idx(x, ga)
-                fy = b.mul_idx(fx, gb)
-                known = phi.get(y)
-                if known is None:
-                    if fy in image:
-                        return None
-                    phi[y] = fy
-                    image.add(fy)
-                    queue.append(y)
-                elif known != fy:
-                    return None
-        return phi
-
     def search(phi, pairs, k):
         if k == len(gens):
             return len(phi) == a.order()
         for b_gen in candidates[k]:
-            bigger = extend(phi, pairs, gens[k], b_gen)
-            if bigger is not None and search(bigger, pairs + [(gens[k], b_gen)], k + 1):
+            if b_gen in phi.values():
+                continue
+            grown = pairs + [(gens[k], b_gen)]
+            bigger = extend_homomorphism(a, b, {**phi, gens[k]: b_gen}, grown)
+            if bigger is not None and search(bigger, grown, k + 1):
                 return True
         return False
 

@@ -27,9 +27,6 @@ class SubgroupClass:
     def order(self):
         return self.representative.order
 
-    def fingerprint(self):
-        return self.representative.fingerprint()
-
     def is_abelian(self):
         return self.representative.is_abelian()
 
@@ -191,14 +188,6 @@ def all_subgroup_classes(group):
             # elements of the coset Hx generate the same extension
             covered.update(map(group.right_row(x).__getitem__, rep_key))
     return registry.subgroup_classes()
-
-
-def abelian_subgroup_classes(group, p=None):
-    """Abelian subgroup classes: of p-power order for a given prime, or of
-    every order (from the full enumeration) when p is None."""
-    if p is not None:
-        return [c for c in p_subgroup_classes(group, p) if c.is_abelian()]
-    return [c for c in all_subgroup_classes(group) if c.is_abelian()]
 
 
 def are_conjugate(group, sub_a, sub_b):

@@ -24,7 +24,7 @@ from subconj import (
     sylow_subgroup,
     verify_witness,
 )
-from subconj.harness import CorpusManifest, analyze_corpus, run_check
+from subconj.harness import CorpusManifest, analyze_corpus, run_checks
 
 from oracles import brute_force_subgroups, conjugacy_partition
 
@@ -143,21 +143,21 @@ def test_criterion_05_psl27():
 
 
 def test_criterion_06_t15_suite(corpus_records):
-    result = run_check("T15", corpus_records)
+    result = run_checks(corpus_records, only=["T15"])[0]
     ok = result.status == "pass"
     _report(6, ok, f"T15 over the default corpus: {result.status} ({result.details})")
 
 
 def test_criterion_07_quotient_suites(corpus_records):
-    r5 = run_check("T5", corpus_records)
-    r16 = run_check("T16", corpus_records)
+    r5 = run_checks(corpus_records, only=["T5"])[0]
+    r16 = run_checks(corpus_records, only=["T16"])[0]
     ok = r5.status == "pass" and r16.status == "pass"
     _report(7, ok, f"T5: {r5.status} ({r5.details}); T16: {r16.status} ({r16.details})")
 
 
 def test_criterion_08_shape_conformance(corpus_records):
-    r10 = run_check("T10", corpus_records)
-    r12 = run_check("T12", corpus_records)
+    r10 = run_checks(corpus_records, only=["T10"])[0]
+    r12 = run_checks(corpus_records, only=["T12"])[0]
     ok = r10.status == "pass" and r12.status == "pass"
     ok = ok and "Q8xC3" in r12.details  # the SL(2,3)-type target matched exactly
     _report(8, ok, f"T10: {r10.status}; T12: {r12.status} (exact SL(2,3)-type match)")

@@ -91,6 +91,12 @@ def test_witness_rejects_unknown_class():
     assert "unknown class id" in result.stderr
 
 
+def test_theorems_rejects_unknown_check_id():
+    result = run_cli("theorems", "--only", "T99")
+    assert result.returncode == 2
+    assert "unknown check ids" in result.stderr
+
+
 def test_usage_error_exits_2():
     result = run_cli("corpus")
     assert result.returncode == 2

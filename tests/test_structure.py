@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from subconj import (
@@ -19,9 +21,11 @@ from subconj import (
     is_supersolvable,
     normal_subgroups,
     o_pprime,
+    Permutation,
     parse_permutation,
     p_subgroup_classes,
     quotient,
+    semidirect_product,
     structural_fingerprint,
     sylow_shape,
     sylow_subgroup,
@@ -139,20 +143,15 @@ def test_sylow_rejects_non_divisor():
         sylow_subgroup(S(4), 5)
 
 
-def test_sylows_from_different_seeds_are_conjugate():
+def test_sylow_is_conjugate_to_top_p_class():
+    # the normaliser growth lands in the one class of Sylow subgroups
     for name in ["Symmetric(4)", "SL2(3)", "PSL2(7)"]:
         g = construct(name)
-        p = 2
-        seeds = [
-            g.perm_at(i)
-            for i in range(g.order())
-            if g.order_of_idx(i) == 2
-        ][:5]
-        reference = sylow_subgroup(g, p)
-        for seed in seeds:
-            other = sylow_subgroup(g, p, containing=seed)
-            assert seed in other
-            assert are_conjugate(g, other, reference) is not None
+        for p in prime_factors(g.order()):
+            top = p_subgroup_classes(g, p)[-1].representative
+            syl = sylow_subgroup(g, p)
+            assert syl.order == top.order == p_part(g.order(), p)
+            assert are_conjugate(g, syl, top) is not None
 
 
 def test_core_of_p_group_is_everything():
@@ -320,6 +319,40 @@ def test_iso_reflexive():
     assert is_isomorphic_small(g, g)
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Symmetric(4)",
+        "SL2(3)",
+        "Q8xC3",
+        "Dihedral(8)",
+        "GeneralizedQuaternion(16)",
+        "Alternating(5)",
+        "E8xC7",
+        "SL2(5)",
+        "E8x(C7xC3)",
+        "PSL2(7)",
+    ],
+)
+def test_iso_accepts_a_relabelled_copy(name):
+    # the copy lists its elements in another order, so the search must find a
+    # nontrivial generator-image map through the homomorphism walk
+    g = construct(name)
+    pi = list(range(g.degree))
+    random.Random(7).shuffle(pi)
+
+    def relabel(perm):
+        images = [0] * g.degree
+        for i, j in enumerate(perm.images):
+            images[pi[i]] = pi[j - 1] + 1
+        return Permutation(images)
+
+    copy = Group([relabel(x) for x in g.generators], degree=g.degree)
+    assert copy.order() == g.order()
+    assert is_isomorphic_small(g, copy)
+    assert is_isomorphic_small(copy, g)
+
+
 def test_iso_rejects_q8_vs_c8():
     assert not is_isomorphic_small(
         construct("GeneralizedQuaternion(8)"), construct("Cyclic(8)")
@@ -345,6 +378,19 @@ def test_iso_detects_non_isomorphic_same_counts():
     a = direct_product(construct("Cyclic(4)"), construct("Cyclic(4)"))
     b = direct_product(construct("Cyclic(2)"), construct("Cyclic(8)"))
     assert not is_isomorphic_small(a, b)
+
+
+def test_iso_rejects_a_fingerprint_twin():
+    # C4 x| C4 (inversion) and C2 x Q8 agree on order, element orders, Sylow
+    # shape, centre and derived orders: only the generator-image walk, which
+    # must reject a map that gives one element two images, tells them apart
+    c4 = construct("Cyclic(4)")
+    a = semidirect_product(c4, construct("Cyclic(4)"), [[c4.generators[0].inverse()]])
+    b = direct_product(construct("Cyclic(2)"), construct("GeneralizedQuaternion(8)"))
+    assert structural_fingerprint(a) == structural_fingerprint(b)
+    assert not is_isomorphic_small(a, b)
+    assert not is_isomorphic_small(b, a)
+    assert is_isomorphic_small(a, a)
 
 
 def test_iso_cap_enforced():
