@@ -8,7 +8,6 @@ checks with re-verifiable witnesses.
 """
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .fields import GF, Field, FieldElement, Mat2
 from .groups import (
     Group,
     Subgroup,

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 when everything passes, 1 when a registered check fails, 2 for
-usage or parse errors.
+usage or parse errors and for a computation refused by a cap.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from .caps import CapExceeded
 from .harness import (
     CHECK_IDS,
     CorpusManifest,
@@ -178,7 +179,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,21 +1,21 @@
-"""Small finite fields GF(p^k), k <= 3, and 2x2 matrices over them.
+"""The finite fields GF(q) of the matrix-group constructors, as integer tables.
 
-Extension fields use fixed irreducible polynomials so that every constructor
-in the package is deterministic: GF(4) uses x^2+x+1, GF(8) uses x^3+x+1 and
-GF(9) uses x^2+1.  Elements are coefficient tuples over GF(p), lowest degree
-first.
+Element n of GF(p^k) is the polynomial whose coefficients, lowest degree
+first, are the base-p digits of n; so 0 and 1 are the field's zero and one,
+and the prime field is 0..p-1.  Extension fields reduce by fixed irreducible
+polynomials, which keeps every constructor deterministic: GF(4) uses
+x^2+x+1, GF(8) uses x^3+x+1 and GF(9) uses x^2+1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-# modulus[(p, k)] lists the non-leading coefficients of the fixed monic
-# irreducible polynomial, lowest degree first.
-_FIXED_MODULI = {
-    (2, 2): (1, 1),  # x^2 + x + 1
-    (2, 3): (1, 1, 0),  # x^3 + x + 1
-    (3, 2): (1, 0),  # x^2 + 1
+# q -> (p, non-leading coefficients of the fixed monic modulus, lowest first)
+_EXTENSION_MODULI = {
+    4: (2, (1, 1)),  # x^2 + x + 1
+    8: (2, (1, 1, 0)),  # x^3 + x + 1
+    9: (3, (1, 0)),  # x^2 + 1
 }
 
 
@@ -30,244 +30,36 @@ def is_prime(n):
     return True
 
 
-class Field:
-    """GF(p^k) with a fixed modulus; compare fields by identity of (p, k, modulus)."""
-
-    def __init__(self, p, k=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1 or k > 3:
-            raise ValueError("only extension degrees k <= 3 are supported")
-        if k == 1:
-            modulus = ()
-        elif modulus is None:
-            if (p, k) not in _FIXED_MODULI:
-                raise ValueError(f"no fixed modulus for GF({p}^{k})")
-            modulus = _FIXED_MODULI[(p, k)]
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k:
-                raise ValueError("modulus must have degree k")
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        if k > 1 and not self._modulus_irreducible():
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-
-    def _modulus_irreducible(self):
-        # k <= 3, so reducible means the polynomial has a root in GF(p).
-        for a in range(self.p):
-            acc = pow(a, self.k, self.p)
-            for i, c in enumerate(self.modulus):
-                acc += c * pow(a, i, self.p)
-            if acc % self.p == 0:
-                return False
-        return True
-
-    @property
-    def size(self):
-        return self.p**self.k
-
-    def element(self, coeffs):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,) + (0,) * (self.k - 1)
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError(f"need {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
-
-    def elements(self):
-        """All field elements in lexicographic coefficient order."""
-        out = []
-        for n in range(self.size):
-            coeffs = []
-            m = n
-            for _ in range(self.k):
-                coeffs.append(m % self.p)
-                m //= self.p
-            out.append(self.element(tuple(coeffs)))
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
-
-
 @lru_cache(maxsize=None)
-def GF(q):
-    """The field of order q, for q a prime power p^k with k <= 3."""
-    for p in range(2, q + 1):
-        if not is_prime(p) or q % p:
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
-            return Field(p, k)
-        break
-    raise ValueError(f"{q} is not a prime power")
+def gf_tables(q):
+    """``(add, mul)`` of GF(q): ``add[a][b]`` is a+b and ``mul[a][b]`` is a*b.
 
+    q is a prime or one of the extension sizes 4, 8 and 9.
+    """
+    # a prime q has degree 1 and never reduces, so its modulus is a placeholder
+    p, modulus = _EXTENSION_MODULI.get(q, (q, (0,)))
+    k = len(modulus)
 
-class FieldElement:
-    __slots__ = ("field", "coeffs")
+    def digits(n):
+        return [n // p**i % p for i in range(k)]
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
+    def number(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
 
-    def _same_field(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._same_field(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._same_field(other)
-        f = self.field
-        p, k = f.p, f.k
-        if k == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        # schoolbook product, then reduce x^k -> -modulus repeatedly
+    def times(a, b):
+        # schoolbook product, then reduce x^d -> x^(d-k) * (-modulus)
         prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + a * b) % p
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
         for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i, m in enumerate(f.modulus):
-                    prod[d - k + i] = (prod[d - k + i] - c * m) % p
-        return FieldElement(f, tuple(prod[:k]))
+            for i, m in enumerate(modulus):
+                prod[d - k + i] -= prod[d] * m
+        return number(c % p for c in prod[:k])
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of the zero field element")
-        return self ** (self.field.size - 2)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n, acc, one = 1, self, self.field.one()
-        while acc != one:
-            acc = acc * self
-            n += 1
-        return n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"{self.coeffs}@{self.field!r}"
-
-
-class Mat2:
-    """A 2x2 matrix over a single field, entries (a, b, c, d) row-major."""
-
-    __slots__ = ("field", "a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        for x in (b, c, d):
-            if x.field != a.field:
-                raise ValueError("matrix entries belong to different fields")
-        self.field = a.field
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def from_ints(cls, field, entries):
-        a, b, c, d = (field.element(x) for x in entries)
-        return cls(a, b, c, d)
-
-    @classmethod
-    def identity(cls, field):
-        return cls.from_ints(field, (1, 0, 0, 1))
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("matrices over different fields")
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self):
-        det = self.det()
-        if det.is_zero():
-            raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
-    def apply_row(self, v):
-        """Image of the row vector v = (x, y) under v -> v * M."""
-        x, y = v
-        return (x * self.a + y * self.c, x * self.b + y * self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and (
-            (self.field, self.a, self.b, self.c, self.d)
-            == (other.field, other.a, other.b, other.c, other.d)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"[[{self.a!r},{self.b!r}],[{self.c!r},{self.d!r}]]"
+    add = tuple(
+        tuple(number((x + y) % p for x, y in zip(digits(a), digits(b))) for b in range(q))
+        for a in range(q)
+    )
+    mul = tuple(tuple(times(a, b) for b in range(q)) for a in range(q))
+    return add, mul

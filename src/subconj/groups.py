@@ -375,12 +375,27 @@ class Group:
     def closure_idx(self, seed, base=(), base_gens=()):
         """Subgroup (as an index set) generated by ``base | seed``.
 
-        ``base`` may be an already-closed index set with generating indices
-        ``base_gens``.  Members start as the identity and ``base``; the new
-        seeds go on the frontier, and only ``base``'s own members are pushed
-        through the new seeds' rows (they are closed under ``base_gens``
-        already), which keeps repeated one-element extensions cheap.  Every
-        frontier element is then pushed through all generator rows.
+        ``base`` may be an already-closed index set K with generating indices
+        ``base_gens``.  Members start as the identity and K, the new seeds go
+        on the frontier, and every frontier element is pushed through the rows
+        of ``base_gens`` and of the new seeds; members of K are never pushed,
+        which keeps repeated one-element extensions cheap.  The walk still
+        reaches all of H = <K, seed>.  The elements it reaches outside K are
+        closed under the ``base_gens`` rows, so they form whole left cosets
+        gK, and the walk is reachability from the seeds' cosets in the coset
+        digraph D with arcs gK -> gkxK (g in H, k in K, x a seed), with the
+        vertex K removed.  D is finite, loop-free, vertex-transitive (H acts
+        on it) and strongly connected.  If K has one out-neighbour, it is a
+        seed's coset.  Otherwise the out-degree is >= 2, and then no vertex
+        removal disconnects D.  Suppose one does; a sink component of the
+        rest leaves only to that vertex.  Over D and its reverse, take a
+        smallest vertex set A whose arcs leave A only to one vertex a, with
+        A + a not everything.  Two such sets A, B of that size are disjoint:
+        else A & B is smaller, so it has two exits, a in B and b in A; then
+        A | B has no exit and is everything, and everything outside A + a,
+        of size < |A|, leaves the reverse digraph only to a.  So the sets
+        partition the vertices, H permutes them, and each vertex is the exit
+        of 1/|A| of them: |A| = 1 and the degree would be 1.
 
         By Lagrange a subgroup with more than n/2 elements is the whole group,
         so the walk stops once the members pass that size.  The test is
@@ -391,14 +406,7 @@ class Group:
         members = {self.identity_idx, *base}
         frontier = [j for j in dict.fromkeys(seed) if j not in members]
         members.update(frontier)
-        new_rows = [self.right_row(j) for j in frontier]
-        rows = [self.right_row(j) for j in dict.fromkeys(base_gens)] + new_rows
-        for a in base:
-            for row in new_rows:
-                b = row[a]
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
+        rows = [self.right_row(j) for j in dict.fromkeys([*base_gens, *frontier])]
         half = self._order // 2
         while frontier:
             if len(members) > half:
@@ -694,7 +702,9 @@ def semidirect_product(normal, acting, action):
     ``action`` maps each generator of ``acting`` (by position) to the list of
     images of the generators of ``normal`` (members of N, by position).  Each
     image map must extend to an automorphism of N; this is verified on the
-    full multiplication graph of N.  The product acts on the elements of N
+    full multiplication graph of N.  The walk that checks it starts at the
+    identity and follows every generator of N, so when it succeeds it has
+    mapped all of N.  The product acts on the elements of N
     (affine action) next to the natural points of H, which is always faithful.
 
     Inconsistent relations (images that do not satisfy the relations of H)
@@ -715,14 +725,12 @@ def semidirect_product(normal, acting, action):
                 raise ValueError(f"automorphism image {p} lies outside the group")
             img_idx.append(normal.index_of(p))
         # the images define an automorphism iff the walk from the identity
-        # is consistent, injective and reaches every element
+        # is consistent and injective
         ident = normal.identity_idx
         pairs = list(zip(n_gens, img_idx))
         phi = extend_homomorphism(normal, normal, {ident: ident}, pairs)
         if phi is None:
             raise ValueError("generator images do not define an automorphism")
-        if len(phi) != n_size:
-            raise ValueError("generator images do not generate the normal subgroup")
         auto_maps.append([phi[x] for x in range(n_size)])
 
     # Generators on elements(N) + points(H): N acts by right translation,

@@ -263,8 +263,6 @@ def _collect_facts(group, record, syl_by_p):
             facts["derived_coprime"] = (
                 gcd(derived.order, group.order() // derived.order) == 1
             )
-            v, _ = decide(group, ClassId.B)
-            facts["b_verdict"] = v
 
         shape2 = next((s for s in record.sylow_shapes if s["p"] == 2), None)
         if shape2 is not None and shape2["tag"] == "QuaternionQ8":
@@ -581,7 +579,7 @@ def _check_t20_case1(records):
             failures.append(f"{r.name}: not metacyclic or cyclic")
         if r.facts.get("derived_coprime") is False:
             failures.append(f"{r.name}: derived subgroup order not coprime to index")
-        b = r.facts.get("b_verdict")
+        b = r.verdict(ClassId.B)
         if b == NON_MEMBER:
             failures.append(f"{r.name}: all-Sylow-cyclic member outside B")
         elif b == UNDECIDED:

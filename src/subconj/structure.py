@@ -98,7 +98,6 @@ def sylow_subgroup(group, p):
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
     target = p_part(n, p)
-    group._materialize()
     for i in range(n):
         o = group.order_of_idx(i)
         if o % p == 0:

@@ -110,7 +110,6 @@ def p_subgroup_classes(group, p):
         raise CapExceeded(
             "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
         )
-    group._materialize()
     registry = _OrbitRegistry(group)
     level = []
     for i in range(n):
@@ -158,7 +157,6 @@ def all_subgroup_classes(group):
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
-    group._materialize()
     registry = _OrbitRegistry(group)
     trivial = frozenset({group.identity_idx})
     queue = []

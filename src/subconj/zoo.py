@@ -2,16 +2,19 @@
 
 Every constructor produces identical generator lists on every call, and every
 closed-form order is verified during construction.  Matrix groups become
-permutation groups here: SL(2,q) acts on the nonzero row vectors of GF(q)^2,
-PSL(2,q) on the q+1 projective points.
+permutation groups through one builder, ``_matrix_group``, whose matrices hold
+field elements as the integers of ``fields.gf_tables``: SL(2,q) and the
+SL(2,3) of E25xSL(2,3) act on the nonzero row vectors, PSL(2,q) on the q+1
+projective points.
 """
 
 from __future__ import annotations
 
 import re
 from importlib import resources
+from itertools import product
 
-from .fields import GF, Mat2
+from .fields import gf_tables, is_prime
 from .groups import Group, direct_product, semidirect_product
 from .perms import ParseError, Permutation, parse_permutation
 
@@ -26,8 +29,6 @@ def cyclic(n):
 
 def elementary_abelian(p, k):
     """E_{p^k}: k commuting p-cycles on disjoint blocks of points."""
-    from .fields import is_prime
-
     if not is_prime(p) or k < 1:
         raise ValueError("need a prime p and k >= 1")
     gens = []
@@ -101,110 +102,64 @@ def alternating(n):
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9, 11, 13)
 
 
-def _sl2_generators(q):
-    """Transvections over a spanning set of the field, plus the Weyl element."""
-    field = GF(q)
-    one = field.one()
+def _matrix_group(q, matrices, order, projective=False):
+    """Permutation group of k x k matrices over GF(q), entries field ints.
+
+    Each matrix M acts by v -> vM on the nonzero row vectors of GF(q)^k,
+    numbered from 1 in ``itertools.product(range(q), repeat=k)`` order.  With
+    ``projective`` it acts on the projective points instead: the vectors whose
+    first nonzero coordinate is 1, in the same order.  The group must have the
+    given order.
+    """
+    add, mul = gf_tables(q)
+    vectors = [v for v in product(range(q), repeat=len(matrices[0])) if any(v)]
+    points = [v for v in vectors if not projective or next(filter(None, v)) == 1]
+    index = {}
+    for i, v in enumerate(points):
+        for s in range(1, q) if projective else (1,):
+            index[tuple(mul[s][c] for c in v)] = i + 1
     gens = []
-    for i in range(field.k):
-        x = field.element(tuple(1 if j == i else 0 for j in range(field.k)))
-        gens.append(Mat2(one, x, field.zero(), one))
-    gens.append(Mat2(field.zero(), one, -one, field.zero()))
-    return field, gens
+    for m in matrices:
+        images = []
+        for v in points:
+            w = [0] * len(v)
+            for c, row in zip(v, m):
+                w = [add[x][mul[c][e]] for x, e in zip(w, row)]
+            images.append(index[tuple(w)])
+        gens.append(Permutation(images))
+    g = Group(gens)
+    if g.order() != order:
+        raise RuntimeError(f"matrix group order {g.order()} != {order}")
+    return g
 
 
-def _nonzero_vectors(field):
-    vs = []
-    for a in field.elements():
-        for b in field.elements():
-            if not (a.is_zero() and b.is_zero()):
-                vs.append((a, b))
-    return vs
+def _sl2(q, projective):
+    """SL(2,q) or PSL(2,q) from the transvections [[1, x], [0, 1]] for x
+    running over a basis 1, x, x^2, ... of GF(q) over GF(p), and the Weyl
+    element [[0, 1], [-1, 0]]."""
+    if q not in SUPPORTED_Q:
+        raise ValueError(f"unsupported field size {q}; supported: {SUPPORTED_Q}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    basis = [1]
+    while basis[-1] * p < q:
+        basis.append(basis[-1] * p)
+    matrices = [((1, x), (0, 1)) for x in basis] + [((0, 1), (p - 1, 0))]
+    order = q * (q * q - 1) // (2 if projective and q % 2 else 1)
+    return _matrix_group(q, matrices, order, projective)
 
 
 def special_linear2(q):
     """SL(2,q) on the q^2-1 nonzero row vectors of GF(q)^2."""
-    if q not in SUPPORTED_Q:
-        raise ValueError(f"unsupported field size {q}; supported: {SUPPORTED_Q}")
-    field, mats = _sl2_generators(q)
-    points = _nonzero_vectors(field)
-    index = {v: i for i, v in enumerate(points)}
-    gens = []
-    for m in mats:
-        gens.append(
-            Permutation([index[m.apply_row(v)] + 1 for v in points])
-        )
-    g = Group(gens)
-    if g.order() != q * (q - 1) * (q + 1):
-        raise RuntimeError(f"SL(2,{q}) order {g.order()} != {q * (q - 1) * (q + 1)}")
-    return g
-
-
-def _projective_points(field):
-    pts = [(field.zero(), field.one())]
-    for b in field.elements():
-        pts.append((field.one(), b))
-    return pts
-
-
-def _normalize(v):
-    a, b = v
-    if not a.is_zero():
-        inv = a.inverse()
-        return (a.field.one(), b * inv)
-    return (a.field.zero(), a.field.one())
+    return _sl2(q, projective=False)
 
 
 def projective_special_linear2(q):
     """PSL(2,q) on the q+1 projective points of GF(q)^2."""
-    if q not in SUPPORTED_Q:
-        raise ValueError(f"unsupported field size {q}; supported: {SUPPORTED_Q}")
-    field, mats = _sl2_generators(q)
-    points = _projective_points(field)
-    index = {v: i for i, v in enumerate(points)}
-    gens = []
-    for m in mats:
-        gens.append(
-            Permutation([index[_normalize(m.apply_row(v))] + 1 for v in points])
-        )
-    g = Group(gens)
-    expected = q * (q - 1) * (q + 1) // (2 if q % 2 else 1)
-    if g.order() != expected:
-        raise RuntimeError(f"PSL(2,{q}) order {g.order()} != {expected}")
-    return g
+    return _sl2(q, projective=True)
 
 
 # ----------------------------------------------------------------------
 # bundled semidirect datasets
-
-
-def _matrix_group_gf(p, matrices, expected_order):
-    """Permutation group of invertible int matrices acting on GF(p)^k - 0."""
-    field = GF(p)
-    k = len(matrices[0])
-    vectors = []
-
-    def _vecs(i, prefix):
-        if i == k:
-            if any(c for c in prefix):
-                vectors.append(tuple(prefix))
-            return
-        for c in range(p):
-            _vecs(i + 1, prefix + [c])
-
-    _vecs(0, [])
-    index = {v: i for i, v in enumerate(vectors)}
-    gens = []
-    for m in matrices:
-        images = []
-        for v in vectors:
-            w = tuple(sum(v[i] * m[i][j] for i in range(k)) % p for j in range(k))
-            images.append(index[w] + 1)
-        gens.append(Permutation(images))
-    g = Group(gens)
-    if g.order() != expected_order:
-        raise RuntimeError(f"matrix group order {g.order()} != {expected_order}")
-    return g
 
 
 def _ea_semidirect(p, k, acting, matrices):
@@ -225,24 +180,21 @@ def _ea_semidirect(p, k, acting, matrices):
     return semidirect_product(normal, acting, action)
 
 
-def _assert_frobenius(acting, matrices, p):
-    """The action must be faithful and fixed-point-free on E_{p^k} - 1."""
-    k = len(matrices[0])
-    perm_action = _matrix_group_gf(p, matrices, acting.order())  # faithful by order
-    for g in perm_action.elements():
+def _assert_frobenius(acting):
+    """The matrix group ``acting``, on the nonzero vectors of GF(p)^k, must
+    move every point by every non-identity element.  Its builder checked the
+    order, so the action is faithful and E_{p^k} x| acting is Frobenius."""
+    for g in acting.elements():
         if not g.is_identity() and any(g.apply(i) == i for i in range(1, g.degree + 1)):
             raise RuntimeError("action has fixed points; not Frobenius")
-    return perm_action
 
 
 def _build_e25_sl23():
     # SL(2,3) inside SL(2,5): the quaternion units i, j and an order-3 unit
-    i_m = [[2, 0], [0, 3]]
-    j_m = [[0, 1], [4, 0]]
-    w_m = [[1, 1], [2, 3]]
-    acting = _matrix_group_gf(5, [i_m, j_m, w_m], 24)
-    _assert_frobenius(acting, [i_m, j_m, w_m], 5)
-    return _ea_semidirect(5, 2, acting, [i_m, j_m, w_m])
+    matrices = [[[2, 0], [0, 3]], [[0, 1], [4, 0]], [[1, 1], [2, 3]]]
+    acting = _matrix_group(5, matrices, 24)
+    _assert_frobenius(acting)
+    return _ea_semidirect(5, 2, acting, matrices)
 
 
 def _build_e4_c3():

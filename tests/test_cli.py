@@ -100,3 +100,12 @@ def test_theorems_rejects_unknown_check_id():
 def test_usage_error_exits_2():
     result = run_cli("corpus")
     assert result.returncode == 2
+
+
+def test_cap_hit_exits_2_with_one_error_line():
+    # |S9| = 362880 is above the default element cap
+    result = run_cli("analyze", "Symmetric(9)")
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: element enumeration cap exceeded")
+    assert "Traceback" not in result.stderr

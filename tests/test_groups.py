@@ -443,6 +443,12 @@ def test_closure_idx_matches_naive_closure(subgroup_reps, name, table):
             base = g.closure_idx(rgens[:k])
             grown = g.closure_idx(rgens[k : k + 1], base=base, base_gens=rgens[:k])
             assert grown == naive(rgens[: k + 1])
+        # grown by each element outside it (a sample for the order-600 group):
+        # the walk never pushes the members of base itself
+        outside = [x for x in range(n) if x not in rep.indices]
+        for x in outside[:: max(1, len(outside) // 8) if n > 100 else 1]:
+            grown = g.closure_idx([x], base=rep.indices, base_gens=rgens)
+            assert grown == naive([*rgens, x])
     for i in range(0, n, max(1, n // 12)):
         seed = [i, (5 * i + 3) % n]
         assert g.closure_idx(seed) == naive(seed)

@@ -69,6 +69,33 @@ def test_constructors_are_deterministic():
         assert a.generators == b.generators
 
 
+# The generators over the extension fields, whose products need polynomial
+# reduction and whose projective points need field inverses.
+PINNED_GENERATORS = {
+    "SL2(4)": [
+        "(4,5)(6,7)(8,10)(9,11)(12,15)(13,14)",
+        "(4,6)(5,7)(8,11)(9,10)(12,13)(14,15)",
+        "(1,4)(2,8)(3,12)(6,9)(7,13)(11,14)",
+    ],
+    "PSL2(8)": [
+        "(2,3)(4,5)(6,7)(8,9)",
+        "(2,4)(3,5)(6,8)(7,9)",
+        "(2,6)(3,7)(4,8)(5,9)",
+        "(1,2)(4,7)(5,8)(6,9)",
+    ],
+    "PSL2(9)": [
+        "(2,3,4)(5,6,7)(8,9,10)",
+        "(2,5,8)(3,6,9)(4,7,10)",
+        "(1,2)(3,4)(6,9)(7,10)",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GENERATORS))
+def test_extension_field_generators_are_pinned(name):
+    assert [str(g) for g in construct(name).generators] == PINNED_GENERATORS[name]
+
+
 @pytest.mark.parametrize(
     "name,order",
     [
