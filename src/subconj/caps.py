@@ -17,11 +17,22 @@ from dataclasses import dataclass
 
 
 class CapExceeded(RuntimeError):
-    """An exact computation was refused because a configured cap was exceeded."""
+    """An exact computation was refused because a configured cap was exceeded.
+
+    ``entry`` names the corpus entry being analysed, once the harness knows
+    it.  The constructor arguments are the exception's ``args``, so it
+    survives pickling (a ``--jobs`` worker sends it back to the parent).
+    """
 
     def __init__(self, kind, detail):
+        super().__init__(kind, detail)
         self.kind = kind
-        super().__init__(f"{kind} cap exceeded: {detail}")
+        self.detail = detail
+        self.entry = None
+
+    def __str__(self):
+        text = f"{self.kind} cap exceeded: {self.detail}"
+        return text if self.entry is None else f"{self.entry}: {text}"
 
 
 @dataclass(frozen=True)

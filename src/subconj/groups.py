@@ -6,11 +6,15 @@ that, groups whose order fits under the element cap expose an indexed view of
 their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
-Products of element indices come from a right-regular multiplication table
-(one ``array('H')`` row per element) when the table fits in ``_TABLE_BYTES``,
-i.e. for orders up to 2000.  Larger groups compute each product from the two
-image tuples instead; the results are the same, only slower.  ``right_row`` is
-the one place that chooses between the two.
+Every element is keyed by its base image: the tuple of its images of the
+k base points of the stabiliser chain.  Only the identity fixes the base
+pointwise, so two elements with the same base image are equal, and the key
+dict is the group's one element index.  Products of element indices come from
+a right-regular multiplication table (one ``array('H')`` row per element) when
+the table fits in ``_TABLE_BYTES``, i.e. for orders up to 2000.  Larger groups
+read the key of x_i * x_j as x_j applied to the base image of x_i: k lookups,
+where a whole image tuple costs one per point of the degree.  ``right_row``
+is the one place that chooses between the two.
 
 Two exact shortcuts follow from Lagrange's theorem, that the order of a
 subgroup divides the order of the group.  A subgroup with more than half the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from math import lcm
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .perms import Permutation
@@ -48,24 +53,36 @@ def _is_id(a):
     return all(i == j for i, j in enumerate(a))
 
 
+def _order_through(t, points):
+    """Order of the permutation t when only the identity of its group fixes
+    ``points``: the lcm of the lengths of the cycles through them."""
+    order = 1
+    for p in points:
+        k, q = 1, t[p]
+        while q != p:
+            k, q = k + 1, t[q]
+        order = lcm(order, k)
+    return order
+
+
 # Largest multiplication table (2 bytes per entry) a group keeps: order 2000.
 _TABLE_BYTES = 8_000_000
 
 
 class _ProductRow:
-    """Right multiplication by one element as an index map, computing one
-    image-tuple product per lookup; stands in for a table row above the
-    table bound."""
+    """Right multiplication by one element as an index map; stands in for a
+    table row above the table bound.  A lookup maps the base image of x_i
+    through the element's image tuple and reads the key dict."""
 
-    __slots__ = ("_elts0", "_index", "_t")
+    __slots__ = ("_bimgs", "_by_bimg", "_t")
 
-    def __init__(self, elts0, index, t):
-        self._elts0 = elts0
-        self._index = index
+    def __init__(self, bimgs, by_bimg, t):
+        self._bimgs = bimgs
+        self._by_bimg = by_bimg
         self._t = t
 
     def __getitem__(self, i):
-        return self._index[_mult(self._elts0[i], self._t)]
+        return self._by_bimg[tuple(map(self._t.__getitem__, self._bimgs[i]))]
 
 
 class _Level:
@@ -186,9 +203,11 @@ class Group:
         self.caps = caps if caps is not None else DEFAULT_CAPS
         self._chain = _Chain([g._t for g in self.generators], degree)
         self._order = self._chain.order()
+        self._base = tuple(lvl.point for lvl in self._chain.levels)
         # lazy caches
         self._elts0 = None
-        self._index = None
+        self._bimgs = None
+        self._by_bimg = None
         self._rows = None
         self._orders = None
         self._invs = None
@@ -234,24 +253,32 @@ class Group:
             raise RuntimeError(
                 f"stabilizer chain order {self._order} != closure size {len(seen)}"
             )
-        self._elts0 = sorted(seen)
-        self._index = {t: i for i, t in enumerate(self._elts0)}
+        elts = sorted(seen)
+        # key every element by its base image; the keys must separate them
+        bimgs = [tuple(map(t.__getitem__, self._base)) for t in elts]
+        by_bimg = {b: i for i, b in enumerate(bimgs)}
+        if len(by_bimg) != self._order:
+            raise RuntimeError(
+                f"base images separate {len(by_bimg)} of {self._order} elements"
+            )
+        self._bimgs, self._by_bimg = bimgs, by_bimg
+        self._elts0 = elts
         if 2 * self._order**2 <= _TABLE_BYTES:
             self._rows = self._right_regular_rows()
 
     def _right_regular_rows(self):
         """rows[j][i] = index of x_i * x_j, for every j.
 
-        Generator rows cost one tuple product per element; every other row is
-        composed along a BFS spanning tree of the Cayley graph from the
+        Generator rows cost one base-image lookup per element; every other
+        row is composed along a BFS spanning tree of the Cayley graph from the
         identity, as row(x_a * g) = row(g) o row(a).
         """
         n = self._order
-        elts, index = self._elts0, self._index
-        gen_rows = [
-            array("H", [index[_mult(t, g._t)] for t in elts]) for g in self.generators
-        ]
-        id_idx = index[tuple(range(self.degree))]
+        gen_rows = []
+        for g in self.generators:
+            row = _ProductRow(self._bimgs, self._by_bimg, g._t)
+            gen_rows.append(array("H", map(row.__getitem__, range(n))))
+        id_idx = self.identity_idx
         rows = [None] * n
         rows[id_idx] = array("H", range(n))
         queue = [id_idx]
@@ -272,14 +299,18 @@ class Group:
     @property
     def identity_idx(self):
         self._materialize()
-        return self._index[tuple(range(self.degree))]
+        return self._by_bimg[self._base]
 
     def index_of(self, perm):
+        """Index of a member, found by its base image and then checked
+        against the whole image tuple; ValueError for a non-member."""
         self._materialize()
-        idx = self._index.get(perm._t)
-        if idx is None:
-            raise ValueError(f"{perm} is not a member")
-        return idx
+        t = perm._t
+        if len(t) == self.degree:
+            idx = self._by_bimg.get(tuple(map(t.__getitem__, self._base)))
+            if idx is not None and self._elts0[idx] == t:
+                return idx
+        raise ValueError(f"{perm} is not a member")
 
     def perm_at(self, i):
         self._materialize()
@@ -300,7 +331,7 @@ class Group:
         self._materialize()
         if self._rows is not None:
             return self._rows[j]
-        return _ProductRow(self._elts0, self._index, self._elts0[j])
+        return _ProductRow(self._bimgs, self._by_bimg, self._elts0[j])
 
     def pow_idx(self, i, k):
         """Index of x_i ** k for k >= 0, by square-and-multiply."""
@@ -315,30 +346,36 @@ class Group:
     def inv_idx(self, i):
         if self._invs is None:
             self._materialize()
-            self._invs = [self._index[_inv(t)] for t in self._elts0]
+            # x^-1 maps each base point b to the point x sends to b
+            by, base = self._by_bimg, self._base
+            self._invs = [by[tuple(map(t.index, base))] for t in self._elts0]
         return self._invs[i]
 
     def order_of_idx(self, i):
+        """Order of x_i: x_i^k = 1 exactly when x_i^k fixes the base."""
         if self._orders is None:
             self._materialize()
-            self._orders = [Permutation._from0(t).order() for t in self._elts0]
+            base = self._base
+            self._orders = [_order_through(t, base) for t in self._elts0]
         return self._orders[i]
 
     def gen_indices(self):
         return tuple(self.index_of(g) for g in self.generators)
 
     def conj_maps(self):
-        """Per generator g, the index map i -> index of g^-1 * x_i * g."""
+        """Per generator g, the index map i -> index of g^-1 * x_i * g.
+
+        g^-1 * x * g sends a base point b to g(x(g^-1(b))), so each key reads
+        x at the k points g^-1(b) only.
+        """
         if self._conj_maps is None:
             self._materialize()
+            by, elts = self._by_bimg, self._elts0
             maps = []
             for g in self.generators:
-                gt = g._t
-                gi = _inv(gt)
-                idx = self._index
-                maps.append(
-                    [idx[_mult(_mult(gi, t), gt)] for t in self._elts0]
-                )
+                at = g._t.__getitem__
+                pre = tuple(map(g._t.index, self._base))  # g^-1 of each base point
+                maps.append([by[tuple(map(at, map(t.__getitem__, pre)))] for t in elts])
             self._conj_maps = maps
         return self._conj_maps
 

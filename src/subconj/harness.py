@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import gcd
 
+from .caps import CapExceeded
 from .groups import Group, center, direct_factors_embedded, is_normal, quotient
 from .predicates import (
     MEMBER,
@@ -196,10 +197,17 @@ def analyze_group(group, name, classes=tuple(ClassId)):
 
 
 def analyze_entry(entry):
-    """Build and fully analyze one corpus entry into a GroupRecord."""
-    group = entry.build()
-    record, syl_by_p = analyze_group(group, entry.name)
-    record.facts = _collect_facts(group, record, syl_by_p)
+    """Build and fully analyze one corpus entry into a GroupRecord.
+
+    A cap that stops the whole entry is re-raised with the entry's name.
+    """
+    try:
+        group = entry.build()
+        record, syl_by_p = analyze_group(group, entry.name)
+        record.facts = _collect_facts(group, record, syl_by_p)
+    except CapExceeded as exc:
+        exc.entry = entry.name
+        raise
     return record
 
 

@@ -109,3 +109,17 @@ def test_cap_hit_exits_2_with_one_error_line():
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("error: element enumeration cap exceeded")
     assert "Traceback" not in result.stderr
+
+
+def test_corpus_cap_hit_names_the_entry(tmp_path):
+    # serial and through the process pool: the cap error must survive pickling
+    manifest = tmp_path / "manifest.json"
+    entries = [{"id": "Cyclic(4)"}, {"id": "Symmetric(9)"}]
+    manifest.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    for jobs in ("1", "2"):
+        result = run_cli("corpus", "run", "--jobs", jobs, "--manifest", str(manifest))
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(
+            "error: Symmetric(9): element enumeration cap exceeded: order 362880"
+        )

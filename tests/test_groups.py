@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -469,20 +471,20 @@ def test_closure_idx_closes_an_index_two_subgroup(table):
 
 
 def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
-    # without a table every row lookup is one tuple product; closing the whole
-    # group pops fewer than n/2 members instead of all n - 1
+    # without a table every product is one untabled row lookup; closing the
+    # whole group pops fewer than n/2 members instead of all n - 1
     g = _build("E25xSL(2,3)", False)
     gens = g.gen_indices()
     calls = [0]
-    mult = groups._mult
+    lookup = groups._ProductRow.__getitem__
 
-    def counted(a, b):
+    def counted(row, i):
         calls[0] += 1
-        return mult(a, b)
+        return lookup(row, i)
 
-    monkeypatch.setattr(groups, "_mult", counted)
+    monkeypatch.setattr(groups._ProductRow, "__getitem__", counted)
     assert g.closure_idx(gens) == frozenset(range(g.order()))
-    assert calls[0] <= (g.order() // 2) * len(gens)
+    assert 0 < calls[0] <= (g.order() // 2) * len(gens)
 
 
 @pytest.mark.parametrize("name,table", LAGRANGE_CASES)
@@ -523,3 +525,91 @@ def test_normalizer_tests_one_element_per_coset(monkeypatch, subgroup_reps, tabl
 def test_center_matches_centralizer(name, table):
     g = _build(name, table)
     assert center(g).indices == centralizer(g, g.full_subgroup()).indices
+
+
+# ----------------------------------------------------------------------
+# base-image keys: every element is indexed by its images of the base points,
+# checked against full image tuples, with and without the table, and on
+# copies whose points are relabelled so that the base is not 0..k-1
+
+
+def _relabelled(g):
+    """A copy of g with its points relabelled by the first seeded shuffle
+    that moves its base off 0..k-1."""
+
+    def relabel(perm, pi):
+        images = [0] * g.degree
+        for i, j in enumerate(perm.images):
+            images[pi[i]] = pi[j - 1] + 1
+        return Permutation(images)
+
+    for seed in range(1, 100):
+        pi = list(range(g.degree))
+        random.Random(seed).shuffle(pi)
+        copy = Group([relabel(x, pi) for x in g.generators], degree=g.degree)
+        if copy._base != tuple(range(len(copy._base))):
+            return copy
+    raise AssertionError("no seed moves the base")
+
+
+def _keyed(name, table, relabel):
+    g = _relabelled(construct(name)) if relabel else construct(name)
+    with pytest.MonkeyPatch.context() as m:
+        if not table:
+            m.setattr(groups, "_TABLE_BYTES", 0)
+        g._materialize()
+    assert g.has_table() == table
+    return g
+
+
+KEY_CASES = [
+    (name, table, relabel)
+    for name in TABLE_GROUPS
+    for table in (True, False)
+    for relabel in (False, True)
+]
+
+
+@pytest.mark.parametrize("name,table,relabel", KEY_CASES)
+def test_base_image_keys_match_full_image_tuples(name, table, relabel):
+    g = _keyed(name, table, relabel)
+    n = g.order()
+    elts = g.elements()
+    full = {x: i for i, x in enumerate(elts)}
+    if n <= 100:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        rng = random.Random(5)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+    for i, j in pairs:
+        product = elts[i] * elts[j]
+        assert g.mul_idx(i, j) == full[product] == g.index_of(product)
+    maps = g.conj_maps()
+    for k, x in enumerate(g.generators):
+        xi = x.inverse()
+        assert maps[k] == [full[xi * y * x] for y in elts]
+    assert [g.inv_idx(i) for i in range(n)] == [full[y.inverse()] for y in elts]
+
+
+@pytest.mark.parametrize("name", [n for n in TABLE_GROUPS if n != "Symmetric(4)"])
+@pytest.mark.parametrize("relabel", (False, True))
+def test_index_of_rejects_a_non_member_with_a_member_base_image(name, relabel):
+    # t swaps two points off the base (S4 has only one), so t * x agrees with
+    # x on every base point, and it is no member: t fixes the base, t != 1
+    g = _keyed(name, False, relabel)
+    a, b = [p for p in range(1, g.degree + 1) if p - 1 not in g._base][:2]
+    t = P(f"({a},{b})", g.degree)
+    for x in g.elements()[:: max(1, g.order() // 50)]:
+        y = t * x
+        assert all(y.images[p] == x.images[p] for p in g._base)
+        assert y not in g
+        with pytest.raises(ValueError):
+            g.index_of(y)
+
+
+@pytest.mark.parametrize("name", (*TABLE_GROUPS, "M11", "SL2(13)"))
+def test_order_of_idx_matches_permutation_order(name):
+    g = construct(name)
+    assert [g.order_of_idx(i) for i in range(g.order())] == [
+        x.order() for x in g.elements()
+    ]

@@ -1,7 +1,9 @@
 import json
+import pickle
 
 import pytest
 
+from subconj.caps import CapExceeded
 from subconj.harness import (
     CHECK_IDS,
     CorpusEntry,
@@ -197,3 +199,13 @@ def test_parallel_analysis_matches_serial(records):
     serial_doc = report_document(records, run_checks(records))
     parallel_doc = report_document(parallel, run_checks(parallel))
     assert serial_doc == parallel_doc
+
+
+def test_cap_error_names_the_entry_and_pickles():
+    with pytest.raises(CapExceeded) as info:
+        analyze_entry(CorpusEntry("Symmetric(9)"))
+    exc = pickle.loads(pickle.dumps(info.value))
+    assert exc.kind == "element enumeration"
+    assert str(exc) == (
+        "Symmetric(9): element enumeration cap exceeded: order 362880 > 200000"
+    )
