@@ -13,8 +13,10 @@ dict is the group's one element index.  Products of element indices come from
 a right-regular multiplication table (one ``array('H')`` row per element) when
 the table fits in ``_TABLE_BYTES``, i.e. for orders up to 2000.  Larger groups
 read the key of x_i * x_j as x_j applied to the base image of x_i: k lookups,
-where a whole image tuple costs one per point of the degree.  ``right_row``
-is the one place that chooses between the two.
+where a whole image tuple costs one per point of the degree.  The choice is
+made once, when the elements are listed: ``_right[j]`` is then the
+right-multiplication map of x_j, a table row or one such base-image view, and
+``mul_idx`` and ``right_row`` only read it.
 
 Two exact shortcuts follow from Lagrange's theorem, that the order of a
 subgroup divides the order of the group.  A subgroup with more than half the
@@ -72,7 +74,8 @@ _TABLE_BYTES = 8_000_000
 class _ProductRow:
     """Right multiplication by one element as an index map; stands in for a
     table row above the table bound.  A lookup maps the base image of x_i
-    through the element's image tuple and reads the key dict."""
+    through the element's image tuple and reads the key dict.  One view per
+    element is built with the element list and kept."""
 
     __slots__ = ("_bimgs", "_by_bimg", "_t")
 
@@ -209,6 +212,7 @@ class Group:
         self._bimgs = None
         self._by_bimg = None
         self._rows = None
+        self._right = None
         self._orders = None
         self._invs = None
         self._conj_maps = None
@@ -265,6 +269,9 @@ class Group:
         self._elts0 = elts
         if 2 * self._order**2 <= _TABLE_BYTES:
             self._rows = self._right_regular_rows()
+            self._right = self._rows
+        else:
+            self._right = [_ProductRow(bimgs, by_bimg, t) for t in elts]
 
     def _right_regular_rows(self):
         """rows[j][i] = index of x_i * x_j, for every j.
@@ -318,7 +325,11 @@ class Group:
 
     def mul_idx(self, i, j):
         """Index of x_i * x_j, read from ``right_row(j)``."""
-        return self.right_row(j)[i]
+        right = self._right
+        if right is None:
+            self._materialize()
+            right = self._right
+        return right[j][i]
 
     def has_table(self):
         """True when products come from the multiplication table."""
@@ -328,10 +339,9 @@ class Group:
     def right_row(self, j):
         """The index map i -> index of x_i * x_j (a table row when the group
         has one)."""
-        self._materialize()
-        if self._rows is not None:
-            return self._rows[j]
-        return _ProductRow(self._bimgs, self._by_bimg, self._elts0[j])
+        if self._right is None:
+            self._materialize()
+        return self._right[j]
 
     def pow_idx(self, i, k):
         """Index of x_i ** k for k >= 0, by square-and-multiply."""

@@ -4,6 +4,14 @@ Subgroups are keyed by their sorted element-index sets; conjugation orbits are
 walked with precomputed per-generator index maps, so the registry work is pure
 integer manipulation.  Class representatives are the lexicographically least
 element-sets of their orbits, which makes reports reproducible.
+
+Both enumerators share one cyclic-extension walk (Neubueser 1960; Cannon, Cox
+& Holt, JSC 2001).  Starting from the trivial class, each representative H is
+extended to <H, x> by single elements x, one per orbit of N_G(H) acting by
+conjugation on the right cosets Hx: every element of a coset gives the same
+extension, and conjugate cosets give conjugate extensions.  The registry
+already knows the number of conjugates of H, so |N_G(H)| = |G| / orbit size
+comes free, and the normaliser is computed only when it is neither G nor H.
 """
 
 from __future__ import annotations
@@ -95,12 +103,87 @@ class _OrbitRegistry:
         return out
 
 
+def _conjugator(group, g):
+    """The index map x -> g^-1 * x * g, evaluated on demand."""
+    row, gi, right_row = group.right_row(g), group.inv_idx(g), group.right_row
+    return lambda x: row[right_row(x)[gi]]
+
+
+def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
+    """One x per orbit of N = N_G(H) on the right cosets Hx of H, in index
+    order, skipping x with ``wanted(H, x)`` false; x runs over G, or over N
+    alone when ``in_normalizer``.
+
+    For g in N, (Hx)^g = H x^g and <H, x^g> = <H, x>^g, and <H, hx> = <H, x>
+    for h in H; so once x is yielded, every coset of its orbit adds only
+    conjugates of <H, x> and is marked as a whole.  |N| = |G| / ``orbit_size``
+    (the number of conjugates of H): N = G when that is |G|, N = H when it is
+    |H|, and only otherwise is N computed.
+    """
+    n = group.order()
+    hset = rep.indices
+    domain = range(n)
+    if orbit_size == 1:
+        conj = [m.__getitem__ for m in group.conj_maps()]
+    elif n == orbit_size * len(hset):
+        if in_normalizer:
+            return
+        conj = [_conjugator(group, g) for g in rep.gens_idx()]
+    else:
+        nz = normalizer(group, rep)
+        if nz.order * orbit_size != n:  # pragma: no cover - internal check
+            raise RuntimeError("normaliser order disagrees with the orbit size")
+        conj = [_conjugator(group, g) for g in nz.gens_idx()]
+        if in_normalizer:
+            domain = sorted(nz.indices)
+    right_row = group.right_row
+    covered = bytearray(n)
+    for h in hset:
+        covered[h] = 1
+    for x in domain:
+        if covered[x] or not wanted(hset, x):
+            continue
+        yield x
+        orbit = [x]
+        for y in orbit:
+            for h in map(right_row(y).__getitem__, hset):
+                covered[h] = 1
+            for c in conj:
+                z = c(y)
+                if not covered[z]:
+                    covered[z] = 1
+                    orbit.append(z)
+
+
+def _extend_classes(group, top, in_normalizer, wanted):
+    """Classes of subgroups reached from the trivial class by one-element
+    extensions <H, x>, x from ``_coset_orbit_reps``; classes of order ``top``
+    are not extended."""
+    registry = _OrbitRegistry(group)
+    queue = [registry.classify(frozenset({group.identity_idx}))[0]]
+    for cid in queue:
+        rep = group.subgroup_from_indices(registry.reps[cid])
+        if rep.order == top:
+            continue
+        base_gens = rep.gens_idx()
+        orbit_size = registry.sizes[cid]
+        for x in _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
+            key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+            new_cid, new = registry.classify(key)
+            if new:
+                queue.append(new_cid)
+    return registry.subgroup_classes()
+
+
 def p_subgroup_classes(group, p):
     """Conjugacy classes of the nontrivial p-subgroups, built bottom-up.
 
     Each class of order p^(k+1) arises from a class representative H of order
     p^k extended by a p-element x of N_G(H) with x^p in H; completeness rests
-    on maximal subgroups of p-groups being normal.
+    on maximal subgroups of p-groups being normal.  The walk starts at the
+    trivial class, whose extensions are the subgroups of order p, and takes
+    one x per N_G(H)-orbit of the cosets Hx inside N_G(H) (see
+    ``_coset_orbit_reps``).  The trivial class is not returned.
     """
     n = group.order()
     if n % p != 0:
@@ -110,82 +193,37 @@ def p_subgroup_classes(group, p):
         raise CapExceeded(
             "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
         )
-    registry = _OrbitRegistry(group)
-    level = []
-    for i in range(n):
-        if group.order_of_idx(i) == p:
-            cid, new = registry.classify(frozenset(group.closure_idx([i])))
-            if new:
-                level.append(cid)
-    size = p
-    while size < sylow_order:
-        grown = []
-        for cid in level:
-            rep = group.subgroup_from_indices(registry.reps[cid])
-            base_gens = rep.gens_idx()
-            nz = normalizer(group, rep)
-            for x in sorted(nz.indices):
-                if x in rep.indices:
-                    continue
-                o = group.order_of_idx(x)
-                if o != p_part(o, p):
-                    continue
-                if group.pow_idx(x, p) not in rep.indices:
-                    continue
-                key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
-                new_cid, new = registry.classify(key)
-                if new:
-                    grown.append(new_cid)
-        if not grown:  # pragma: no cover - contradicts Sylow theory
-            raise RuntimeError(f"no subgroups of order {size * p} found")
-        level = grown
-        size *= p
-    return registry.subgroup_classes()
+    orders = map(group.order_of_idx, range(n))
+    p_element = [o > 1 and p_part(o, p) == o for o in orders]
+
+    def wanted(hset, x):
+        return p_element[x] and group.pow_idx(x, p) in hset
+
+    classes = _extend_classes(group, sylow_order, True, wanted)[1:]
+    if classes[-1].order != sylow_order:  # pragma: no cover - contradicts Sylow theory
+        raise RuntimeError(f"no subgroups of order {sylow_order} found")
+    return classes
 
 
 def all_subgroup_classes(group):
     """Every subgroup up to conjugacy (trivial and full group included).
 
     Starts from the trivial class and extends each representative H by single
-    elements of prime-power order, one per coset of H; since every subgroup is
-    generated one prime-power element at a time through conjugates of known
-    classes, the walk is complete.  Representatives are extended by all such
-    elements, so perfect subgroups are found too (a pure normalizer-driven
-    cyclic extension would miss them).
+    elements of prime-power order; since every subgroup is generated one
+    prime-power element at a time through conjugates of known classes, the
+    walk is complete.  Representatives are extended by all such elements, not
+    only those of N_G(H), so perfect subgroups are found too (a pure
+    normalizer-driven cyclic extension would miss them).  Of the cosets Hx,
+    one per N_G(H)-orbit is tried: a coset and its conjugates under N_G(H)
+    give conjugate extensions (see ``_coset_orbit_reps``).
     """
     n = group.order()
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
-    registry = _OrbitRegistry(group)
-    trivial = frozenset({group.identity_idx})
-    queue = []
-    cid, _ = registry.classify(trivial)
-    queue.append(cid)
-    pp_element = [False] * n
-    for i in range(n):
-        o = group.order_of_idx(i)
-        pp_element[i] = o > 1 and len(prime_factors(o)) == 1
-    head = 0
-    while head < len(queue):
-        cid = queue[head]
-        head += 1
-        rep_key = registry.reps[cid]
-        rep = group.subgroup_from_indices(rep_key)
-        if rep.order == n:
-            continue
-        base_gens = rep.gens_idx()
-        covered = set(rep.indices)
-        for x in range(n):
-            if x in covered or not pp_element[x]:
-                continue
-            key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
-            new_cid, new = registry.classify(key)
-            if new:
-                queue.append(new_cid)
-            # elements of the coset Hx generate the same extension
-            covered.update(map(group.right_row(x).__getitem__, rep_key))
-    return registry.subgroup_classes()
+    orders = map(group.order_of_idx, range(n))
+    pp_element = [len(prime_factors(o)) == 1 for o in orders]
+    return _extend_classes(group, n, False, lambda hset, x: pp_element[x])
 
 
 def are_conjugate(group, sub_a, sub_b):

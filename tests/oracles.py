@@ -2,10 +2,15 @@
 
 Everything here works directly on Permutation objects with naive algorithms:
 no stabilizer chains, no index tables, no conjugacy pruning.  Slow on purpose;
-keep inputs small.
+keep inputs small.  The exception is the last section: the unpruned
+subgroup walks that the N_G(H)-orbit walks in ``subconj.subgroups`` replaced,
+kept on element indices so that the two can be compared key for key.
 """
 
 from subconj import Permutation
+from subconj.groups import normalizer
+from subconj.structure import p_part, prime_factors
+from subconj.subgroups import _OrbitRegistry
 
 
 def hand_compose(f, g):
@@ -159,3 +164,66 @@ def is_supersolvable_oracle(elements):
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, n))
+
+
+# ----------------------------------------------------------------------
+# unpruned subgroup walks: one extension per coset of H, no orbit marking
+
+
+def unpruned_p_subgroup_classes(group, p):
+    """Nontrivial p-subgroup classes: one closure per element of order p,
+    then each representative H extended by every p-element x of N_G(H) with
+    x^p in H."""
+    n = group.order()
+    sylow_order = p_part(n, p)
+    registry = _OrbitRegistry(group)
+    level = []
+    for i in range(n):
+        if group.order_of_idx(i) == p:
+            cid, new = registry.classify(frozenset(group.closure_idx([i])))
+            if new:
+                level.append(cid)
+    size = p
+    while size < sylow_order:
+        grown = []
+        for cid in level:
+            rep = group.subgroup_from_indices(registry.reps[cid])
+            base_gens = rep.gens_idx()
+            for x in sorted(normalizer(group, rep).indices):
+                o = group.order_of_idx(x)
+                if x in rep.indices or o != p_part(o, p):
+                    continue
+                if group.pow_idx(x, p) not in rep.indices:
+                    continue
+                key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+                new_cid, new = registry.classify(key)
+                if new:
+                    grown.append(new_cid)
+        level = grown
+        size *= p
+    return registry.subgroup_classes()
+
+
+def unpruned_all_subgroup_classes(group):
+    """Every subgroup class: each representative H extended by one
+    prime-power element per right coset Hx."""
+    n = group.order()
+    registry = _OrbitRegistry(group)
+    queue = [registry.classify(frozenset({group.identity_idx}))[0]]
+    for cid in queue:
+        rep_key = registry.reps[cid]
+        rep = group.subgroup_from_indices(rep_key)
+        if rep.order == n:
+            continue
+        base_gens = rep.gens_idx()
+        covered = set(rep.indices)
+        for x in range(n):
+            o = group.order_of_idx(x)
+            if x in covered or o == 1 or len(prime_factors(o)) != 1:
+                continue
+            key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+            new_cid, new = registry.classify(key)
+            if new:
+                queue.append(new_cid)
+            covered.update(map(group.right_row(x).__getitem__, rep_key))
+    return registry.subgroup_classes()

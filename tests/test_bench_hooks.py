@@ -31,3 +31,17 @@ def test_tracer_installs_and_uninstalls():
         "structure.o_pprime",
     } <= names
     assert tracer.counters["groups.mul_idx_calls"] > 0
+
+
+def test_tracer_sees_the_subgroup_walks():
+    # Symmetric(4) is enumerated in full and per prime, through the shared
+    # extension walk; both entry points must stay traced
+    tracer = Tracer()
+    saved = install(tracer)
+    try:
+        harness.analyze_entry(harness.CorpusEntry("Symmetric(4)"))
+    finally:
+        uninstall(saved)
+    names = {span[0] for span in tracer.spans}
+    assert {"subgroups.full_enum", "subgroups.p_classes"} <= names
+    assert tracer.counters["subgroups.classes_found"] > 0

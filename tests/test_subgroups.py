@@ -11,10 +11,15 @@ from subconj import (
     p_subgroup_classes,
 )
 
+from subconj import groups
+from subconj.structure import prime_factors
+
 from oracles import (
     brute_force_subgroups,
     conjugacy_partition,
     exhaustive_conjugator,
+    unpruned_all_subgroup_classes,
+    unpruned_p_subgroup_classes,
 )
 
 
@@ -227,3 +232,67 @@ def test_bucket_members_really_equal_order(name):
     for c in all_subgroup_classes(g):
         assert c.order == c.representative.order
         assert c.representative.fingerprint()[0] == c.order
+
+
+# ----------------------------------------------------------------------
+# one extension per N_G(H)-orbit of cosets, against one per coset
+
+
+def _keyed(classes):
+    return [(c.representative.key(), c.orbit_size) for c in classes]
+
+
+def _assert_walks_agree(g):
+    assert _keyed(all_subgroup_classes(g)) == _keyed(unpruned_all_subgroup_classes(g))
+    for p in prime_factors(g.order()):
+        pruned = _keyed(p_subgroup_classes(g, p))
+        assert pruned == _keyed(unpruned_p_subgroup_classes(g, p))
+        assert pruned[0][0] != (g.identity_idx,)
+
+
+@pytest.mark.parametrize(
+    "name", ["Symmetric(4)", "SL2(3)", "Symmetric(5)", "PSL2(7)", "E25xSL(2,3)"]
+)
+def test_orbit_walks_match_unpruned_walks(name):
+    _assert_walks_agree(construct(name))
+
+
+@pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
+def test_orbit_walks_match_unpruned_walks_without_table(monkeypatch, name):
+    monkeypatch.setattr(groups, "_TABLE_BYTES", 0)
+    g = construct(name)
+    assert not g.has_table()
+    _assert_walks_agree(g)
+
+
+def _closures_from_trivial(monkeypatch, g, run):
+    """Seeds of the closures that extend the trivial class during ``run(g)``."""
+    closure = g.closure_idx
+    trivial = frozenset({g.identity_idx})
+    seeds = []
+
+    def counted(seed, base=(), base_gens=()):
+        if base == trivial:
+            seeds.append(tuple(seed))
+        return closure(seed, base=base, base_gens=base_gens)
+
+    monkeypatch.setattr(g, "closure_idx", counted)
+    run(g)
+    return seeds
+
+
+def test_trivial_class_takes_one_closure_per_element_class(monkeypatch):
+    g = S(5)
+    order = g.order_of_idx
+    classes = g.conjugacy_classes_idx()
+    pp = [c for c in classes if len(prime_factors(order(c[0]))) == 1]
+    seeds = _closures_from_trivial(monkeypatch, g, all_subgroup_classes)
+    assert len(seeds) == len(pp) == 5
+    assert sorted(next(c for c in pp if s[0] in c) for s in seeds) == sorted(pp)
+    for p in (2, 3, 5):
+        order_p = [c for c in classes if order(c[0]) == p]
+        seeds = _closures_from_trivial(
+            monkeypatch, g, lambda g: p_subgroup_classes(g, p)
+        )
+        assert len(seeds) == len(order_p)
+        assert {next(c for c in order_p if s[0] in c) for s in seeds} == set(order_p)
