@@ -181,6 +181,8 @@ def main(argv=None):
         return 2
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for note in getattr(exc, "__notes__", ()):
+            print(f"note: {note}", file=sys.stderr)
         return 2
 
 

@@ -6,17 +6,21 @@ that, groups whose order fits under the element cap expose an indexed view of
 their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
-Every element is keyed by its base image: the tuple of its images of the
-k base points of the stabiliser chain.  Only the identity fixes the base
-pointwise, so two elements with the same base image are equal, and the key
-dict is the group's one element index.  Products of element indices come from
-a right-regular multiplication table (one ``array('H')`` row per element) when
-the table fits in ``_TABLE_BYTES``, i.e. for orders up to 2000.  Larger groups
-read the key of x_i * x_j as x_j applied to the base image of x_i: k lookups,
-where a whole image tuple costs one per point of the degree.  The choice is
-made once, when the elements are listed: ``_right[j]`` is then the
-right-multiplication map of x_j, a table row or one such base-image view, and
-``mul_idx`` and ``right_row`` only read it.
+Every element is keyed by its base image: its images of the k base points
+of the stabiliser chain.  Only the identity fixes the base pointwise, so two
+elements with the same base image are equal, and the key dict is the group's
+one element index.  A key is read by an ``operator.itemgetter`` over the
+points, so it is a k-tuple, a bare point when k = 1, and () for the trivial
+group's empty base; ``_getter`` makes every key of a group, so all share one
+shape.  Products of element indices come from a right-regular multiplication
+table (one ``array('H')`` row per element) when the table fits in
+``_TABLE_BYTES``, i.e. for orders up to 2000.  Larger groups keep one getter
+per element, over x_i's base image: the key of x_i * x_j is x_j read at those
+k points, so a product is one C call and one dict read, where a whole image
+tuple costs one lookup per point of the degree.  The choice is made once,
+when the elements are listed: ``_right[j]`` is then the right-multiplication
+map of x_j, a table row or one such getter view, and ``mul_idx`` and
+``right_row`` only read it.
 
 Two exact shortcuts follow from Lagrange's theorem, that the order of a
 subgroup divides the order of the group.  A subgroup with more than half the
@@ -34,6 +38,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from math import lcm
+from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, CapExceeded
 from .perms import Permutation
@@ -55,6 +60,16 @@ def _is_id(a):
     return all(i == j for i, j in enumerate(a))
 
 
+def _no_points(t):
+    return ()
+
+
+def _getter(points):
+    """The map t -> t read at ``points``, in one C call: a tuple for two or
+    more points, the bare image for one, () for none."""
+    return itemgetter(*points) if points else _no_points
+
+
 def _order_through(t, points):
     """Order of the permutation t when only the identity of its group fixes
     ``points``: the lcm of the lengths of the cycles through them."""
@@ -73,19 +88,20 @@ _TABLE_BYTES = 8_000_000
 
 class _ProductRow:
     """Right multiplication by one element as an index map; stands in for a
-    table row above the table bound.  A lookup maps the base image of x_i
-    through the element's image tuple and reads the key dict.  One view per
-    element is built with the element list and kept."""
+    table row above the table bound.  ``keys[i]`` reads an image tuple at
+    the base image of x_i, so ``keys[i](t)`` is the key of x_i * t: a lookup
+    is one getter call and one read of the key dict.  One view per element is
+    built with the element list and kept."""
 
-    __slots__ = ("_bimgs", "_by_bimg", "_t")
+    __slots__ = ("_keys", "_by_bimg", "_t")
 
-    def __init__(self, bimgs, by_bimg, t):
-        self._bimgs = bimgs
+    def __init__(self, keys, by_bimg, t):
+        self._keys = keys
         self._by_bimg = by_bimg
         self._t = t
 
     def __getitem__(self, i):
-        return self._by_bimg[tuple(map(self._t.__getitem__, self._bimgs[i]))]
+        return self._by_bimg[self._keys[i](self._t)]
 
 
 class _Level:
@@ -207,10 +223,12 @@ class Group:
         self._chain = _Chain([g._t for g in self.generators], degree)
         self._order = self._chain.order()
         self._base = tuple(lvl.point for lvl in self._chain.levels)
+        self._read_base = _getter(self._base)
         # lazy caches
         self._elts0 = None
-        self._bimgs = None
+        self._keys = None
         self._by_bimg = None
+        self._identity_idx = None
         self._rows = None
         self._right = None
         self._orders = None
@@ -247,9 +265,10 @@ class Group:
         queue = [identity]
         gens = [g._t for g in self.generators]
         while queue:
-            a = queue.pop()
+            # a * g is g read at the points of a
+            at = _getter(queue.pop())
             for g in gens:
-                b = _mult(a, g)
+                b = at(g)
                 if b not in seen:
                     seen.add(b)
                     queue.append(b)
@@ -259,31 +278,34 @@ class Group:
             )
         elts = sorted(seen)
         # key every element by its base image; the keys must separate them
-        bimgs = [tuple(map(t.__getitem__, self._base)) for t in elts]
-        by_bimg = {b: i for i, b in enumerate(bimgs)}
+        read_base = self._read_base
+        by_bimg = {read_base(t): i for i, t in enumerate(elts)}
         if len(by_bimg) != self._order:
             raise RuntimeError(
                 f"base images separate {len(by_bimg)} of {self._order} elements"
             )
-        self._bimgs, self._by_bimg = bimgs, by_bimg
+        base = self._base
+        self._keys = [_getter(tuple(map(t.__getitem__, base))) for t in elts]
+        self._by_bimg = by_bimg
+        self._identity_idx = by_bimg[read_base(identity)]
         self._elts0 = elts
         if 2 * self._order**2 <= _TABLE_BYTES:
             self._rows = self._right_regular_rows()
             self._right = self._rows
         else:
-            self._right = [_ProductRow(bimgs, by_bimg, t) for t in elts]
+            self._right = [_ProductRow(self._keys, by_bimg, t) for t in elts]
 
     def _right_regular_rows(self):
         """rows[j][i] = index of x_i * x_j, for every j.
 
-        Generator rows cost one base-image lookup per element; every other
+        Generator rows cost one getter call per element; every other
         row is composed along a BFS spanning tree of the Cayley graph from the
         identity, as row(x_a * g) = row(g) o row(a).
         """
         n = self._order
         gen_rows = []
         for g in self.generators:
-            row = _ProductRow(self._bimgs, self._by_bimg, g._t)
+            row = _ProductRow(self._keys, self._by_bimg, g._t)
             gen_rows.append(array("H", map(row.__getitem__, range(n))))
         id_idx = self.identity_idx
         rows = [None] * n
@@ -306,7 +328,7 @@ class Group:
     @property
     def identity_idx(self):
         self._materialize()
-        return self._by_bimg[self._base]
+        return self._identity_idx
 
     def index_of(self, perm):
         """Index of a member, found by its base image and then checked
@@ -314,7 +336,7 @@ class Group:
         self._materialize()
         t = perm._t
         if len(t) == self.degree:
-            idx = self._by_bimg.get(tuple(map(t.__getitem__, self._base)))
+            idx = self._by_bimg.get(self._read_base(t))
             if idx is not None and self._elts0[idx] == t:
                 return idx
         raise ValueError(f"{perm} is not a member")
@@ -358,7 +380,8 @@ class Group:
             self._materialize()
             # x^-1 maps each base point b to the point x sends to b
             by, base = self._by_bimg, self._base
-            self._invs = [by[tuple(map(t.index, base))] for t in self._elts0]
+            key = _getter(range(len(base)))  # k images -> the key shape
+            self._invs = [by[key(tuple(map(t.index, base)))] for t in self._elts0]
         return self._invs[i]
 
     def order_of_idx(self, i):
@@ -375,17 +398,18 @@ class Group:
     def conj_maps(self):
         """Per generator g, the index map i -> index of g^-1 * x_i * g.
 
-        g^-1 * x * g sends a base point b to g(x(g^-1(b))), so each key reads
-        x at the k points g^-1(b) only.
+        g^-1 * x sends a base point b to x(g^-1(b)), so its key reads x at the
+        k points g^-1(b) only; the key of (g^-1 * x) * g is then g read at the
+        base image of g^-1 * x, through that element's product getter.
         """
         if self._conj_maps is None:
             self._materialize()
-            by, elts = self._by_bimg, self._elts0
+            by, keys = self._by_bimg, self._keys
             maps = []
             for g in self.generators:
-                at = g._t.__getitem__
-                pre = tuple(map(g._t.index, self._base))  # g^-1 of each base point
-                maps.append([by[tuple(map(at, map(t.__getitem__, pre)))] for t in elts])
+                gt = g._t
+                pre = _getter(tuple(map(gt.index, self._base)))  # g^-1(b) per b
+                maps.append([by[keys[by[pre(t)]](gt)] for t in self._elts0])
             self._conj_maps = maps
         return self._conj_maps
 

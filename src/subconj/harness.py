@@ -110,6 +110,10 @@ class GroupRecord:
         return self.verdicts[class_id.value]
 
 
+# T5's odd-order condition cannot be dropped: SL2(7) is in A_pi, and its
+# quotient by the center (of order 2) is not
+_T5_REMARK_GROUP = "SL2(7)"
+
 _T12_TARGET_NAMES = ("E4xC3", "E8x(C7xC3)", "E8xC7", "E32x(C31xC5)", "Q8xC3")
 
 _T12_SHAPES_OK = (
@@ -199,14 +203,22 @@ def analyze_group(group, name, classes=tuple(ClassId)):
 def analyze_entry(entry):
     """Build and fully analyze one corpus entry into a GroupRecord.
 
-    A cap that stops the whole entry is re-raised with the entry's name.
+    A cap that stops the whole entry is re-raised with the entry's name; any
+    other exception gets a note naming the entry and the stage (build,
+    verdicts or facts).  Both survive pickling out of a ``--jobs`` worker.
     """
+    stage = "build"
     try:
         group = entry.build()
+        stage = "verdicts"
         record, syl_by_p = analyze_group(group, entry.name)
+        stage = "facts"
         record.facts = _collect_facts(group, record, syl_by_p)
     except CapExceeded as exc:
         exc.entry = entry.name
+        raise
+    except Exception as exc:
+        exc.add_note(f"in corpus entry {entry.name}, stage {stage}")
         raise
     return record
 
@@ -225,6 +237,10 @@ def _collect_facts(group, record, syl_by_p):
 
     if "*" in record.name:
         facts["factor_quotients"] = _product_quotient_facts(record.name, group)
+
+    if record.name == _T5_REMARK_GROUP:
+        v, w = decide(quotient(group, center(group)), ClassId.A_PI)
+        facts["center_quotient_a_pi"] = [v, w.order if w is not None else None]
 
     if a_pi != MEMBER:
         return facts
@@ -399,19 +415,17 @@ def _check_t5(records):
 
 def _check_t5_remark(records):
     by_name = {r.name: r for r in records}
-    r = by_name.get("SL2(7)")
+    r = by_name.get(_T5_REMARK_GROUP)
     if r is None:
         return CheckResult("T5-remark", "vacuous", "SL2(7) not in corpus")
     failures = []
     if r.verdict(ClassId.A_PI) != MEMBER:
         failures.append("SL2(7) should be in A_pi")
-    group = construct("SL2(7)")
-    q = quotient(group, center(group))
-    v, w = decide(q, ClassId.A_PI)
+    v, w_order = r.facts["center_quotient_a_pi"]
     if v != NON_MEMBER:
         failures.append("SL2(7)/Z should not be in A_pi")
-    elif w.order != 4:
-        failures.append(f"expected an order-4 witness, got order {w.order}")
+    elif w_order != 4:
+        failures.append(f"expected an order-4 witness, got order {w_order}")
     return _resolve(
         "T5-remark",
         failures,

@@ -45,3 +45,17 @@ def test_tracer_sees_the_subgroup_walks():
     names = {span[0] for span in tracer.spans}
     assert {"subgroups.full_enum", "subgroups.p_classes"} <= names
     assert tracer.counters["subgroups.classes_found"] > 0
+
+
+def test_tracer_sees_the_untabled_key_path():
+    # SL2(13) (order 2184) is above the table bound; its one materialisation
+    # builds the per-element product getters
+    tracer = Tracer()
+    saved = install(tracer)
+    try:
+        harness.analyze_entry(harness.CorpusEntry("SL2(13)"))
+    finally:
+        uninstall(saved)
+    names = {span[0] for span in tracer.spans}
+    assert "groups.materialize" in names
+    assert tracer.counters["groups.elements_materialized"] == 2184

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -123,3 +125,36 @@ def test_corpus_cap_hit_names_the_entry(tmp_path):
         assert result.stderr.startswith(
             "error: Symmetric(9): element enumeration cap exceeded: order 362880"
         )
+
+
+# runs corpus run with the facts pass of Cyclic(6) broken; forked pool workers
+# inherit the patch
+_BROKEN_FACTS = """
+import multiprocessing, sys
+from subconj import cli, harness
+multiprocessing.set_start_method("fork")
+collect = harness._collect_facts
+def broken(group, record, syl_by_p):
+    if record.name == "Cyclic(6)":
+        raise {exc}("defect")
+    return collect(group, record, syl_by_p)
+harness._collect_facts = broken
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("exc,code", [("RuntimeError", 1), ("ValueError", 2)])
+@pytest.mark.parametrize("jobs", ("1", "2"))
+def test_corpus_failure_names_the_entry_and_stage(tmp_path, exc, code, jobs):
+    manifest = tmp_path / "manifest.json"
+    entries = [{"id": "Cyclic(4)"}, {"id": "Cyclic(6)"}]
+    manifest.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", _BROKEN_FACTS.format(exc=exc)]
+        + ["corpus", "run", "--jobs", jobs, "--manifest", str(manifest)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert "in corpus entry Cyclic(6), stage facts" in result.stderr

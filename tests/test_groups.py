@@ -568,6 +568,15 @@ KEY_CASES = [
     for table in (True, False)
     for relabel in (False, True)
 ]
+# a one-point base, where a key is a bare point; the trivial group's empty
+# base, where the one key is (); and SL2(13), above the table bound as built
+KEY_CASES += [
+    ("Cyclic(7)", True, False),
+    ("Cyclic(7)", False, False),
+    ("Cyclic(1)", True, False),
+    ("Cyclic(1)", False, False),
+    ("SL2(13)", False, False),
+]
 
 
 @pytest.mark.parametrize("name,table,relabel", KEY_CASES)
@@ -581,9 +590,11 @@ def test_base_image_keys_match_full_image_tuples(name, table, relabel):
     else:
         rng = random.Random(5)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+    assert g.index_of(g.identity()) == g.identity_idx
     for i, j in pairs:
         product = elts[i] * elts[j]
-        assert g.mul_idx(i, j) == full[product] == g.index_of(product)
+        assert g.mul_idx(i, j) == g.right_row(j)[i] == full[product]
+        assert g.index_of(product) == full[product]
     maps = g.conj_maps()
     for k, x in enumerate(g.generators):
         xi = x.inverse()
@@ -613,3 +624,17 @@ def test_order_of_idx_matches_permutation_order(name):
     assert [g.order_of_idx(i) for i in range(g.order())] == [
         x.order() for x in g.elements()
     ]
+
+
+def test_sl2_13_is_above_the_table_bound():
+    assert not construct("SL2(13)").has_table()
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_materialize_checks_the_closure_against_the_chain_order(delta):
+    # the element walk must still close the group and compare sizes
+    built = construct("SL2(3)")
+    g = Group(built.generators, degree=built.degree)
+    g._order += delta
+    with pytest.raises(RuntimeError, match="closure size 24"):
+        g._materialize()

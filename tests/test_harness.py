@@ -209,3 +209,40 @@ def test_cap_error_names_the_entry_and_pickles():
     assert str(exc) == (
         "Symmetric(9): element enumeration cap exceeded: order 362880 > 200000"
     )
+
+
+def test_t5_remark_reads_only_records(monkeypatch, records):
+    # SL2(7)/Z is decided in the entry's facts pass; the check builds nothing
+    from subconj import harness, zoo
+
+    def refuse(name):
+        raise AssertionError(f"check built {name}")
+
+    monkeypatch.setattr(harness, "construct", refuse)
+    monkeypatch.setattr(zoo, "construct", refuse)
+    (result,) = run_checks(records, only=["T5-remark"])
+    assert result.status == "pass"
+    assert result.details == (
+        "1 instance(s); quotient by the center drops out of A_pi at order 4"
+    )
+
+
+@pytest.mark.parametrize(
+    "stage,target",
+    [
+        ("build", "subconj.harness.CorpusEntry.build"),
+        ("verdicts", "subconj.harness.analyze_group"),
+        ("facts", "subconj.harness._collect_facts"),
+    ],
+)
+def test_non_cap_failure_names_the_entry_and_stage(monkeypatch, stage, target):
+    def broken(*args, **kwargs):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(target, broken)
+    with pytest.raises(KeyError) as info:
+        analyze_entry(CorpusEntry("Cyclic(6)"))
+    # the note survives the trip back from a --jobs worker
+    exc = pickle.loads(pickle.dumps(info.value))
+    assert exc.args == ("defect",)
+    assert exc.__notes__ == [f"in corpus entry Cyclic(6), stage {stage}"]
