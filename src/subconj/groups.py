@@ -12,15 +12,11 @@ elements with the same base image are equal, and the key dict is the group's
 one element index.  A key is read by an ``operator.itemgetter`` over the
 points, so it is a k-tuple, a bare point when k = 1, and () for the trivial
 group's empty base; ``_getter`` makes every key of a group, so all share one
-shape.  Products of element indices come from a right-regular multiplication
-table (one ``array('H')`` row per element) when the table fits in
-``_TABLE_BYTES``, i.e. for orders up to 2000.  Larger groups keep one getter
-per element, over x_i's base image: the key of x_i * x_j is x_j read at those
-k points, so a product is one C call and one dict read, where a whole image
-tuple costs one lookup per point of the degree.  The choice is made once,
-when the elements are listed: ``_right[j]`` is then the right-multiplication
-map of x_j, a table row or one such getter view, and ``mul_idx`` and
-``right_row`` only read it.
+shape.  The group keeps one getter per element, over x_i's base image: the
+key of x_i * x_j is x_j read at those k points, so every product is one C
+call and one dict read, where a whole image tuple costs one lookup per point
+of the degree.  ``mul_idx``, ``right_coset`` and ``closure_idx`` all read
+products this way.
 
 Two exact shortcuts follow from Lagrange's theorem, that the order of a
 subgroup divides the order of the group.  A subgroup with more than half the
@@ -35,7 +31,6 @@ afterwards, so sharing across threads or analyses is safe.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from math import lcm
 from operator import itemgetter
@@ -80,28 +75,6 @@ def _order_through(t, points):
             k, q = k + 1, t[q]
         order = lcm(order, k)
     return order
-
-
-# Largest multiplication table (2 bytes per entry) a group keeps: order 2000.
-_TABLE_BYTES = 8_000_000
-
-
-class _ProductRow:
-    """Right multiplication by one element as an index map; stands in for a
-    table row above the table bound.  ``keys[i]`` reads an image tuple at
-    the base image of x_i, so ``keys[i](t)`` is the key of x_i * t: a lookup
-    is one getter call and one read of the key dict.  One view per element is
-    built with the element list and kept."""
-
-    __slots__ = ("_keys", "_by_bimg", "_t")
-
-    def __init__(self, keys, by_bimg, t):
-        self._keys = keys
-        self._by_bimg = by_bimg
-        self._t = t
-
-    def __getitem__(self, i):
-        return self._by_bimg[self._keys[i](self._t)]
 
 
 class _Level:
@@ -229,8 +202,6 @@ class Group:
         self._keys = None
         self._by_bimg = None
         self._identity_idx = None
-        self._rows = None
-        self._right = None
         self._orders = None
         self._invs = None
         self._conj_maps = None
@@ -289,36 +260,6 @@ class Group:
         self._by_bimg = by_bimg
         self._identity_idx = by_bimg[read_base(identity)]
         self._elts0 = elts
-        if 2 * self._order**2 <= _TABLE_BYTES:
-            self._rows = self._right_regular_rows()
-            self._right = self._rows
-        else:
-            self._right = [_ProductRow(self._keys, by_bimg, t) for t in elts]
-
-    def _right_regular_rows(self):
-        """rows[j][i] = index of x_i * x_j, for every j.
-
-        Generator rows cost one getter call per element; every other
-        row is composed along a BFS spanning tree of the Cayley graph from the
-        identity, as row(x_a * g) = row(g) o row(a).
-        """
-        n = self._order
-        gen_rows = []
-        for g in self.generators:
-            row = _ProductRow(self._keys, self._by_bimg, g._t)
-            gen_rows.append(array("H", map(row.__getitem__, range(n))))
-        id_idx = self.identity_idx
-        rows = [None] * n
-        rows[id_idx] = array("H", range(n))
-        queue = [id_idx]
-        for a in queue:
-            ra = rows[a]
-            for rg in gen_rows:
-                b = rg[a]
-                if rows[b] is None:
-                    rows[b] = array("H", map(rg.__getitem__, ra))
-                    queue.append(b)
-        return rows
 
     def elements(self):
         """All elements, sorted by image tuple; requires order <= element cap."""
@@ -346,24 +287,18 @@ class Group:
         return Permutation._from0(self._elts0[i])
 
     def mul_idx(self, i, j):
-        """Index of x_i * x_j, read from ``right_row(j)``."""
-        right = self._right
-        if right is None:
+        """Index of x_i * x_j: the key of x_j read at x_i's base image."""
+        keys = self._keys
+        if keys is None:
             self._materialize()
-            right = self._right
-        return right[j][i]
+            keys = self._keys
+        return self._by_bimg[keys[i](self._elts0[j])]
 
-    def has_table(self):
-        """True when products come from the multiplication table."""
+    def right_coset(self, indices, j):
+        """The indices of x_h * x_j for h in ``indices``, in that order."""
         self._materialize()
-        return self._rows is not None
-
-    def right_row(self, j):
-        """The index map i -> index of x_i * x_j (a table row when the group
-        has one)."""
-        if self._right is None:
-            self._materialize()
-        return self._right[j]
+        by, keys, t = self._by_bimg, self._keys, self._elts0[j]
+        return [by[keys[h](t)] for h in indices]
 
     def pow_idx(self, i, k):
         """Index of x_i ** k for k >= 0, by square-and-multiply."""
@@ -448,18 +383,19 @@ class Group:
 
         ``base`` may be an already-closed index set K with generating indices
         ``base_gens``.  Members start as the identity and K, the new seeds go
-        on the frontier, and every frontier element is pushed through the rows
-        of ``base_gens`` and of the new seeds; members of K are never pushed,
+        on the frontier, and every frontier element a is multiplied on the
+        right by ``base_gens`` and the new seeds: the key of a * g is the
+        image tuple of g read by a's getter.  Members of K are never pushed,
         which keeps repeated one-element extensions cheap.  The walk still
         reaches all of H = <K, seed>.  The elements it reaches outside K are
-        closed under the ``base_gens`` rows, so they form whole left cosets
-        gK, and the walk is reachability from the seeds' cosets in the coset
-        digraph D with arcs gK -> gkxK (g in H, k in K, x a seed), with the
-        vertex K removed.  D is finite, loop-free, vertex-transitive (H acts
-        on it) and strongly connected.  If K has one out-neighbour, it is a
-        seed's coset.  Otherwise the out-degree is >= 2, and then no vertex
-        removal disconnects D.  Suppose one does; a sink component of the
-        rest leaves only to that vertex.  Over D and its reverse, take a
+        closed under right multiplication by ``base_gens``, so they form whole
+        left cosets gK, and the walk is reachability from the seeds' cosets in
+        the coset digraph D with arcs gK -> gkxK (g in H, k in K, x a seed),
+        with the vertex K removed.  D is finite, loop-free, vertex-transitive
+        (H acts on it) and strongly connected.  If K has one out-neighbour, it
+        is a seed's coset.  Otherwise the out-degree is >= 2, and then no
+        vertex removal disconnects D.  Suppose one does; a sink component of
+        the rest leaves only to that vertex.  Over D and its reverse, take a
         smallest vertex set A whose arcs leave A only to one vertex a, with
         A + a not everything.  Two such sets A, B of that size are disjoint:
         else A & B is smaller, so it has two exits, a in B and b in A; then
@@ -477,14 +413,15 @@ class Group:
         members = {self.identity_idx, *base}
         frontier = [j for j in dict.fromkeys(seed) if j not in members]
         members.update(frontier)
-        rows = [self.right_row(j) for j in dict.fromkeys([*base_gens, *frontier])]
+        elts, keys, by = self._elts0, self._keys, self._by_bimg
+        gens = [elts[j] for j in dict.fromkeys([*base_gens, *frontier])]
         half = self._order // 2
         while frontier:
             if len(members) > half:
                 return frozenset(range(self._order))
-            a = frontier.pop()
-            for row in rows:
-                b = row[a]
+            key = keys[frontier.pop()]
+            for t in gens:
+                b = by[key(t)]
                 if b not in members:
                     members.add(b)
                     frontier.append(b)
@@ -671,8 +608,7 @@ def normalizer(group, sub):
     for i in range(group.order()):
         if seen[i]:
             continue
-        row = group.right_row(i)
-        coset = [row[h] for h in hset]
+        coset = group.right_coset(hset, i)
         for c in coset:
             seen[c] = 1
         j = inv(i)
@@ -721,7 +657,7 @@ class Quotient:
             r = reps[k]
             for gpos, g in enumerate(gen_idx):
                 t = mul(r, g)
-                key = min(map(group.right_row(t).__getitem__, nset))
+                key = min(group.right_coset(nset, t))
                 c = coset_id.get(key)
                 if c is None:
                     c = len(reps)

@@ -419,19 +419,24 @@ def _check_t5_remark(records):
     if r is None:
         return CheckResult("T5-remark", "vacuous", "SL2(7) not in corpus")
     failures = []
-    if r.verdict(ClassId.A_PI) != MEMBER:
-        failures.append("SL2(7) should be in A_pi")
+    a_pi = r.verdict(ClassId.A_PI)
     v, w_order = r.facts["center_quotient_a_pi"]
-    if v != NON_MEMBER:
+    # a capped verdict on either side leaves the instance undecided
+    skipped = int(UNDECIDED in (a_pi, v))
+    if a_pi == NON_MEMBER:
+        failures.append("SL2(7) should be in A_pi")
+    if v == MEMBER:
         failures.append("SL2(7)/Z should not be in A_pi")
-    elif w_order != 4:
+    elif v == NON_MEMBER and w_order != 4:
         failures.append(f"expected an order-4 witness, got order {w_order}")
     return _resolve(
         "T5-remark",
         failures,
         1,
-        0,
-        ["quotient by the center drops out of A_pi at order 4"] if not failures else [],
+        skipped,
+        ["quotient by the center drops out of A_pi at order 4"]
+        if not failures and not skipped
+        else [],
     )
 
 

@@ -64,6 +64,9 @@ MEMBER = "member"
 NON_MEMBER = "non-member"
 UNDECIDED = "undecided"
 
+# largest group order whose witnesses are re-verified by scanning every element
+_SCAN_ORDER = 2000
+
 # definitional containments: member of key implies member of each value
 _CHAIN = {
     ClassId.B: (ClassId.H,),
@@ -231,7 +234,8 @@ def verify_witness(group, witness):
 
     Checks order equality and the quantified property directly on the element
     sets, then non-conjugacy: by scanning every group element when the group
-    has a multiplication table, otherwise by a full conjugation-orbit walk.
+    has order at most ``_SCAN_ORDER``, otherwise by a full conjugation-orbit
+    walk.
     """
     a, b = witness.sub_a, witness.sub_b
     if a.order != b.order or a.order != witness.order:
@@ -243,7 +247,7 @@ def verify_witness(group, witness):
         for sub in (a, b):
             if len(prime_factors(sub.order)) != 1 or sub.order % witness.prime:
                 return False, "not a p-subgroup"
-    if group.has_table():
+    if group.order() <= _SCAN_ORDER:
         mul = group.mul_idx
         inv = group.inv_idx
         target = b.indices

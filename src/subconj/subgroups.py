@@ -105,8 +105,8 @@ class _OrbitRegistry:
 
 def _conjugator(group, g):
     """The index map x -> g^-1 * x * g, evaluated on demand."""
-    row, gi, right_row = group.right_row(g), group.inv_idx(g), group.right_row
-    return lambda x: row[right_row(x)[gi]]
+    gi, mul = group.inv_idx(g), group.mul_idx
+    return lambda x: mul(mul(gi, x), g)
 
 
 def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
@@ -136,7 +136,6 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
         conj = [_conjugator(group, g) for g in nz.gens_idx()]
         if in_normalizer:
             domain = sorted(nz.indices)
-    right_row = group.right_row
     covered = bytearray(n)
     for h in hset:
         covered[h] = 1
@@ -146,7 +145,7 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
         yield x
         orbit = [x]
         for y in orbit:
-            for h in map(right_row(y).__getitem__, hset):
+            for h in group.right_coset(hset, y):
                 covered[h] = 1
             for c in conj:
                 z = c(y)

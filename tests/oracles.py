@@ -225,5 +225,5 @@ def unpruned_all_subgroup_classes(group):
             new_cid, new = registry.classify(key)
             if new:
                 queue.append(new_cid)
-            covered.update(map(group.right_row(x).__getitem__, rep_key))
+            covered.update(group.right_coset(rep_key, x))
     return registry.subgroup_classes()

@@ -48,8 +48,8 @@ def test_tracer_sees_the_subgroup_walks():
 
 
 def test_tracer_sees_the_untabled_key_path():
-    # SL2(13) (order 2184) is above the table bound; its one materialisation
-    # builds the per-element product getters
+    # SL2(13) (order 2184), like every group, multiplies through base-image
+    # keys; its one materialisation builds the per-element product getters
     tracer = Tracer()
     saved = install(tracer)
     try:

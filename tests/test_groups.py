@@ -18,7 +18,6 @@ from subconj import (
     semidirect_product,
     structural_fingerprint,
 )
-from subconj import groups
 from subconj.caps import Caps
 from subconj.subgroups import all_subgroup_classes
 
@@ -313,224 +312,9 @@ def test_random_generators_build_consistent_groups(images):
 
 
 # ----------------------------------------------------------------------
-# multiplication table against the image-tuple products it replaces
+# base-image key products against permutation products
 
-TABLE_GROUPS = ("Symmetric(4)", "SL2(3)", "Q8xC3", "Dihedral(6)", "E25xSL(2,3)")
-
-
-@pytest.fixture(scope="module")
-def tabled_groups():
-    out = {name: construct(name) for name in TABLE_GROUPS}
-    for g in out.values():
-        g._materialize()
-        assert g._rows is not None
-    return out
-
-
-@settings(max_examples=60)
-@given(st.sampled_from(TABLE_GROUPS), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_table_products_match_permutation_products(tabled_groups, name, a, b):
-    g = tabled_groups[name]
-    i, j = a % g.order(), b % g.order()
-    product = g.mul_idx(i, j)
-    assert product == g.right_row(j)[i] == g.index_of(g.perm_at(i) * g.perm_at(j))
-
-
-@pytest.mark.parametrize("name", TABLE_GROUPS)
-def test_table_rows_cover_every_element(name):
-    # the rows are composed along a spanning tree; every node, generators
-    # included, must get a row
-    g = construct(name)
-    g._materialize()
-    assert len(g._rows) == g.order()
-    ident = list(range(g.order()))
-    for j in range(g.order()):
-        row = g._rows[j]
-        assert sorted(row) == ident
-        assert row[g.identity_idx] == j
-
-
-@pytest.mark.parametrize("name", TABLE_GROUPS)
-def test_pow_idx_matches_permutation_power(name):
-    g = construct(name)
-    for i in range(0, g.order(), 7):
-        for k in (0, 1, 2, 3, 5, 12):
-            assert g.pow_idx(i, k) == g.index_of(g.perm_at(i) ** k)
-
-
-@pytest.mark.parametrize("name", TABLE_GROUPS)
-def test_closure_without_table_matches_table(monkeypatch, name):
-    tabled = construct(name)
-    with monkeypatch.context() as m:
-        m.setattr(groups, "_TABLE_BYTES", 0)
-        plain = construct(name)
-        plain._materialize()
-    tabled._materialize()
-    assert tabled._rows is not None and plain._rows is None
-    n = tabled.order()
-    seeds = [[i, (5 * i + 3) % n] for i in range(0, n, max(1, n // 12))]
-    for seed in seeds:
-        assert tabled.closure_idx(seed) == plain.closure_idx(seed)
-        base = tabled.closure_idx(seed[:1])
-        for x in (seed[1], (seed[1] + 11) % n):
-            assert tabled.closure_idx(
-                [x], base=base, base_gens=seed[:1]
-            ) == plain.closure_idx([x], base=base, base_gens=seed[:1])
-
-
-@pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)"])
-def test_analysis_without_table_matches_table(monkeypatch, name):
-    from subconj.harness import analyze_group
-
-    tabled, _ = analyze_group(construct(name), name)
-    monkeypatch.setattr(groups, "_TABLE_BYTES", 0)
-    plain_group = construct(name)
-    plain, _ = analyze_group(plain_group, name)
-    assert plain_group._rows is None
-    # the re-verification method follows the product path: a scan over every
-    # element with a table, an orbit walk without; everything else is equal
-    methods = [w.pop("verified") for w in tabled.witnesses]
-    assert methods == ["exhaustive-scan"] * len(tabled.witnesses)
-    methods = [w.pop("verified") for w in plain.witnesses]
-    assert methods == ["orbit-walk"] * len(plain.witnesses)
-    assert plain == tabled
-
-
-# ----------------------------------------------------------------------
-# Lagrange exits (closure past n/2, one normaliser test per coset) and the
-# center from the conjugacy classes, against naive scans, with and without
-# the table
-
-LAGRANGE_CASES = [(name, table) for name in TABLE_GROUPS for table in (True, False)]
-
-
-def _build(name, table):
-    """construct(name), materialised with or without its multiplication table."""
-    with pytest.MonkeyPatch.context() as m:
-        if not table:
-            m.setattr(groups, "_TABLE_BYTES", 0)
-        g = construct(name)
-        g._materialize()
-    assert g.has_table() == table
-    return g
-
-
-@pytest.fixture(scope="module")
-def subgroup_reps():
-    # found once on the tabled groups; both builds index the same sorted
-    # element list, so the index sets carry over
-    return {
-        name: [c.representative for c in all_subgroup_classes(construct(name))]
-        for name in TABLE_GROUPS
-    }
-
-
-@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
-def test_closure_idx_matches_naive_closure(subgroup_reps, name, table):
-    g = _build(name, table)
-    n = g.order()
-
-    def naive(seed):
-        perms = [g.perm_at(i) for i in seed]
-        return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
-
-    gens = g.gen_indices()
-    assert g.closure_idx(gens) == naive(gens) == frozenset(range(n))
-    # every subgroup class, index-2 ones included, and each grown through
-    # base= one generator at a time
-    for rep in subgroup_reps[name]:
-        rgens = list(rep.gens_idx())
-        assert g.closure_idx(rgens) == naive(rgens) == rep.indices
-        for k in range(1, len(rgens)):
-            base = g.closure_idx(rgens[:k])
-            grown = g.closure_idx(rgens[k : k + 1], base=base, base_gens=rgens[:k])
-            assert grown == naive(rgens[: k + 1])
-        # grown by each element outside it (a sample for the order-600 group):
-        # the walk never pushes the members of base itself
-        outside = [x for x in range(n) if x not in rep.indices]
-        for x in outside[:: max(1, len(outside) // 8) if n > 100 else 1]:
-            grown = g.closure_idx([x], base=rep.indices, base_gens=rgens)
-            assert grown == naive([*rgens, x])
-    for i in range(0, n, max(1, n // 12)):
-        seed = [i, (5 * i + 3) % n]
-        assert g.closure_idx(seed) == naive(seed)
-        base = g.closure_idx(seed[:1])
-        assert g.closure_idx(seed[1:], base=base, base_gens=seed[:1]) == naive(seed)
-
-
-@pytest.mark.parametrize("table", (True, False))
-def test_closure_idx_closes_an_index_two_subgroup(table):
-    # |A4| = 12 = |S4| / 2 exactly: the exit past n/2 must not fire
-    g = _build("Symmetric(4)", table)
-    a, b = g.index_of(P("(1,2,3)", 4)), g.index_of(P("(2,3,4)", 4))
-    a4 = g.closure_idx([a, b])
-    assert len(a4) == 12
-    assert g.closure_idx([b], base=g.closure_idx([a]), base_gens=[a]) == a4
-    t = g.index_of(P("(1,2)", 4))
-    assert g.closure_idx([t], base=a4, base_gens=[a, b]) == frozenset(range(24))
-
-
-def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
-    # without a table every product is one untabled row lookup; closing the
-    # whole group pops fewer than n/2 members instead of all n - 1
-    g = _build("E25xSL(2,3)", False)
-    gens = g.gen_indices()
-    calls = [0]
-    lookup = groups._ProductRow.__getitem__
-
-    def counted(row, i):
-        calls[0] += 1
-        return lookup(row, i)
-
-    monkeypatch.setattr(groups._ProductRow, "__getitem__", counted)
-    assert g.closure_idx(gens) == frozenset(range(g.order()))
-    assert 0 < calls[0] <= (g.order() // 2) * len(gens)
-
-
-@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
-def test_normalizer_matches_brute_force(subgroup_reps, name, table):
-    g = _build(name, table)
-    elements = g.elements()
-    for rep in subgroup_reps[name]:
-        sub = g.subgroup_from_indices(rep.indices)
-        hset = frozenset(sub.elements())
-        hgens = rep.generators
-        scan = frozenset(
-            i
-            for i, x in enumerate(elements)
-            if all(x.inverse() * h * x in hset for h in hgens)
-        )
-        assert normalizer(g, sub).indices == scan
-
-
-@pytest.mark.parametrize("table", (True, False))
-def test_normalizer_tests_one_element_per_coset(monkeypatch, subgroup_reps, table):
-    # normalizer inverts exactly the elements it tests
-    g = _build("E25xSL(2,3)", table)
-    tested = []
-    inv = g.inv_idx
-
-    def counted(i):
-        tested.append(i)
-        return inv(i)
-
-    monkeypatch.setattr(g, "inv_idx", counted)
-    for rep in subgroup_reps["E25xSL(2,3)"]:
-        tested.clear()
-        normalizer(g, g.subgroup_from_indices(rep.indices))
-        assert len(tested) == g.order() // rep.order
-
-
-@pytest.mark.parametrize("name,table", LAGRANGE_CASES)
-def test_center_matches_centralizer(name, table):
-    g = _build(name, table)
-    assert center(g).indices == centralizer(g, g.full_subgroup()).indices
-
-
-# ----------------------------------------------------------------------
-# base-image keys: every element is indexed by its images of the base points,
-# checked against full image tuples, with and without the table, and on
-# copies whose points are relabelled so that the base is not 0..k-1
+KEY_GROUPS = ("Symmetric(4)", "SL2(3)", "Q8xC3", "Dihedral(6)", "E25xSL(2,3)")
 
 
 def _relabelled(g):
@@ -552,24 +336,198 @@ def _relabelled(g):
     raise AssertionError("no seed moves the base")
 
 
-def _keyed(name, table, relabel):
-    g = _relabelled(construct(name)) if relabel else construct(name)
-    with pytest.MonkeyPatch.context() as m:
-        if not table:
-            m.setattr(groups, "_TABLE_BYTES", 0)
-        g._materialize()
-    assert g.has_table() == table
+def _build(name, reverse=False, relabel=False):
+    """construct(name), materialised.  ``reverse`` rebuilds it from its
+    generators in reverse order, which reorders the base of SL2(3), Q8xC3,
+    Dihedral(6), E25xSL(2,3) and SL2(13) and keeps the sorted element list;
+    ``relabel`` moves it to points where the base is not 0..k-1."""
+    g = construct(name)
+    if reverse:
+        g = Group(g.generators[::-1], degree=g.degree)
+    if relabel:
+        g = _relabelled(g)
+    g._materialize()
     return g
 
 
+@pytest.fixture(scope="module")
+def key_groups():
+    return {name: construct(name) for name in KEY_GROUPS}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(KEY_GROUPS), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_products_match_permutation_products(key_groups, name, a, b):
+    g = key_groups[name]
+    i, j = a % g.order(), b % g.order()
+    product = g.index_of(g.perm_at(i) * g.perm_at(j))
+    assert g.mul_idx(i, j) == g.right_coset([i], j)[0] == product
+
+
+@pytest.mark.parametrize("name", KEY_GROUPS)
+def test_pow_idx_matches_permutation_power(name):
+    g = construct(name)
+    for i in range(0, g.order(), 7):
+        for k in (0, 1, 2, 3, 5, 12):
+            assert g.pow_idx(i, k) == g.index_of(g.perm_at(i) ** k)
+
+
+@pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)"])
+def test_analysis_with_orbit_walk_matches_scan(monkeypatch, name):
+    from subconj import predicates
+    from subconj.harness import analyze_group
+
+    scanned, _ = analyze_group(construct(name), name)
+    monkeypatch.setattr(predicates, "_SCAN_ORDER", 0)
+    walked, _ = analyze_group(construct(name), name)
+    # witnesses of groups up to _SCAN_ORDER are re-verified by a scan over
+    # every element, larger ones by an orbit walk; everything else is equal
+    methods = [w.pop("verified") for w in scanned.witnesses]
+    assert methods == ["exhaustive-scan"] * len(scanned.witnesses)
+    methods = [w.pop("verified") for w in walked.witnesses]
+    assert methods == ["orbit-walk"] * len(walked.witnesses)
+    assert walked == scanned
+
+
+# ----------------------------------------------------------------------
+# Lagrange exits (closure past n/2, one normaliser test per coset) and the
+# center from the conjugacy classes, against naive scans, as built and on
+# relabelled points
+
+LAGRANGE_CASES = [(name, relabel) for name in KEY_GROUPS for relabel in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def subgroup_reps():
+    # a rebuild indexes the same sorted element list, so the index sets of
+    # these representatives carry over to every _build of the same case
+    return {
+        (name, relabel): [
+            c.representative
+            for c in all_subgroup_classes(_build(name, relabel=relabel))
+        ]
+        for name, relabel in LAGRANGE_CASES
+    }
+
+
+@pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)
+def test_closure_idx_matches_naive_closure(subgroup_reps, name, relabel):
+    g = _build(name, relabel=relabel)
+    n = g.order()
+
+    def naive(seed):
+        perms = [g.perm_at(i) for i in seed]
+        return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
+
+    gens = g.gen_indices()
+    assert g.closure_idx(gens) == naive(gens) == frozenset(range(n))
+    # every subgroup class, index-2 ones included, and each grown through
+    # base= one generator at a time
+    for rep in subgroup_reps[name, relabel]:
+        rgens = list(rep.gens_idx())
+        assert g.closure_idx(rgens) == naive(rgens) == rep.indices
+        for k in range(1, len(rgens)):
+            base = g.closure_idx(rgens[:k])
+            grown = g.closure_idx(rgens[k : k + 1], base=base, base_gens=rgens[:k])
+            assert grown == naive(rgens[: k + 1])
+        # grown by each element outside it (a sample for the order-600 group):
+        # the walk never pushes the members of base itself
+        outside = [x for x in range(n) if x not in rep.indices]
+        for x in outside[:: max(1, len(outside) // 8) if n > 100 else 1]:
+            grown = g.closure_idx([x], base=rep.indices, base_gens=rgens)
+            assert grown == naive([*rgens, x])
+    for i in range(0, n, max(1, n // 12)):
+        seed = [i, (5 * i + 3) % n]
+        assert g.closure_idx(seed) == naive(seed)
+        base = g.closure_idx(seed[:1])
+        assert g.closure_idx(seed[1:], base=base, base_gens=seed[:1]) == naive(seed)
+
+
+@pytest.mark.parametrize("relabel", (True, False))
+def test_closure_idx_closes_an_index_two_subgroup(relabel):
+    # |A4| = 12 = |S4| / 2 exactly: the exit past n/2 must not fire; the
+    # relabelled copy is S4 again, on another base
+    g = _build("Symmetric(4)", relabel=relabel)
+    a, b = g.index_of(P("(1,2,3)", 4)), g.index_of(P("(2,3,4)", 4))
+    a4 = g.closure_idx([a, b])
+    assert len(a4) == 12
+    assert g.closure_idx([b], base=g.closure_idx([a]), base_gens=[a]) == a4
+    t = g.index_of(P("(1,2)", 4))
+    assert g.closure_idx([t], base=a4, base_gens=[a, b]) == frozenset(range(24))
+
+
+class _CountingDict(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+
+def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
+    # every product is one read of the key dict; closing the whole group
+    # pops fewer than n/2 members instead of all n - 1
+    g = _build("E25xSL(2,3)")
+    gens = g.gen_indices()
+    counted = _CountingDict(g._by_bimg)
+    monkeypatch.setattr(g, "_by_bimg", counted)
+    assert g.closure_idx(gens) == frozenset(range(g.order()))
+    assert 0 < counted.reads <= (g.order() // 2) * len(gens)
+
+
+@pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)
+def test_normalizer_matches_brute_force(subgroup_reps, name, relabel):
+    g = _build(name, relabel=relabel)
+    elements = g.elements()
+    for rep in subgroup_reps[name, relabel]:
+        sub = g.subgroup_from_indices(rep.indices)
+        hset = frozenset(sub.elements())
+        hgens = rep.generators
+        scan = frozenset(
+            i
+            for i, x in enumerate(elements)
+            if all(x.inverse() * h * x in hset for h in hgens)
+        )
+        assert normalizer(g, sub).indices == scan
+
+
+@pytest.mark.parametrize("relabel", (True, False))
+def test_normalizer_tests_one_element_per_coset(monkeypatch, subgroup_reps, relabel):
+    # normalizer inverts exactly the elements it tests
+    g = _build("E25xSL(2,3)", relabel=relabel)
+    tested = []
+    inv = g.inv_idx
+
+    def counted(i):
+        tested.append(i)
+        return inv(i)
+
+    monkeypatch.setattr(g, "inv_idx", counted)
+    for rep in subgroup_reps["E25xSL(2,3)", relabel]:
+        tested.clear()
+        normalizer(g, g.subgroup_from_indices(rep.indices))
+        assert len(tested) == g.order() // rep.order
+
+
+@pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)
+def test_center_matches_centralizer(name, relabel):
+    g = _build(name, relabel=relabel)
+    assert center(g).indices == centralizer(g, g.full_subgroup()).indices
+
+
+# ----------------------------------------------------------------------
+# base-image keys: every element is indexed by its images of the base points,
+# checked against full image tuples, on rebuilds with the base reordered and
+# on copies whose points are relabelled so that the base is not 0..k-1
+
 KEY_CASES = [
-    (name, table, relabel)
-    for name in TABLE_GROUPS
-    for table in (True, False)
+    (name, reverse, relabel)
+    for name in KEY_GROUPS
+    for reverse in (True, False)
     for relabel in (False, True)
 ]
 # a one-point base, where a key is a bare point; the trivial group's empty
-# base, where the one key is (); and SL2(13), above the table bound as built
+# base, where the one key is (); and SL2(13), order 2184, with a 2-point base
 KEY_CASES += [
     ("Cyclic(7)", True, False),
     ("Cyclic(7)", False, False),
@@ -579,9 +537,9 @@ KEY_CASES += [
 ]
 
 
-@pytest.mark.parametrize("name,table,relabel", KEY_CASES)
-def test_base_image_keys_match_full_image_tuples(name, table, relabel):
-    g = _keyed(name, table, relabel)
+@pytest.mark.parametrize("name,reverse,relabel", KEY_CASES)
+def test_base_image_keys_match_full_image_tuples(name, reverse, relabel):
+    g = _build(name, reverse, relabel)
     n = g.order()
     elts = g.elements()
     full = {x: i for i, x in enumerate(elts)}
@@ -593,8 +551,11 @@ def test_base_image_keys_match_full_image_tuples(name, table, relabel):
     assert g.index_of(g.identity()) == g.identity_idx
     for i, j in pairs:
         product = elts[i] * elts[j]
-        assert g.mul_idx(i, j) == g.right_row(j)[i] == full[product]
+        assert g.mul_idx(i, j) == full[product]
         assert g.index_of(product) == full[product]
+    for j in sorted({j for _, j in pairs[:: max(1, len(pairs) // 8)]}):
+        coset = [full[x * elts[j]] for x in elts]
+        assert g.right_coset(range(n), j) == coset
     maps = g.conj_maps()
     for k, x in enumerate(g.generators):
         xi = x.inverse()
@@ -602,12 +563,12 @@ def test_base_image_keys_match_full_image_tuples(name, table, relabel):
     assert [g.inv_idx(i) for i in range(n)] == [full[y.inverse()] for y in elts]
 
 
-@pytest.mark.parametrize("name", [n for n in TABLE_GROUPS if n != "Symmetric(4)"])
+@pytest.mark.parametrize("name", [n for n in KEY_GROUPS if n != "Symmetric(4)"])
 @pytest.mark.parametrize("relabel", (False, True))
 def test_index_of_rejects_a_non_member_with_a_member_base_image(name, relabel):
     # t swaps two points off the base (S4 has only one), so t * x agrees with
     # x on every base point, and it is no member: t fixes the base, t != 1
-    g = _keyed(name, False, relabel)
+    g = _build(name, relabel=relabel)
     a, b = [p for p in range(1, g.degree + 1) if p - 1 not in g._base][:2]
     t = P(f"({a},{b})", g.degree)
     for x in g.elements()[:: max(1, g.order() // 50)]:
@@ -618,16 +579,12 @@ def test_index_of_rejects_a_non_member_with_a_member_base_image(name, relabel):
             g.index_of(y)
 
 
-@pytest.mark.parametrize("name", (*TABLE_GROUPS, "M11", "SL2(13)"))
+@pytest.mark.parametrize("name", (*KEY_GROUPS, "M11", "SL2(13)"))
 def test_order_of_idx_matches_permutation_order(name):
     g = construct(name)
     assert [g.order_of_idx(i) for i in range(g.order())] == [
         x.order() for x in g.elements()
     ]
-
-
-def test_sl2_13_is_above_the_table_bound():
-    assert not construct("SL2(13)").has_table()
 
 
 @pytest.mark.parametrize("delta", (-1, 1))

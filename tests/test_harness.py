@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from subconj.harness import (
     run_checks,
     witness_search,
 )
-from subconj.predicates import ClassId, MEMBER, NON_MEMBER
+from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED
 
 SMALL_MANIFEST = CorpusManifest(
     [
@@ -225,6 +226,19 @@ def test_t5_remark_reads_only_records(monkeypatch, records):
     assert result.details == (
         "1 instance(s); quotient by the center drops out of A_pi at order 4"
     )
+
+
+@pytest.mark.parametrize("capped", ["A_pi", "center_quotient_a_pi"])
+def test_t5_remark_skips_a_capped_verdict(records, capped):
+    # a lowered cap leaves SL2(7) or SL2(7)/Z undecided: a capped instance,
+    # not evidence against the remark
+    (r,) = [r for r in records if r.name == "SL2(7)"]
+    if capped == "A_pi":
+        r = replace(r, verdicts={**r.verdicts, "A_pi": UNDECIDED})
+    else:
+        r = replace(r, facts={**r.facts, capped: [UNDECIDED, None]})
+    (result,) = run_checks([r], only=["T5-remark"])
+    assert (result.status, result.details) == ("skipped", "all instances capped")
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from subconj import (
     p_subgroup_classes,
 )
 
-from subconj import groups
 from subconj.structure import prime_factors
 
 from oracles import (
@@ -255,14 +254,6 @@ def _assert_walks_agree(g):
 )
 def test_orbit_walks_match_unpruned_walks(name):
     _assert_walks_agree(construct(name))
-
-
-@pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
-def test_orbit_walks_match_unpruned_walks_without_table(monkeypatch, name):
-    monkeypatch.setattr(groups, "_TABLE_BYTES", 0)
-    g = construct(name)
-    assert not g.has_table()
-    _assert_walks_agree(g)
 
 
 def _closures_from_trivial(monkeypatch, g, run):
