@@ -7,7 +7,9 @@ subgroup walks that the N_G(H)-orbit walks in ``subconj.subgroups`` replaced,
 kept on element indices so that the two can be compared key for key.
 """
 
-from subconj import Permutation
+import random
+
+from subconj import Group, Permutation
 from subconj.groups import normalizer
 from subconj.structure import p_part, prime_factors
 from subconj.subgroups import _OrbitRegistry
@@ -23,6 +25,25 @@ def hand_compose(f, g):
 def hand_inverse(f):
     m = {f.apply(i): i for i in range(1, f.degree + 1)}
     return Permutation([m[i] for i in range(1, f.degree + 1)])
+
+
+def relabelled(g):
+    """A copy of g with its points relabelled by the first seeded shuffle
+    that moves its base off 0..k-1."""
+
+    def relabel(perm, pi):
+        images = [0] * g.degree
+        for i, j in enumerate(perm.images):
+            images[pi[i]] = pi[j - 1] + 1
+        return Permutation(images)
+
+    for seed in range(1, 100):
+        pi = list(range(g.degree))
+        random.Random(seed).shuffle(pi)
+        copy = Group([relabel(x, pi) for x in g.generators], degree=g.degree)
+        if copy._base != tuple(range(len(copy._base))):
+            return copy
+    raise AssertionError("no seed moves the base")
 
 
 def naive_closure(gens, degree=None):

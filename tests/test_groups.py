@@ -21,7 +21,7 @@ from subconj import (
 from subconj.caps import Caps
 from subconj.subgroups import all_subgroup_classes
 
-from oracles import exhaustive_conjugator, naive_closure, naive_order
+from oracles import exhaustive_conjugator, naive_closure, naive_order, relabelled
 
 
 def P(text, degree):
@@ -317,25 +317,6 @@ def test_random_generators_build_consistent_groups(images):
 KEY_GROUPS = ("Symmetric(4)", "SL2(3)", "Q8xC3", "Dihedral(6)", "E25xSL(2,3)")
 
 
-def _relabelled(g):
-    """A copy of g with its points relabelled by the first seeded shuffle
-    that moves its base off 0..k-1."""
-
-    def relabel(perm, pi):
-        images = [0] * g.degree
-        for i, j in enumerate(perm.images):
-            images[pi[i]] = pi[j - 1] + 1
-        return Permutation(images)
-
-    for seed in range(1, 100):
-        pi = list(range(g.degree))
-        random.Random(seed).shuffle(pi)
-        copy = Group([relabel(x, pi) for x in g.generators], degree=g.degree)
-        if copy._base != tuple(range(len(copy._base))):
-            return copy
-    raise AssertionError("no seed moves the base")
-
-
 def _build(name, reverse=False, relabel=False):
     """construct(name), materialised.  ``reverse`` rebuilds it from its
     generators in reverse order, which reorders the base of SL2(3), Q8xC3,
@@ -345,7 +326,7 @@ def _build(name, reverse=False, relabel=False):
     if reverse:
         g = Group(g.generators[::-1], degree=g.degree)
     if relabel:
-        g = _relabelled(g)
+        g = relabelled(g)
     g._materialize()
     return g
 

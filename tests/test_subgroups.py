@@ -17,6 +17,7 @@ from oracles import (
     brute_force_subgroups,
     conjugacy_partition,
     exhaustive_conjugator,
+    relabelled,
     unpruned_all_subgroup_classes,
     unpruned_p_subgroup_classes,
 )
@@ -254,6 +255,16 @@ def _assert_walks_agree(g):
 )
 def test_orbit_walks_match_unpruned_walks(name):
     _assert_walks_agree(construct(name))
+
+
+@pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
+def test_orbit_walks_match_unpruned_walks_without_table(name):
+    """No product table is kept: every product reads x_i's getter over the
+    base images of x_j.  A relabelled copy puts the base off 0..k-1, so the
+    getters read other points than on the group as constructed."""
+    g = relabelled(construct(name))
+    assert g._base != tuple(range(len(g._base)))
+    _assert_walks_agree(g)
 
 
 def _closures_from_trivial(monkeypatch, g, run):
