@@ -18,11 +18,13 @@ call and one dict read, where a whole image tuple costs one lookup per point
 of the degree.  ``mul_idx``, ``right_coset`` and ``closure_idx`` all read
 products this way.
 
-Two exact shortcuts follow from Lagrange's theorem, that the order of a
-subgroup divides the order of the group.  A subgroup with more than half the
-elements is the whole group, so a closure stops as soon as it passes n/2.  And
-since H <= N_G(H), a right coset Hg lies in N_G(H) or misses it as a whole, so
-the normaliser tests one element per coset of H.
+Exact shortcuts replace whole-group scans.  By Lagrange's theorem, that the
+order of a subgroup divides the order of the group, a subgroup with more than
+half the elements is the whole group, so a closure stops as soon as it passes
+n/2.  The element list is built coset by coset (Dimino), one C call per
+element.  And the normaliser comes from orbit-stabiliser: the conjugates of H
+are walked under the generators, |N_G(H)| = |G| / their number, and Schreier
+generators are added until that order is reached, without a scan of G.
 
 Groups and subgroups are immutable after construction.  The lazy caches
 (element list, conjugation maps, ...) are populated once and only read
@@ -226,6 +228,15 @@ class Group:
     # indexed element view
 
     def _materialize(self):
+        """List the elements coset by coset (Dimino), sort them and key them.
+
+        With H = <g_1..g_{k-1}> listed, a generator g_k already in H is
+        skipped; otherwise K = <H, g_k> is the union of the left cosets tH
+        reached from H under left multiplication by g_1..g_k, and each new
+        coset is H read through t's getter (t * h is h read at the points of
+        t), one C call per element.  The walk uses the generators only, so
+        its size is checked against the chain order.
+        """
         if self._elts0 is not None:
             return
         cap = self.caps.element_cap
@@ -233,16 +244,19 @@ class Group:
             raise CapExceeded("element enumeration", f"order {self._order} > {cap}")
         identity = tuple(range(self.degree))
         seen = {identity}
-        queue = [identity]
         gens = [g._t for g in self.generators]
-        while queue:
-            # a * g is g read at the points of a
-            at = _getter(queue.pop())
-            for g in gens:
-                b = at(g)
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
+        for k, g in enumerate(gens):
+            if g in seen:
+                continue
+            sub = tuple(seen)
+            left = [_getter(s) for s in gens[: k + 1]]
+            reps = [identity]
+            for r in reps:
+                for s in left:
+                    t = s(r)  # s * r: r read at the points of s
+                    if t not in seen:
+                        reps.append(t)
+                        seen.update(map(_getter(t), sub))
         if len(seen) != self._order:
             raise RuntimeError(
                 f"stabilizer chain order {self._order} != closure size {len(seen)}"
@@ -433,6 +447,10 @@ class Group:
         Alternates subgroup closure with a normality check on the generators;
         a closed set whose generators conjugate into it is normal.
         """
+        return self._normal_closure(seed)[0]
+
+    def _normal_closure(self, seed):
+        """``normal_closure_idx`` and the generating indices it closed."""
         self._materialize()
         maps = self.conj_maps()
         gens = [j for j in dict.fromkeys(seed) if j != self.identity_idx]
@@ -440,7 +458,7 @@ class Group:
             members = self.closure_idx(gens)
             missing = [c for m in maps for g in gens if (c := m[g]) not in members]
             if not missing:
-                return members
+                return members, tuple(gens)
             gens.extend(dict.fromkeys(missing))
 
     # ------------------------------------------------------------------
@@ -557,18 +575,20 @@ class Subgroup:
 
 
 def _greedy_gens(parent, indices):
-    """Small generating index list for a known-closed index set."""
+    """Small generating index list for a known-closed index set: each
+    element not yet reached, largest order first, extends the closure so far
+    through ``closure_idx(base=...)``."""
     order = len(indices)
     if order == 1:
         return ()
     ordered = sorted(indices, key=lambda i: (-parent.order_of_idx(i), i))
     gens = []
-    current = frozenset({parent.identity_idx})
+    current = frozenset()
     for i in ordered:
         if i in current:
             continue
+        current = parent.closure_idx([i], base=current, base_gens=gens)
         gens.append(i)
-        current = parent.closure_idx(gens)
         if len(current) == order:
             return tuple(gens)
     raise RuntimeError("index set is not closed under multiplication")
@@ -592,29 +612,46 @@ def centralizer(group, sub):
 
 
 def normalizer(group, sub):
-    """N_G(H) = elements g with g^-1 H g = H.
+    """N_G(H) = elements g with g^-1 H g = H, by orbit-stabiliser.
 
-    H <= N_G(H), so every element of a right coset Hg lies in N_G(H) exactly
-    when g does: one element is tested per coset of H, and the whole coset is
-    kept or dropped with it.
+    The conjugates of H are walked under the conjugation maps of G's
+    generators, each with a carrier c such that H^c is that conjugate; N_G(H)
+    is their stabiliser, so |N_G(H)| = |G| / the number of conjugates.  Each
+    step K -> K^g between conjugates with carriers c and c' gives a Schreier
+    generator c g c'^-1 of N_G(H).  Those outside the subgroup built so far
+    are adjoined to H through ``closure_idx(base=...)``, each at least
+    doubling it, until the order is reached; the returned subgroup carries H's
+    generators and the ones adjoined.
     """
     group._materialize()
-    mul = group.mul_idx
-    inv = group.inv_idx
-    hgens = sub.gens_idx()
+    mul, inv = group.mul_idx, group.inv_idx
+    maps = group.conj_maps()
+    gens_g = group.gen_indices()
     hset = sub.indices
-    seen = bytearray(group.order())
-    members = []
-    for i in range(group.order()):
-        if seen[i]:
-            continue
-        coset = group.right_coset(hset, i)
-        for c in coset:
-            seen[c] = 1
-        j = inv(i)
-        if all(mul(mul(j, h), i) in hset for h in hgens):
-            members.extend(coset)
-    return group.subgroup_from_indices(members)
+    carriers = {hset: group.identity_idx}
+    orbit = [hset]
+    steps = []  # (carrier of K, generator, K^g)
+    for k in orbit:
+        c = carriers[k]
+        for m, g in zip(maps, gens_g):
+            kg = frozenset(map(m.__getitem__, k))
+            if kg not in carriers:
+                carriers[kg] = mul(c, g)
+                orbit.append(kg)
+            else:
+                steps.append((c, g, kg))
+    target = group.order() // len(orbit)
+    members, gens = hset, list(sub.gens_idx())
+    for c, g, kg in steps:
+        if len(members) == target:
+            break
+        s = mul(mul(c, g), inv(carriers[kg]))
+        if s not in members:
+            members = group.closure_idx([s], base=members, base_gens=gens)
+            gens.append(s)
+    if len(members) != target:  # pragma: no cover - contradicts Schreier's lemma
+        raise RuntimeError("Schreier generators do not reach |G| / orbit size")
+    return group.subgroup_from_indices(members, gens)
 
 
 def center(group):

@@ -88,16 +88,24 @@ def is_nilpotent(group, sub=None):
 
 
 def sylow_subgroup(group, p):
-    """A Sylow p-subgroup, grown through normalizers.
+    """A Sylow p-subgroup: the p-elements when they are |G|_p many, else one
+    grown through normalizers.
 
-    Starts from the p-part of the first element (by index) of order divisible
-    by p; while the subgroup P is below |G|_p, it is extended by the first
-    p-element of N_G(P) outside P.
+    Every p-element lies in some Sylow p-subgroup, so exactly |G|_p of them
+    means one Sylow subgroup holds them all, and it is normal; that set is
+    returned as it is.  Otherwise the growth starts from the p-part of the
+    first element (by index) of order divisible by p; while the subgroup P is
+    below |G|_p, it is extended by the first p-element of N_G(P) outside P.
     """
     n = group.order()
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
     target = p_part(n, p)
+    p_elements = [
+        i for i in range(n) if p_part(o := group.order_of_idx(i), p) == o
+    ]
+    if len(p_elements) == target:
+        return group.subgroup_from_indices(p_elements)
     for i in range(n):
         o = group.order_of_idx(i)
         if o % p == 0:
@@ -138,23 +146,36 @@ def fitting_subgroup(group):
 
 
 def normal_subgroups(group):
-    """All normal subgroups, via joins of element-class closures."""
-    trivial = frozenset({group.identity_idx})
-    found = {trivial}
+    """All normal subgroups, as products of normal closures of classes.
+
+    Every normal subgroup is the join of the normal closures of the element
+    classes it contains, and the join of two normal subgroups is their
+    product NM.  So each class's normal closure is computed once, with a
+    generating set, and the lattice is grown from the trivial subgroup by
+    ``closure_idx(M's generators, base=N)``: a plain closure, with no
+    normality check.
+    """
+    identity = group.identity_idx
+    closures = {}  # normal closure -> generating indices
+    for cls in group.conjugacy_classes_idx():
+        if cls[0] != identity:
+            m, gens = group._normal_closure([cls[0]])
+            closures.setdefault(m, gens)
+    trivial = frozenset({identity})
+    found = {trivial: ()}
     queue = [trivial]
-    classes = [c for c in group.conjugacy_classes_idx() if len(c) > 1 or c[0] != group.identity_idx]
-    reps = [c[0] for c in classes]
     while queue:
         current = queue.pop()
-        base_gens = group.subgroup_from_indices(current).gens_idx()
-        for rep in reps:
-            if rep in current:
+        base_gens = found[current]
+        for m, m_gens in closures.items():
+            if m <= current:
                 continue
-            bigger = group.normal_closure_idx([*base_gens, rep])
+            seed = [x for x in m_gens if x not in current]
+            bigger = group.closure_idx(seed, base=current, base_gens=base_gens)
             if bigger not in found:
-                found.add(bigger)
+                found[bigger] = (*base_gens, *seed)
                 queue.append(bigger)
-    subs = [group.subgroup_from_indices(s) for s in found]
+    subs = [group.subgroup_from_indices(s, g) for s, g in found.items()]
     subs.sort(key=lambda s: (s.order, s.key()))
     return subs
 

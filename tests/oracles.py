@@ -149,6 +149,28 @@ def normal_subgroups_oracle(group):
     return out
 
 
+def normal_closure_joins(group):
+    """All normal subgroups as index sets, by the join loop that
+    ``structure.normal_subgroups`` replaced: every subgroup found is joined
+    with each element class outside it through a fresh normal closure of its
+    generators and the class representative."""
+    trivial = frozenset({group.identity_idx})
+    found = {trivial}
+    queue = [trivial]
+    reps = [c[0] for c in group.conjugacy_classes_idx() if c[0] != group.identity_idx]
+    while queue:
+        current = queue.pop()
+        base_gens = group.subgroup_from_indices(current).gens_idx()
+        for rep in reps:
+            if rep in current:
+                continue
+            bigger = group.normal_closure_idx([*base_gens, rep])
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return found
+
+
 def o_pprime_oracle(group, p):
     """O_p'(G): the largest normal subgroup whose order is coprime to p."""
     coprime = [s for s in normal_subgroups_oracle(group) if len(s) % p]

@@ -371,7 +371,7 @@ def test_analysis_with_orbit_walk_matches_scan(monkeypatch, name):
 
 
 # ----------------------------------------------------------------------
-# Lagrange exits (closure past n/2, one normaliser test per coset) and the
+# Lagrange exits (closure past n/2), the orbit-stabiliser normaliser and the
 # center from the conjugacy classes, against naive scans, as built and on
 # relabelled points
 
@@ -473,21 +473,28 @@ def test_normalizer_matches_brute_force(subgroup_reps, name, relabel):
 
 
 @pytest.mark.parametrize("relabel", (True, False))
-def test_normalizer_tests_one_element_per_coset(monkeypatch, subgroup_reps, relabel):
-    # normalizer inverts exactly the elements it tests
+def test_normalizer_is_the_stabiliser_of_the_conjugates(monkeypatch, relabel):
+    # |N_G(H)| times the number of conjugates of H (counted by the subgroup
+    # registry) is |G|, and each closure adjoins a Schreier generator that at
+    # least doubles the subgroup: at most log2 |N_G(H) : H| closures
     g = _build("E25xSL(2,3)", relabel=relabel)
-    tested = []
-    inv = g.inv_idx
+    classes = all_subgroup_classes(g)
+    closure = g.closure_idx
+    calls = []
 
-    def counted(i):
-        tested.append(i)
-        return inv(i)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
 
-    monkeypatch.setattr(g, "inv_idx", counted)
-    for rep in subgroup_reps["E25xSL(2,3)", relabel]:
-        tested.clear()
-        normalizer(g, g.subgroup_from_indices(rep.indices))
-        assert len(tested) == g.order() // rep.order
+    monkeypatch.setattr(g, "closure_idx", counted)
+    for c in classes:
+        sub = g.subgroup_from_indices(c.representative.indices)
+        sub.gens_idx()
+        calls.clear()
+        nz = normalizer(g, sub)
+        assert nz.order * c.orbit_size == g.order()
+        assert 2 ** len(calls) <= nz.order // sub.order
+        assert closure(nz.gens_idx()) == nz.indices
 
 
 @pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)
@@ -566,6 +573,30 @@ def test_order_of_idx_matches_permutation_order(name):
     assert [g.order_of_idx(i) for i in range(g.order())] == [
         x.order() for x in g.elements()
     ]
+
+
+def _redundant(name):
+    # the product of the first two generators, given as a third one
+    a, b = construct(name).generators[:2]
+    return Group([a, b, a * b])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: relabelled(construct("E32x(C31xC5)")),
+        lambda: _redundant("SL2(3)"),
+        lambda: _redundant("Symmetric(5)"),
+        lambda: construct("Cyclic(1)"),
+    ],
+    ids=["E32x(C31xC5)-relabelled", "SL2(3)-redundant", "Symmetric(5)-redundant", "Cyclic(1)"],
+)
+def test_materialize_lists_the_naive_closure(build):
+    # the coset-by-coset listing against a breadth-first search over products
+    g = build()
+    g._materialize()
+    naive = naive_closure(list(g.generators), g.degree)
+    assert g._elts0 == sorted(x._t for x in naive)
 
 
 @pytest.mark.parametrize("delta", (-1, 1))

@@ -241,6 +241,67 @@ def test_t5_remark_skips_a_capped_verdict(records, capped):
     assert (result.status, result.details) == ("skipped", "all instances capped")
 
 
+def _q8xc3_match(r):
+    return (r.facts.get("o2prime_quotient") or {}).get("matched") == "Q8xC3"
+
+
+def _capped_a_pi(r):
+    return replace(r, verdicts={**r.verdicts, "A_pi": UNDECIDED})
+
+
+def _fingerprint_only(r):
+    info = {**r.facts["o2prime_quotient"], "level": "fingerprint"}
+    return replace(r, facts={**r.facts, "o2prime_quotient": info})
+
+
+@pytest.mark.parametrize(
+    "capped", [_capped_a_pi, _fingerprint_only, None], ids=["A_pi", "fingerprint", "none"]
+)
+def test_t12_skips_a_capped_witness(records, capped):
+    # the groups whose G/O_2'(G) is the SL(2,3)-type target get a capped A_pi
+    # verdict or a match cut off by iso_cap, either of which may hide the
+    # witness, or they drop out of the corpus
+    if capped:
+        hidden = [capped(r) if _q8xc3_match(r) else r for r in records]
+    else:
+        hidden = [r for r in records if not _q8xc3_match(r)]
+    assert len(hidden) == len(records) - 3 * (not capped)
+    (result,) = run_checks(hidden, only=["T12"])
+    if capped:
+        assert result.status == "skipped"
+        assert result.details.endswith("; witness for SL(2,3)-type target capped")
+    else:
+        assert result.status == "fail"
+        assert result.details.startswith(
+            "no corpus witness matched the SL(2,3)-type target exactly"
+        )
+
+
+@pytest.mark.parametrize(
+    "name,capped,above",
+    [
+        ("SL2(7)", "A_pi", "A_pi strictly above N_pi"),
+        ("SL2(7)", "N_pi", "A_pi strictly above N_pi"),
+        ("PSL2(7)", "C_pi", "C_pi strictly above A_pi"),
+        ("PSL2(7)", "A_pi", "C_pi strictly above A_pi"),
+    ],
+)
+def test_hierarchy_skips_a_capped_witness(records, name, capped, above):
+    # SL2(7) is the only A_pi-not-N_pi group here and PSL2(7) the only
+    # C_pi-not-A_pi one: a capped verdict of either may hide the witness,
+    # while without the group the strictness claim fails
+    hidden = [
+        replace(r, verdicts={**r.verdicts, capped: UNDECIDED}) if r.name == name else r
+        for r in records
+    ]
+    (result,) = run_checks(hidden, only=["hierarchy"])
+    assert result.status == "skipped"
+    assert result.details.endswith(f"witness for {above} capped")
+    (result,) = run_checks([r for r in records if r.name != name], only=["hierarchy"])
+    assert result.status == "fail"
+    assert result.details.startswith(f"no corpus witness for {above}")
+
+
 @pytest.mark.parametrize(
     "stage,target",
     [

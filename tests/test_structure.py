@@ -37,8 +37,10 @@ from oracles import (
     core_p_oracle,
     is_nilpotent_oracle,
     is_supersolvable_oracle,
+    normal_closure_joins,
     normal_subgroups_oracle,
     o_pprime_oracle,
+    relabelled,
 )
 
 ORACLE_GROUPS = ["Symmetric(4)", "SL2(3)", "Dihedral(6)", "E4xC3", "Q8xC3"]
@@ -215,6 +217,43 @@ def test_normal_subgroups_match_oracle():
         got = {frozenset(n.elements()) for n in normal_subgroups(g)}
         expected = {frozenset(s) for s in normal_subgroups_oracle(g)}
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def large_groups():
+    # E32x(C31xC5) on relabelled points, with its 7 generators
+    return {
+        "E32x(C31xC5)": relabelled(construct("E32x(C31xC5)")),
+        "SL2(13)": construct("SL2(13)"),
+        "M11": construct("M11"),
+    }
+
+
+@pytest.mark.parametrize("name", ["E32x(C31xC5)", "SL2(13)", "M11"])
+def test_normal_subgroups_match_the_normal_closure_joins(large_groups, name):
+    # products of class closures against a normal closure per join
+    g = large_groups[name]
+    got = normal_subgroups(g)
+    assert [n.order for n in got] == sorted(n.order for n in got)
+    assert {n.indices for n in got} == normal_closure_joins(g)
+    for n in got:
+        assert g.closure_idx(n.gens_idx()) == n.indices
+        assert is_normal(g, n)
+
+
+@pytest.mark.parametrize("name,p", [("E32x(C31xC5)", 2), ("M11", 2), ("M11", 3)])
+def test_sylow_subgroup_is_the_p_element_set_when_it_is_normal(large_groups, name, p):
+    g = large_groups[name]
+    n = g.order()
+    target = p_part(n, p)
+    p_elements = {i for i in range(n) if p_part(o := g.order_of_idx(i), p) == o}
+    syl = sylow_subgroup(g, p)
+    assert syl.order == target
+    assert syl.indices <= p_elements
+    assert g.closure_idx(syl.gens_idx()) == syl.indices
+    # normal exactly when the p-elements are |G|_p many: E32's, not M11's
+    assert (syl.indices == p_elements) == (len(p_elements) == target)
+    assert is_normal(g, syl) == (name == "E32x(C31xC5)")
 
 
 def test_o_2prime_of_a_2_group_is_trivial():
