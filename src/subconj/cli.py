@@ -53,7 +53,7 @@ def cmd_analyze(args):
         classes = tuple(ClassId)
     else:
         classes = tuple(c for c in ClassId if c.is_pi)
-    record, _ = analyze_group(group, name, classes=classes)
+    record = analyze_group(group, name, classes=classes)
     _print_record(record)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -18,12 +18,15 @@ call and one dict read, where a whole image tuple costs one lookup per point
 of the degree.  ``mul_idx``, ``right_coset`` and ``closure_idx`` all read
 products this way.
 
+One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
+the conjugacy test and the subgroup-class registry all read it.
+
 Exact shortcuts replace whole-group scans.  By Lagrange's theorem, that the
 order of a subgroup divides the order of the group, a subgroup with more than
 half the elements is the whole group, so a closure stops as soon as it passes
 n/2.  The element list is built coset by coset (Dimino), one C call per
-element.  And the normaliser comes from orbit-stabiliser: the conjugates of H
-are walked under the generators, |N_G(H)| = |G| / their number, and Schreier
+element.  And the normaliser comes from orbit-stabiliser: the walk over the
+conjugates of H gives |N_G(H)| = |G| / their number, and Schreier
 generators are added until that order is reached, without a scan of G.
 
 Groups and subgroups are immutable after construction.  The lazy caches
@@ -389,6 +392,27 @@ class Group:
             self._classes = tuple(classes)
         return self._classes
 
+    def conjugates(self, hset):
+        """The one orbit walk on subgroups: the conjugates of the index set
+        ``hset``, breadth-first along the generators' ``conj_maps()``.
+
+        Conjugates are numbered as found, K_0 = ``hset``.  Each step yields
+        (K, i, j, m): K = K_i^g_j, for the j-th generator, is conjugate m.  A
+        step that finds K has m = the number found before it; later steps to
+        K repeat its number.
+        """
+        maps = self.conj_maps()
+        number = {hset: 0}
+        orbit = [hset]
+        for i, k in enumerate(orbit):
+            for j, cmap in enumerate(maps):
+                kg = frozenset(map(cmap.__getitem__, k))
+                m = number.get(kg)
+                if m is None:
+                    m = number[kg] = len(orbit)
+                    orbit.append(kg)
+                yield kg, i, j, m
+
     # ------------------------------------------------------------------
     # closures on index sets
 
@@ -614,38 +638,29 @@ def centralizer(group, sub):
 def normalizer(group, sub):
     """N_G(H) = elements g with g^-1 H g = H, by orbit-stabiliser.
 
-    The conjugates of H are walked under the conjugation maps of G's
-    generators, each with a carrier c such that H^c is that conjugate; N_G(H)
-    is their stabiliser, so |N_G(H)| = |G| / the number of conjugates.  Each
-    step K -> K^g between conjugates with carriers c and c' gives a Schreier
-    generator c g c'^-1 of N_G(H).  Those outside the subgroup built so far
-    are adjoined to H through ``closure_idx(base=...)``, each at least
-    doubling it, until the order is reached; the returned subgroup carries H's
-    generators and the ones adjoined.
+    ``Group.conjugates`` walks the conjugates of H (with no ``orbit_key_cap``),
+    and the step that finds K gives it a carrier c with H^c = K; |N_G(H)| =
+    |G| / the number of conjugates.  Every other step K -> K^g, carriers c and
+    c', gives a Schreier generator c g c'^-1 of N_G(H).  Those outside the
+    subgroup built so far are adjoined to H through ``closure_idx(base=...)``,
+    each at least doubling it, until the order is reached; the returned
+    subgroup carries H's generators and the ones adjoined.
     """
-    group._materialize()
     mul, inv = group.mul_idx, group.inv_idx
-    maps = group.conj_maps()
     gens_g = group.gen_indices()
-    hset = sub.indices
-    carriers = {hset: group.identity_idx}
-    orbit = [hset]
-    steps = []  # (carrier of K, generator, K^g)
-    for k in orbit:
-        c = carriers[k]
-        for m, g in zip(maps, gens_g):
-            kg = frozenset(map(m.__getitem__, k))
-            if kg not in carriers:
-                carriers[kg] = mul(c, g)
-                orbit.append(kg)
-            else:
-                steps.append((c, g, kg))
-    target = group.order() // len(orbit)
-    members, gens = hset, list(sub.gens_idx())
-    for c, g, kg in steps:
+    carriers = [group.identity_idx]
+    steps = []  # (i, j, m): a later step from conjugate i by g_j to conjugate m
+    for _, i, j, m in group.conjugates(sub.indices):
+        if m == len(carriers):
+            carriers.append(mul(carriers[i], gens_g[j]))
+        else:
+            steps.append((i, j, m))
+    target = group.order() // len(carriers)
+    members, gens = sub.indices, list(sub.gens_idx())
+    for i, j, m in steps:
         if len(members) == target:
             break
-        s = mul(mul(c, g), inv(carriers[kg]))
+        s = mul(mul(carriers[i], gens_g[j]), inv(carriers[m]))
         if s not in members:
             members = group.closure_idx([s], base=members, base_gens=gens)
             gens.append(s)
@@ -714,30 +729,18 @@ def quotient(group, normal_sub):
     return Quotient(group, normal_sub).group
 
 
-def _factor_gens(a, b):
-    """Generators of A and of B on the disjoint union of their point sets."""
+def direct_product(a, b):
+    """A x B acting on the disjoint union of the two point sets."""
     na, nb = a.degree, b.degree
     ga = [Permutation._from0(g._t + tuple(range(na, na + nb))) for g in a.generators]
     gb = [
         Permutation._from0(tuple(range(na)) + tuple(x + na for x in g._t))
         for g in b.generators
     ]
-    return ga, gb
-
-
-def direct_product(a, b):
-    """A x B acting on the disjoint union of the two point sets."""
-    ga, gb = _factor_gens(a, b)
-    prod = Group(ga + gb, degree=a.degree + b.degree, caps=a.caps)
+    prod = Group(ga + gb, degree=na + nb, caps=a.caps)
     if prod.order() != a.order() * b.order():  # pragma: no cover
         raise RuntimeError("direct product order mismatch")
     return prod
-
-
-def direct_factors_embedded(prod, a, b):
-    """The canonical copies of A and B inside direct_product(A, B)."""
-    ga, gb = _factor_gens(a, b)
-    return prod.subgroup(ga), prod.subgroup(gb)
 
 
 def semidirect_product(normal, acting, action):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .caps import CapExceeded
-from .groups import Group, center, direct_factors_embedded, is_normal, quotient
+from .groups import Group, center, is_normal, quotient
 from .predicates import (
     MEMBER,
     NON_MEMBER,
@@ -173,16 +173,17 @@ def _sylow_has_c4_and_e4(group, syl):
 def analyze_group(group, name, classes=tuple(ClassId)):
     """Verdicts, solvability and Sylow shapes of one group, without facts.
 
-    Classes outside ``classes`` are reported "undecided".  Returns the
-    GroupRecord and the Sylow subgroup per prime, for the facts pass.
+    Classes outside ``classes`` are reported "undecided".  The Sylow
+    subgroups are kept in the group's ``analysis_cache`` for the facts pass
+    and ``structural_fingerprint``.  Only the analysed group keeps them: a
+    kept Subgroup refers back to its group, and that cycle would hold a
+    dropped T12 target copy or quotient until the cyclic collector runs.
     """
     report = hierarchy_report(group, group_id=name, classes=classes)
     solvable = is_solvable(group)
     shapes = []
-    syl_by_p = {}
     for p in prime_factors(group.order()):
-        syl = sylow_subgroup(group, p)
-        syl_by_p[p] = syl
+        syl = group.analysis_cache["sylow", p] = sylow_subgroup(group, p)
         s = sylow_shape(syl)
         shapes.append({"p": p, "tag": s.tag, "order": s.order, "rank": s.rank})
     record = GroupRecord(
@@ -197,7 +198,7 @@ def analyze_group(group, name, classes=tuple(ClassId)):
             if cid in report.witnesses
         ],
     )
-    return record, syl_by_p
+    return record
 
 
 def analyze_entry(entry):
@@ -211,9 +212,9 @@ def analyze_entry(entry):
     try:
         group = entry.build()
         stage = "verdicts"
-        record, syl_by_p = analyze_group(group, entry.name)
+        record = analyze_group(group, entry.name)
         stage = "facts"
-        record.facts = _collect_facts(group, record, syl_by_p)
+        record.facts = _collect_facts(group, record)
     except CapExceeded as exc:
         exc.entry = entry.name
         raise
@@ -223,7 +224,8 @@ def analyze_entry(entry):
     return record
 
 
-def _collect_facts(group, record, syl_by_p):
+def _collect_facts(group, record):
+    syl_by_p = {s["p"]: sylow_subgroup(group, s["p"]) for s in record.sylow_shapes}
     facts = {}
     a_pi = record.verdicts[ClassId.A_PI.value]
     solvable = record.solvable
@@ -310,18 +312,18 @@ def _is_metacyclic_or_cyclic(group, normals):
 
 
 def _product_quotient_facts(name, group):
-    """For A*B with coprime factors: A_pi verdicts of G/A-copy and G/B-copy."""
+    """For A*B with coprime factors: A_pi verdicts of G/A-copy and G/B-copy,
+    where the copy of A is the elements whose order divides |A|."""
     parts = _split_product(name)
     if len(parts) != 2:
         return None
-    a = construct(parts[0])
-    b = construct(parts[1])
-    if gcd(a.order(), b.order()) != 1:
+    orders = [construct(part).order() for part in parts]
+    if gcd(*orders) != 1:
         return None
-    sub_a, sub_b = direct_factors_embedded(group, a, b)
     out = []
-    for factor_name, sub in ((parts[0], sub_a), (parts[1], sub_b)):
-        q = quotient(group, sub)
+    for factor_name, k in zip(parts, orders):
+        copy = [i for i in range(group.order()) if k % group.order_of_idx(i) == 0]
+        q = quotient(group, group.subgroup_from_indices(copy))
         v, _ = decide(q, ClassId.A_PI)
         out.append([factor_name, v])
     return out

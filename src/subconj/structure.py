@@ -88,7 +88,8 @@ def is_nilpotent(group, sub=None):
 
 
 def sylow_subgroup(group, p):
-    """A Sylow p-subgroup: the p-elements when they are |G|_p many, else one
+    """A Sylow p-subgroup: the one kept in the group's ``analysis_cache``
+    under ("sylow", p), else the p-elements when they are |G|_p many, else one
     grown through normalizers.
 
     Every p-element lies in some Sylow p-subgroup, so exactly |G|_p of them
@@ -97,6 +98,9 @@ def sylow_subgroup(group, p):
     first element (by index) of order divisible by p; while the subgroup P is
     below |G|_p, it is extended by the first p-element of N_G(P) outside P.
     """
+    kept = group.analysis_cache.get(("sylow", p))
+    if kept is not None:
+        return kept
     n = group.order()
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
@@ -363,16 +367,17 @@ def is_isomorphic_small(a, b):
     candidate image of the next generator is checked by
     :func:`groups.extend_homomorphism` over the generators chosen so far.
 
-    Only available up to ``a.caps.iso_cap``; beyond it callers must fall back
-    to fingerprint comparison and say so.
+    Differing orders or fingerprints say no at any order.  The search runs
+    only up to ``a.caps.iso_cap``; beyond it callers must fall back to
+    fingerprint comparison and say so.
     """
-    cap = a.caps.iso_cap
     if a.order() != b.order():
         return False
-    if a.order() > cap:
-        raise CapExceeded("isomorphism search", f"order {a.order()} > {cap}")
     if structural_fingerprint(a) != structural_fingerprint(b):
         return False
+    cap = a.caps.iso_cap
+    if a.order() > cap:
+        raise CapExceeded("isomorphism search", f"order {a.order()} > {cap}")
     # greedy: largest element orders first, which keeps the search shallow
     gens = a.subgroup_from_indices(range(a.order())).gens_idx()
     inv_a = _element_invariants(a)

@@ -1,9 +1,10 @@
 """Subgroup enumeration up to conjugacy, and conjugacy decisions for pairs.
 
-Subgroups are keyed by their sorted element-index sets; conjugation orbits are
-walked with precomputed per-generator index maps, so the registry work is pure
-integer manipulation.  Class representatives are the lexicographically least
-element-sets of their orbits, which makes reports reproducible.
+Subgroups are keyed by their sorted element-index sets; their conjugation
+orbits come from the one walk, ``Group.conjugates``, over per-generator index
+maps, so the registry work is pure integer manipulation.  Class
+representatives are the lexicographically least element-sets of their orbits,
+which makes reports reproducible.
 
 Both enumerators share one cyclic-extension walk (Neubueser 1960; Cannon, Cox
 & Holt, JSC 2001).  Starting from the trivial class, each representative H is
@@ -59,39 +60,30 @@ class _OrbitRegistry:
 
     def __init__(self, group):
         self.group = group
-        self.maps = group.conj_maps()
         self.cap = group.caps.orbit_key_cap
         self.class_of = {}
         self.reps = []  # class id -> lexicographically least key (sorted tuple)
         self.sizes = []
 
     def classify(self, key):
-        """Register a subgroup index-set; returns (class id, newly seen)."""
+        """Register a subgroup index-set; returns (class id, newly seen).
+        Each new class's keys but the first count against ``orbit_key_cap``."""
         cid = self.class_of.get(key)
         if cid is not None:
             return cid, False
         cid = len(self.reps)
-        orbit = [key]
         self.class_of[key] = cid
-        best = tuple(sorted(key))
-        k = 0
-        while k < len(orbit):
-            s = orbit[k]
-            k += 1
-            for m in self.maps:
-                t = frozenset(map(m.__getitem__, s))
-                if t not in self.class_of:
-                    if len(self.class_of) >= self.cap:
-                        raise CapExceeded(
-                            "orbit keys", f"more than {self.cap} subgroup sets"
-                        )
-                    self.class_of[t] = cid
-                    orbit.append(t)
-                    ts = tuple(sorted(t))
-                    if ts < best:
-                        best = ts
+        best, size = tuple(sorted(key)), 1
+        for t, _, _, m in self.group.conjugates(key):
+            if m < size:
+                continue
+            if len(self.class_of) >= self.cap:
+                raise CapExceeded("orbit keys", f"more than {self.cap} subgroup sets")
+            self.class_of[t] = cid
+            size += 1
+            best = min(best, tuple(sorted(t)))
         self.reps.append(best)
-        self.sizes.append(len(orbit))
+        self.sizes.append(size)
         return cid, True
 
     def subgroup_classes(self):
@@ -228,9 +220,9 @@ def all_subgroup_classes(group):
 def are_conjugate(group, sub_a, sub_b):
     """A conjugator g with g^-1 * A * g = B, or None.
 
-    Rejects on fingerprint mismatch, then walks the conjugation orbit of A
-    with a visited set on element-set keys; any returned conjugator is
-    re-verified before it is handed out.
+    Rejects on fingerprint mismatch, then walks at most ``orbit_key_cap``
+    conjugates A^c of A (``Group.conjugates``) until B; the carrier c found
+    is re-verified before it is handed out.
     """
     if sub_a.parent is not group or sub_b.parent is not group:
         raise ValueError("subgroups must belong to the given group")
@@ -238,32 +230,20 @@ def are_conjugate(group, sub_a, sub_b):
         return group.identity()
     if sub_a.fingerprint() != sub_b.fingerprint():
         return None
-    maps = group.conj_maps()
     gen_idx = group.gen_indices()
     mul = group.mul_idx
     cap = group.caps.orbit_key_cap
-    start = sub_a.indices
     target = sub_b.indices
-    carriers = {start: group.identity_idx}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        g_s = carriers[s]
-        for m, g in zip(maps, gen_idx):
-            t = frozenset(map(m.__getitem__, s))
-            if t in carriers:
-                continue
-            if len(carriers) >= cap:
-                raise CapExceeded("orbit keys", f"conjugation orbit beyond {cap}")
-            carrier = mul(g_s, g)
-            carriers[t] = carrier
-            if t == target:
-                perm = group.perm_at(carrier)
-                conj = sub_a.conjugate_by_idx(carrier)
-                if conj.indices != target:  # pragma: no cover - internal check
-                    raise RuntimeError("conjugator failed re-verification")
-                return perm
-            queue.append(t)
+    carriers = [group.identity_idx]
+    for t, i, j, m in group.conjugates(sub_a.indices):
+        if m < len(carriers):
+            continue
+        if len(carriers) >= cap:
+            raise CapExceeded("orbit keys", f"conjugation orbit beyond {cap}")
+        carrier = mul(carriers[i], gen_idx[j])
+        if t == target:
+            if sub_a.conjugate_by_idx(carrier).indices != target:  # pragma: no cover
+                raise RuntimeError("conjugator failed re-verification")
+            return group.perm_at(carrier)
+        carriers.append(carrier)
     return None

@@ -134,10 +134,10 @@ import multiprocessing, sys
 from subconj import cli, harness
 multiprocessing.set_start_method("fork")
 collect = harness._collect_facts
-def broken(group, record, syl_by_p):
+def broken(group, record):
     if record.name == "Cyclic(6)":
         raise {exc}("defect")
-    return collect(group, record, syl_by_p)
+    return collect(group, record)
 harness._collect_facts = broken
 sys.exit(cli.main(sys.argv[1:]))
 """

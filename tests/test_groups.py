@@ -358,9 +358,9 @@ def test_analysis_with_orbit_walk_matches_scan(monkeypatch, name):
     from subconj import predicates
     from subconj.harness import analyze_group
 
-    scanned, _ = analyze_group(construct(name), name)
+    scanned = analyze_group(construct(name), name)
     monkeypatch.setattr(predicates, "_SCAN_ORDER", 0)
-    walked, _ = analyze_group(construct(name), name)
+    walked = analyze_group(construct(name), name)
     # witnesses of groups up to _SCAN_ORDER are re-verified by a scan over
     # every element, larger ones by an orbit walk; everything else is equal
     methods = [w.pop("verified") for w in scanned.witnesses]
@@ -495,6 +495,46 @@ def test_normalizer_is_the_stabiliser_of_the_conjugates(monkeypatch, relabel):
         assert nz.order * c.orbit_size == g.order()
         assert 2 ** len(calls) <= nz.order // sub.order
         assert closure(nz.gens_idx()) == nz.indices
+
+
+@pytest.mark.parametrize(
+    "name,relabel",
+    [(n, relabel) for n in ("Symmetric(4)", "SL2(3)") for relabel in (False, True)],
+)
+def test_conjugates_walk_matches_brute_force(subgroup_reps, name, relabel):
+    # every conjugate g^-1 H g is numbered once, each step K_i -> K_i^g_j
+    # lands on the conjugate it names, and the carrier built along the first
+    # steps conjugates H onto each conjugate
+    g = _build(name, relabel=relabel)
+    elements = g.elements()
+    gens = g.generators
+    for rep in subgroup_reps[name, relabel]:
+        hset = rep.indices
+        h = [g.perm_at(i) for i in hset]
+        brute = {
+            frozenset(g.index_of(x.inverse() * y * x) for y in h) for x in elements
+        }
+        orbit, carriers = [hset], [g.identity()]
+        for k, i, j, m in g.conjugates(hset):
+            if m == len(orbit):
+                orbit.append(k)
+                carriers.append(carriers[i] * gens[j])
+            x = gens[j]
+            stepped = {g.index_of(x.inverse() * g.perm_at(y) * x) for y in orbit[i]}
+            assert k == stepped == orbit[m]
+        assert len(set(orbit)) == len(orbit)
+        assert set(orbit) == brute
+        for k, c in zip(orbit, carriers):
+            assert frozenset(g.index_of(c.inverse() * y * c) for y in h) == k
+
+
+def test_normalizer_ignores_the_orbit_key_cap():
+    s4 = construct("Symmetric(4)")
+    g = Group(s4.generators, degree=s4.degree, caps=Caps(orbit_key_cap=1))
+    h = g.subgroup([P("(1,2)", 4)])  # six conjugates
+    nz = normalizer(g, h)
+    assert nz.indices == normalizer(s4, s4.subgroup([P("(1,2)", 4)])).indices
+    assert nz.indices == g.subgroup([P("(1,2)", 4), P("(3,4)", 4)]).indices
 
 
 @pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)

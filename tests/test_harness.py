@@ -1,6 +1,6 @@
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -17,6 +17,8 @@ from subconj.harness import (
     witness_search,
 )
 from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED
+
+from oracles import relabelled
 
 SMALL_MANIFEST = CorpusManifest(
     [
@@ -100,6 +102,25 @@ def test_witness_search_finds_the_classic_separators(records):
     assert hit.name == "SL2(7)" and hit.order == 336
     assert witness_search(records, ClassId.B, ClassId.B) is None
     assert witness_search(records, "A_pi", "N_pi").name == "SL2(7)"
+
+
+@dataclass(frozen=True)
+class _RelabelledEntry(CorpusEntry):
+    def build(self):
+        return relabelled(super().build())
+
+
+@pytest.mark.parametrize("name", ["Alternating(4)*Cyclic(5)", "SL2(3)*Cyclic(5)"])
+def test_relabelled_product_entry_keeps_its_facts(name):
+    # the factor copies are found by element order, not by point labels
+    canonical = analyze_entry(CorpusEntry(name))
+    moved = analyze_entry(_RelabelledEntry(name))
+    assert moved.facts["factor_quotients"] == [
+        [name.split("*")[0], MEMBER],
+        [name.split("*")[1], MEMBER],
+    ]
+    assert moved.facts == canonical.facts
+    assert moved.verdicts == canonical.verdicts
 
 
 def test_record_facts_cover_quotient_suites(records):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -143,6 +145,27 @@ def test_sylow_orders_are_the_p_parts(name):
 def test_sylow_rejects_non_divisor():
     with pytest.raises(ValueError, match="does not divide"):
         sylow_subgroup(S(4), 5)
+
+
+def test_analysed_sylow_subgroups_are_kept_for_reuse():
+    from subconj.harness import analyze_group
+
+    g = construct("Symmetric(4)")
+    analyze_group(g, "Symmetric(4)")
+    syl = g.analysis_cache["sylow", 2]
+    assert sylow_subgroup(g, 2) is syl
+    # a group that was only fingerprinted keeps nothing that refers back to
+    # it, so dropping it frees it at once
+    h = construct("Symmetric(4)")
+    assert structural_fingerprint(h) == structural_fingerprint(g)
+    assert sylow_subgroup(h, 2).indices == syl.indices
+    ref = weakref.ref(h)
+    gc.disable()
+    try:
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sylow_is_conjugate_to_top_p_class():
@@ -437,6 +460,13 @@ def test_iso_cap_enforced():
     a = Group(psl27.generators, degree=psl27.degree, caps=Caps(iso_cap=100))
     with pytest.raises(CapExceeded, match="isomorphism"):
         is_isomorphic_small(a, a)
+
+
+def test_iso_search_separates_by_fingerprint_above_the_cap():
+    # orders equal, fingerprints differ: no search is needed, so no cap applies
+    s5 = construct("Symmetric(5)")
+    a = Group(s5.generators, degree=s5.degree, caps=Caps(iso_cap=100))
+    assert not is_isomorphic_small(a, construct("SL2(5)"))
 
 
 def test_supersolvability_calls():

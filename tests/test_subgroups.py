@@ -11,6 +11,8 @@ from subconj import (
     p_subgroup_classes,
 )
 
+from subconj.caps import Caps
+from subconj.predicates import UNDECIDED, ClassId, decide
 from subconj.structure import prime_factors
 
 from oracles import (
@@ -217,6 +219,39 @@ def test_full_enumeration_cap():
     g = construct("SL2(13)")  # order 2184
     with pytest.raises(CapExceeded, match="full subgroup"):
         all_subgroup_classes(g)
+
+
+# p_subgroup_classes(S4, 2) registers 20 subgroup sets over seven classes (the
+# trivial one included); the first set of a class is not counted against
+# orbit_key_cap, and 20 is the smallest cap the enumeration passes
+S4_TWO_SUBGROUP_ORBIT_KEYS = 20
+
+
+def _s4(**caps):
+    s4 = construct("Symmetric(4)")
+    return Group(s4.generators, degree=s4.degree, caps=Caps(**caps))
+
+
+def test_orbit_key_cap_bounds_the_registry():
+    g = _s4(orbit_key_cap=S4_TWO_SUBGROUP_ORBIT_KEYS)
+    assert [c.orbit_size for c in p_subgroup_classes(g, 2)] == [6, 3, 3, 1, 3, 3]
+    g = _s4(orbit_key_cap=S4_TWO_SUBGROUP_ORBIT_KEYS - 1)
+    with pytest.raises(CapExceeded, match="orbit keys"):
+        p_subgroup_classes(g, 2)
+    assert decide(g, ClassId.B_PI) == (UNDECIDED, None)
+
+
+def test_orbit_key_cap_bounds_are_conjugate():
+    # <(1,2)> and <(1,2)(3,4)> share a fingerprint, so the walk reads all six
+    # conjugates of <(1,2)> before it can say no
+    def pair(cap):
+        g = _s4(orbit_key_cap=cap)
+        return g, g.subgroup([P("(1,2)", 4)]), g.subgroup([P("(1,2)(3,4)", 4)])
+
+    assert are_conjugate(*pair(6)) is None
+    with pytest.raises(CapExceeded) as info:
+        are_conjugate(*pair(5))
+    assert info.value.kind == "orbit keys"
 
 
 def test_sylow_cap_blocks_p_enumeration():
