@@ -18,14 +18,19 @@ call and one dict read, where a whole image tuple costs one lookup per point
 of the degree.  ``mul_idx``, ``right_coset`` and ``closure_idx`` all read
 products this way.
 
+Subgroups are closed coset by coset (Dimino), both the element list of the
+group and every ``closure_idx``: adjoining x to a closed subgroup K walks one
+representative per left coset tK, and adds each new coset whole, as K read
+through t's getter in one C-level pass.  Normal closures grow the same way
+from the subgroup closed in the round before.
+
 One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
 the conjugacy test and the subgroup-class registry all read it.
 
 Exact shortcuts replace whole-group scans.  By Lagrange's theorem, that the
 order of a subgroup divides the order of the group, a subgroup with more than
 half the elements is the whole group, so a closure stops as soon as it passes
-n/2.  The element list is built coset by coset (Dimino), one C call per
-element.  And the normaliser comes from orbit-stabiliser: the walk over the
+n/2.  And the normaliser comes from orbit-stabiliser: the walk over the
 conjugates of H gives |N_G(H)| = |G| / their number, and Schreier
 generators are added until that order is reached, without a scan of G.
 
@@ -336,13 +341,24 @@ class Group:
             self._invs = [by[key(tuple(map(t.index, base)))] for t in self._elts0]
         return self._invs[i]
 
-    def order_of_idx(self, i):
-        """Order of x_i: x_i^k = 1 exactly when x_i^k fixes the base."""
+    def _order_list(self):
+        """The element orders by index, computed once."""
         if self._orders is None:
             self._materialize()
             base = self._base
-            self._orders = [_order_through(t, base) for t in self._elts0]
-        return self._orders[i]
+            self._orders = tuple(_order_through(t, base) for t in self._elts0)
+        return self._orders
+
+    def order_of_idx(self, i):
+        """Order of x_i: x_i^k = 1 exactly when x_i^k fixes the base."""
+        return (self._orders or self._order_list())[i]
+
+    def order_mask(self, test):
+        """[test(order of x_i) for every index i], calling ``test`` once per
+        distinct element order."""
+        orders = self._order_list()
+        value = {o: test(o) for o in set(orders)}
+        return list(map(value.__getitem__, orders))
 
     def gen_indices(self):
         return tuple(self.index_of(g) for g in self.generators)
@@ -419,28 +435,19 @@ class Group:
     def closure_idx(self, seed, base=(), base_gens=()):
         """Subgroup (as an index set) generated by ``base | seed``.
 
-        ``base`` may be an already-closed index set K with generating indices
-        ``base_gens``.  Members start as the identity and K, the new seeds go
-        on the frontier, and every frontier element a is multiplied on the
-        right by ``base_gens`` and the new seeds: the key of a * g is the
-        image tuple of g read by a's getter.  Members of K are never pushed,
-        which keeps repeated one-element extensions cheap.  The walk still
-        reaches all of H = <K, seed>.  The elements it reaches outside K are
-        closed under right multiplication by ``base_gens``, so they form whole
-        left cosets gK, and the walk is reachability from the seeds' cosets in
-        the coset digraph D with arcs gK -> gkxK (g in H, k in K, x a seed),
-        with the vertex K removed.  D is finite, loop-free, vertex-transitive
-        (H acts on it) and strongly connected.  If K has one out-neighbour, it
-        is a seed's coset.  Otherwise the out-degree is >= 2, and then no
-        vertex removal disconnects D.  Suppose one does; a sink component of
-        the rest leaves only to that vertex.  Over D and its reverse, take a
-        smallest vertex set A whose arcs leave A only to one vertex a, with
-        A + a not everything.  Two such sets A, B of that size are disjoint:
-        else A & B is smaller, so it has two exits, a in B and b in A; then
-        A | B has no exit and is everything, and everything outside A + a,
-        of size < |A|, leaves the reverse digraph only to a.  So the sets
-        partition the vertices, H permutes them, and each vertex is the exit
-        of 1/|A| of them: |A| = 1 and the degree would be 1.
+        ``base`` may be an already-closed index set K; then ``base_gens`` must
+        generate it: <base_gens> = K | {1}.  The walk relies on that and
+        returns a wrong set when it fails.  The seeds are adjoined one at a
+        time (Dimino).  The first seed over a trivial K closes <x> by its
+        powers.  Each further seed x, with K the subgroup closed so far, gives
+        H = <K, x> as the union of the left cosets tK.  H acts on them by left
+        multiplication and is generated by ``base_gens`` and the seeds so far,
+        so the orbit of K under those generators is every coset: the walk
+        keeps one representative r per coset, reads s * r for each generator
+        s, and, as the members are always a union of cosets of K, a product t
+        outside them starts a new coset tK, which is added whole as K read
+        through t's getter in one C-level pass.  That is |H : K| reads per
+        generator, not |H|.
 
         By Lagrange a subgroup with more than n/2 elements is the whole group,
         so the walk stops once the members pass that size.  The test is
@@ -448,21 +455,32 @@ class Group:
         normally.
         """
         self._materialize()
-        members = {self.identity_idx, *base}
-        frontier = [j for j in dict.fromkeys(seed) if j not in members]
-        members.update(frontier)
         elts, keys, by = self._elts0, self._keys, self._by_bimg
-        gens = [elts[j] for j in dict.fromkeys([*base_gens, *frontier])]
+        identity = self.identity_idx
+        members = {identity, *base}
+        gens = list(base_gens)
         half = self._order // 2
-        while frontier:
-            if len(members) > half:
-                return frozenset(range(self._order))
-            key = keys[frontier.pop()]
-            for t in gens:
-                b = by[key(t)]
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
+        for x in dict.fromkeys(seed):
+            if x in members:
+                continue
+            gens.append(x)
+            if len(members) == 1:
+                key, y = keys[x], x
+                while y != identity:
+                    members.add(y)
+                    y = by[key(elts[y])]  # x * y
+            else:
+                sub = list(map(elts.__getitem__, members))
+                left = [keys[s] for s in gens]
+                reps = [elts[identity]]
+                for r in reps:
+                    for s in left:
+                        t = by[s(r)]  # s * r
+                        if t not in members:
+                            reps.append(elts[t])
+                            members.update(map(by.__getitem__, map(keys[t], sub)))
+                            if len(members) > half:
+                                return frozenset(range(self._order))
         return frozenset(members)
 
     def normal_closure_idx(self, seed):
@@ -473,17 +491,30 @@ class Group:
         """
         return self._normal_closure(seed)[0]
 
-    def _normal_closure(self, seed):
-        """``normal_closure_idx`` and the generating indices it closed."""
+    def _normal_closure(self, seed, base=(), base_gens=()):
+        """``normal_closure_idx`` and the generating indices it closed.
+
+        ``base`` may be a normal subgroup with generating indices
+        ``base_gens`` (as for ``closure_idx``); the result is then the normal
+        closure of ``base_gens`` and the seeds, grown from ``base``.  Each
+        round extends the subgroup closed so far by the generators it added
+        and checks only their conjugates: the earlier ones conjugate into the
+        earlier, smaller subgroup.  The generators come out as
+        ``base_gens``, the seeds outside ``base`` in order, then each round's
+        missing conjugates.
+        """
         self._materialize()
         maps = self.conj_maps()
-        gens = [j for j in dict.fromkeys(seed) if j != self.identity_idx]
+        members = frozenset({self.identity_idx, *base})
+        gens = list(base_gens)
+        new = [j for j in dict.fromkeys(seed) if j not in members]
         while True:
-            members = self.closure_idx(gens)
-            missing = [c for m in maps for g in gens if (c := m[g]) not in members]
+            members = self.closure_idx(new, base=members, base_gens=gens)
+            gens.extend(new)
+            missing = [c for m in maps for g in new if (c := m[g]) not in members]
             if not missing:
                 return members, tuple(gens)
-            gens.extend(dict.fromkeys(missing))
+            new = list(dict.fromkeys(missing))
 
     # ------------------------------------------------------------------
     # subgroup handles
@@ -564,8 +595,7 @@ class Subgroup:
         return any(orders(i) == self.order for i in self.indices)
 
     def element_order_counter(self):
-        orders = self.parent.order_of_idx
-        return Counter(orders(i) for i in self.indices)
+        return Counter(map(self.parent._order_list().__getitem__, self.indices))
 
     def fingerprint(self):
         """(order, element-order multiset, abelian flag); conjugation-invariant."""

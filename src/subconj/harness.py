@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from math import gcd
 
 from .caps import CapExceeded
@@ -313,16 +314,19 @@ def _is_metacyclic_or_cyclic(group, normals):
 
 def _product_quotient_facts(name, group):
     """For A*B with coprime factors: A_pi verdicts of G/A-copy and G/B-copy,
-    where the copy of A is the elements whose order divides |A|."""
+    where the copy of A is the elements whose order divides |A|.  Only A is
+    built; |B| = |G| / |A|."""
     parts = _split_product(name)
     if len(parts) != 2:
         return None
-    orders = [construct(part).order() for part in parts]
+    a = construct(parts[0]).order()
+    orders = [a, group.order() // a]
     if gcd(*orders) != 1:
         return None
     out = []
     for factor_name, k in zip(parts, orders):
-        copy = [i for i in range(group.order()) if k % group.order_of_idx(i) == 0]
+        divides = group.order_mask(lambda o: k % o == 0)
+        copy = list(compress(range(group.order()), divides))
         q = quotient(group, group.subgroup_from_indices(copy))
         v, _ = decide(q, ClassId.A_PI)
         out.append([factor_name, v])

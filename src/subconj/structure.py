@@ -7,6 +7,7 @@ the group; all functions are pure over immutable groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .caps import CapExceeded
 from .fields import is_prime
@@ -105,9 +106,8 @@ def sylow_subgroup(group, p):
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
     target = p_part(n, p)
-    p_elements = [
-        i for i in range(n) if p_part(o := group.order_of_idx(i), p) == o
-    ]
+    p_element = group.order_mask(lambda o: p_part(o, p) == o)
+    p_elements = list(compress(range(n), p_element))
     if len(p_elements) == target:
         return group.subgroup_from_indices(p_elements)
     for i in range(n):
@@ -121,10 +121,7 @@ def sylow_subgroup(group, p):
         nz = normalizer(group, current)
         ext = None
         for i in sorted(nz.indices):
-            if i in current.indices:
-                continue
-            o = group.order_of_idx(i)
-            if o == p_part(o, p):
+            if p_element[i] and i not in current.indices:
                 ext = i
                 break
         if ext is None:  # pragma: no cover - impossible by Sylow theory
@@ -196,18 +193,19 @@ def _largest_normal(group, admits):
     Grows K = 1 by element classes.  Every normal subgroup of accepted order
     lies in the one sought, so while K does, the normal closure of K and x
     has accepted order exactly when x lies in it; one pass over the classes
-    absorbs them all.
+    absorbs them all.  Each normal closure grows from K, with the full
+    generating tuple of K, not just the class representatives absorbed so far:
+    ``closure_idx`` needs generators of its base.
     """
     members = frozenset({group.identity_idx})
-    normal_gens = []
+    gens = ()
     for cls in group.conjugacy_classes_idx():
         x = cls[0]
         if x in members or not admits(group.order_of_idx(x)):
             continue
-        grown = group.normal_closure_idx([*normal_gens, x])
+        grown, grown_gens = group._normal_closure([x], base=members, base_gens=gens)
         if admits(len(grown)):
-            members = grown
-            normal_gens.append(x)
+            members, gens = grown, grown_gens
     return group.subgroup_from_indices(members)
 
 

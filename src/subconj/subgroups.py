@@ -184,8 +184,7 @@ def p_subgroup_classes(group, p):
         raise CapExceeded(
             "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
         )
-    orders = map(group.order_of_idx, range(n))
-    p_element = [o > 1 and p_part(o, p) == o for o in orders]
+    p_element = group.order_mask(lambda o: o > 1 and p_part(o, p) == o)
 
     def wanted(hset, x):
         return p_element[x] and group.pow_idx(x, p) in hset
@@ -212,8 +211,7 @@ def all_subgroup_classes(group):
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
-    orders = map(group.order_of_idx, range(n))
-    pp_element = [len(prime_factors(o)) == 1 for o in orders]
+    pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
     return _extend_classes(group, n, False, lambda hset, x: pp_element[x])
 
 

@@ -2,9 +2,11 @@
 
 Everything here works directly on Permutation objects with naive algorithms:
 no stabilizer chains, no index tables, no conjugacy pruning.  Slow on purpose;
-keep inputs small.  The exception is the last section: the unpruned
-subgroup walks that the N_G(H)-orbit walks in ``subconj.subgroups`` replaced,
-kept on element indices so that the two can be compared key for key.
+keep inputs small.  The exceptions work on element indices so that they can
+be compared with the fast paths key for key: the element walk that the coset
+walk of ``Group.closure_idx`` replaced, and, in the last section, the
+unpruned subgroup walks that the N_G(H)-orbit walks in ``subconj.subgroups``
+replaced.
 """
 
 import random
@@ -61,6 +63,27 @@ def naive_closure(gens, degree=None):
                 seen.add(b)
                 frontier.append(b)
     return seen
+
+
+def element_walk_closure(group, seed, base=(), base_gens=()):
+    """<base, seed> as an index set, by the element walk that
+    ``Group.closure_idx`` replaced: members start as the identity and
+    ``base``, every new element is multiplied on the right by ``base_gens``
+    and the seeds, one product at a time.  The members it reaches outside
+    ``base`` are unions of left cosets of <base_gens>, so like the coset walk
+    it needs ``base_gens`` to generate ``base``.  No n/2 exit."""
+    members = {group.identity_idx, *base}
+    frontier = [j for j in dict.fromkeys(seed) if j not in members]
+    members.update(frontier)
+    gens = list(dict.fromkeys([*base_gens, *frontier]))
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = group.mul_idx(a, g)
+            if b not in members:
+                members.add(b)
+                frontier.append(b)
+    return frozenset(members)
 
 
 def naive_order(g):

@@ -21,7 +21,13 @@ from subconj import (
 from subconj.caps import Caps
 from subconj.subgroups import all_subgroup_classes
 
-from oracles import exhaustive_conjugator, naive_closure, naive_order, relabelled
+from oracles import (
+    element_walk_closure,
+    exhaustive_conjugator,
+    naive_closure,
+    naive_order,
+    relabelled,
+)
 
 
 def P(text, degree):
@@ -437,6 +443,65 @@ def test_closure_idx_closes_an_index_two_subgroup(relabel):
     assert g.closure_idx([t], base=a4, base_gens=[a, b]) == frozenset(range(24))
 
 
+@pytest.mark.parametrize("name", KEY_GROUPS)
+def test_coset_walk_matches_the_element_walk(subgroup_reps, name):
+    # the coset walk of closure_idx against the element walk it replaced and
+    # the naive closure of base_gens + seed, on relabelled points
+    g = _build(name, relabel=True)
+    n, one = g.order(), g.identity_idx
+    rng = random.Random(name)
+
+    def naive(gens):
+        perms = [g.perm_at(i) for i in gens]
+        return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
+
+    def check(seed, base=(), base_gens=()):
+        got = g.closure_idx(seed, base=base, base_gens=base_gens)
+        assert got == element_walk_closure(g, seed, base, base_gens)
+        assert got == naive([*base_gens, *seed])
+        return got
+
+    # a trivial base with one to three seeds, repeats and the identity
+    for _ in range(8):
+        x, y, z = rng.sample(range(n), 3)
+        for seed in ([x], [x, x], [one], [x, one], [y, x, y], [x, y, z]):
+            check(seed)
+    # bases of order 2 to 4, where every coset is tiny: <x> for x of order
+    # 2, 3 or 4, and a Klein four-group where there is one
+    bases = [[x] for x in range(n) if g.order_of_idx(x) in (2, 3, 4)]
+    involutions = [x for x in range(n) if g.order_of_idx(x) == 2]
+    bases += [
+        [a, b]
+        for a in involutions[:6]
+        for b in involutions
+        if a < b and g.mul_idx(a, b) == g.mul_idx(b, a)
+    ][:3]
+    for base_gens in rng.sample(bases, min(8, len(bases))):
+        base = check(base_gens)
+        assert 2 <= len(base) <= 4
+        for x in rng.sample(range(n), 3):
+            check([x], base, base_gens)
+        check([*base][:2], base, base_gens)  # seeds already in the base
+    # every subgroup class as the base: seeds inside it give it back, seeds
+    # outside grow it, and an index-2 base (A4 in S4, exactly n/2) closes to
+    # the whole group
+    for rep in subgroup_reps[name, True]:
+        base, base_gens = rep.indices, rep.gens_idx()
+        assert check([min(base), max(base)], base, base_gens) == base
+        outside = [x for x in range(n) if x not in base]
+        for x in rng.sample(outside, min(3, len(outside))):
+            grown = check([x], base, base_gens)
+            if 2 * len(base) == n:
+                assert grown == frozenset(range(n))
+    if name == "Symmetric(4)":
+        assert any(2 * rep.order == n for rep in subgroup_reps[name, True])
+    # closures that end at the whole group, from scratch and from a base
+    gens = g.gen_indices()
+    assert check(gens) == frozenset(range(n))
+    base = check(gens[:-1])
+    assert check(gens[-1:], base, gens[:-1]) == frozenset(range(n))
+
+
 class _CountingDict(dict):
     reads = 0
 
@@ -446,8 +511,9 @@ class _CountingDict(dict):
 
 
 def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
-    # every product is one read of the key dict; closing the whole group
-    # pops fewer than n/2 members instead of all n - 1
+    # every product is one read of the key dict: one per coset representative
+    # and generator, and one per element of each new coset; closing the whole
+    # group stops once the members pass n/2
     g = _build("E25xSL(2,3)")
     gens = g.gen_indices()
     counted = _CountingDict(g._by_bimg)

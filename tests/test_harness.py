@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from subconj.caps import CapExceeded
+from subconj.groups import Group
 from subconj.harness import (
     CHECK_IDS,
     CorpusEntry,
@@ -18,7 +19,7 @@ from subconj.harness import (
 )
 from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED
 
-from oracles import relabelled
+from oracles import element_walk_closure, relabelled
 
 SMALL_MANIFEST = CorpusManifest(
     [
@@ -121,6 +122,35 @@ def test_relabelled_product_entry_keeps_its_facts(name):
     ]
     assert moved.facts == canonical.facts
     assert moved.verdicts == canonical.verdicts
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        CorpusEntry("E25xSL(2,3)"),
+        CorpusEntry("Symmetric(5)"),
+        _RelabelledEntry("SL2(13)"),
+    ],
+    ids=lambda e: e.name,
+)
+def test_closure_bases_are_generated_by_their_base_gens(monkeypatch, entry):
+    # the coset walk of closure_idx needs <base_gens> = base | {1}; a caller
+    # that breaks it gets a wrong set without an error, so every base a whole
+    # analysis passes is closed again from its generators alone
+    closure = Group.closure_idx
+    calls = set()
+
+    def recording(group, seed, base=(), base_gens=()):
+        calls.add((group, frozenset(base), tuple(base_gens)))
+        return closure(group, seed, base, base_gens)
+
+    monkeypatch.setattr(Group, "closure_idx", recording)
+    analyze_entry(entry)
+    monkeypatch.undo()
+    based = [(g, base, gens) for g, base, gens in calls if len(base) > 1]
+    assert len(based) > 10
+    for group, base, base_gens in based:
+        assert element_walk_closure(group, base_gens) == base | {group.identity_idx}
 
 
 def test_record_facts_cover_quotient_suites(records):

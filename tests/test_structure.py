@@ -37,6 +37,7 @@ from subconj.structure import p_part, prime_factors
 from oracles import (
     commutator_subgroup_oracle,
     core_p_oracle,
+    element_walk_closure,
     is_nilpotent_oracle,
     is_supersolvable_oracle,
     normal_closure_joins,
@@ -262,6 +263,55 @@ def test_normal_subgroups_match_the_normal_closure_joins(large_groups, name):
     for n in got:
         assert g.closure_idx(n.gens_idx()) == n.indices
         assert is_normal(g, n)
+
+
+NORMAL_CASES = ("E32x(C31xC5)", "SL2(13)", "M11", "E25xSL(2,3)")
+
+
+@pytest.fixture(scope="module")
+def moved_groups():
+    return {name: relabelled(construct(name)) for name in NORMAL_CASES}
+
+
+@pytest.mark.parametrize("name", NORMAL_CASES)
+def test_normal_closure_grows_from_a_normal_base(moved_groups, name):
+    # grown from N with N's generators, the normal closure of N and x is the
+    # from-scratch one of those generators and x, generator tuple included
+    g = moved_groups[name]
+    reps = [c[0] for c in g.conjugacy_classes_idx()]
+    for n in normal_subgroups(g):
+        gens = n.gens_idx()
+        for x in reps:
+            if x in n.indices:
+                continue
+            grown = g._normal_closure([x], base=n.indices, base_gens=gens)
+            assert grown == g._normal_closure([*gens, x])
+            assert is_normal(g, g.subgroup_from_indices(*grown))
+
+
+@pytest.mark.parametrize("name", NORMAL_CASES)
+def test_cores_are_the_largest_admitted_normal_subgroups(monkeypatch, moved_groups, name):
+    # and every closure they grow from a base gets generators of that base
+    g = moved_groups[name]
+    normals = normal_subgroups(g)
+
+    def largest(admits):
+        return max((n.indices for n in normals if admits(n)), key=len)
+
+    closure = g.closure_idx
+    bases = set()
+
+    def recording(seed, base=(), base_gens=()):
+        bases.add((frozenset(base), tuple(base_gens)))
+        return closure(seed, base, base_gens)
+
+    monkeypatch.setattr(g, "closure_idx", recording)
+    for p in prime_factors(g.order()):
+        assert core_p(g, p).indices == largest(lambda n: p_part(n.order, p) == n.order)
+        assert o_pprime(g, p).indices == largest(lambda n: n.order % p)
+    assert fitting_subgroup(g).indices == largest(lambda n: is_nilpotent(g, n))
+    for base, base_gens in bases:
+        assert element_walk_closure(g, base_gens) == base | {g.identity_idx}
 
 
 @pytest.mark.parametrize("name,p", [("E32x(C31xC5)", 2), ("M11", 2), ("M11", 3)])
