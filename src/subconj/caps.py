@@ -58,11 +58,21 @@ class Caps:
 
     @classmethod
     def from_env(cls):
+        """The defaults, overridden by the set ``SUBCONJ_*`` variables; a
+        value that is not a non-negative integer raises ValueError naming the
+        variable."""
         values = {}
         for field, var in cls._ENV.items():
             raw = os.environ.get(var)
-            if raw is not None:
-                values[field] = int(raw)
+            if raw is None:
+                continue
+            try:
+                value = int(raw)
+            except ValueError:
+                value = -1  # refused below with the negative values
+            if value < 0:
+                raise ValueError(f"{var}={raw!r} is not a non-negative integer")
+            values[field] = value
         return cls(**values)
 
 

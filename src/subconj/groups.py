@@ -24,6 +24,11 @@ representative per left coset tK, and adds each new coset whole, as K read
 through t's getter in one C-level pass.  Normal closures grow the same way
 from the subgroup closed in the round before.
 
+Element orders come from cyclic powers: one walk x, x^2, ..., x^m = 1, one
+key read per step, gives every power x^k its order m / gcd(k, m).  A quotient
+G/N labels every element with its coset number in one pass: the first time
+its BFS reaches a coset Nt, it writes the number over all of Nt.
+
 One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
 the conjugacy test and the subgroup-class registry all read it.
 
@@ -42,7 +47,7 @@ afterwards, so sharing across threads or analyses is safe.
 from __future__ import annotations
 
 from collections import Counter
-from math import lcm
+from math import gcd
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, CapExceeded
@@ -73,18 +78,6 @@ def _getter(points):
     """The map t -> t read at ``points``, in one C call: a tuple for two or
     more points, the bare image for one, () for none."""
     return itemgetter(*points) if points else _no_points
-
-
-def _order_through(t, points):
-    """Order of the permutation t when only the identity of its group fixes
-    ``points``: the lcm of the lengths of the cycles through them."""
-    order = 1
-    for p in points:
-        k, q = 1, t[p]
-        while q != p:
-            k, q = k + 1, t[q]
-        order = lcm(order, k)
-    return order
 
 
 class _Level:
@@ -342,15 +335,29 @@ class Group:
         return self._invs[i]
 
     def _order_list(self):
-        """The element orders by index, computed once."""
+        """The element orders by index, computed once: for each x whose
+        order is not known yet, walk x, x^2, ..., x^m = 1, one key read per
+        step; then x^k has order m / gcd(k, m)."""
         if self._orders is None:
             self._materialize()
-            base = self._base
-            self._orders = tuple(_order_through(t, base) for t in self._elts0)
+            elts, keys, by = self._elts0, self._keys, self._by_bimg
+            identity = self._identity_idx
+            orders = [0] * self._order
+            for x in range(self._order):
+                if orders[x]:
+                    continue
+                key, powers, y = keys[x], [x], x
+                while y != identity:
+                    y = by[key(elts[y])]  # x * y
+                    powers.append(y)
+                m = len(powers)
+                for k, y in enumerate(powers, 1):
+                    orders[y] = m // gcd(k, m)
+            self._orders = tuple(orders)
         return self._orders
 
     def order_of_idx(self, i):
-        """Order of x_i: x_i^k = 1 exactly when x_i^k fixes the base."""
+        """Order of x_i, from ``_order_list``."""
         return (self._orders or self._order_list())[i]
 
     def order_mask(self, test):
@@ -718,40 +725,50 @@ class Quotient:
     """Action of G on the cosets of a normal subgroup N.
 
     ``group`` is that action as a permutation group on the cosets, a faithful
-    image of G/N.  Only the action is kept: there is no map from G's elements
-    to their cosets.
+    image of G/N, generated by ``_coset_images``.  Only the action is kept:
+    there is no map from G's elements to their cosets.
     """
 
     def __init__(self, group, normal_sub):
         if not is_normal(group, normal_sub):
             raise ValueError("subgroup is not normal; quotient undefined")
-        group._materialize()
-        mul = group.mul_idx
-        nset = sorted(normal_sub.indices)
-        # BFS over cosets; each coset is keyed by its least element index.
-        id_key = nset[0]
-        reps = [group.identity_idx]
-        coset_id = {id_key: 0}
-        gen_idx = group.gen_indices()
-        images = [[] for _ in gen_idx]
-        k = 0
-        while k < len(reps):
-            r = reps[k]
-            for gpos, g in enumerate(gen_idx):
-                t = mul(r, g)
-                key = min(group.right_coset(nset, t))
-                c = coset_id.get(key)
-                if c is None:
-                    c = len(reps)
-                    coset_id[key] = c
-                    reps.append(t)
-                images[gpos].append(c)
-            k += 1
-        n_cosets = len(reps)
-        perms = [Permutation._from0(tuple(img)) for img in images]
-        self.group = Group(perms, degree=max(n_cosets, 1), caps=group.caps)
+        images = _coset_images(group, normal_sub)
+        perms = [Permutation._from0(img) for img in images]
+        index = group.order() // normal_sub.order
+        self.group = Group(perms, degree=index, caps=group.caps)
         if self.group.order() * normal_sub.order != group.order():
             raise RuntimeError("coset action order mismatch")
+
+
+def _coset_images(group, normal_sub):
+    """Per generator of G, its action on the right cosets of the normal
+    subgroup N, as a 0-based image tuple.
+
+    The cosets are numbered breadth-first from N along right multiplication
+    by the generators.  When the walk first reaches a coset Nt, it writes
+    that number over every element of Nt, so each later product needs one
+    label read.
+    """
+    group._materialize()
+    mul = group.mul_idx
+    nset = normal_sub.indices
+    label = [-1] * group.order()
+    for x in nset:
+        label[x] = 0
+    reps = [group.identity_idx]
+    gen_idx = group.gen_indices()
+    images = [[] for _ in gen_idx]
+    for r in reps:
+        for gpos, g in enumerate(gen_idx):
+            t = mul(r, g)
+            c = label[t]
+            if c < 0:
+                c = len(reps)
+                for x in group.right_coset(nset, t):
+                    label[x] = c
+                reps.append(t)
+            images[gpos].append(c)
+    return [tuple(img) for img in images]
 
 
 def quotient(group, normal_sub):

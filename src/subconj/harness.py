@@ -26,6 +26,7 @@ from .predicates import (
     hierarchy_report,
 )
 from .structure import (
+    StructuralFingerprint,
     derived_subgroup,
     fitting_subgroup,
     is_isomorphic_small,
@@ -115,7 +116,65 @@ class GroupRecord:
 # quotient by the center (of order 2) is not
 _T5_REMARK_GROUP = "SL2(7)"
 
-_T12_TARGET_NAMES = ("E4xC3", "E8x(C7xC3)", "E8xC7", "E32x(C31xC5)", "Q8xC3")
+# The allowed G/O_2'(G) targets besides cyclic 2-groups, each with its
+# structural_fingerprint, so that a quotient above iso_cap is compared with a
+# stored value and no copy of the target is built.  tests/test_harness.py
+# checks every value against the fingerprint of construct(name).
+_T12_TARGETS = {
+    "E4xC3": StructuralFingerprint(
+        order=12,
+        element_orders=((1, 1), (2, 3), (3, 8)),
+        sylow_shapes=((2, "ElementaryAbelian", 4, 2), (3, "Cyclic", 3, 0)),
+        solvable=True,
+        nilpotent=False,
+        center_order=1,
+        derived_order=4,
+    ),
+    "E8x(C7xC3)": StructuralFingerprint(
+        order=168,
+        element_orders=((1, 1), (2, 7), (3, 56), (6, 56), (7, 48)),
+        sylow_shapes=(
+            (2, "ElementaryAbelian", 8, 3),
+            (3, "Cyclic", 3, 0),
+            (7, "Cyclic", 7, 0),
+        ),
+        solvable=True,
+        nilpotent=False,
+        center_order=1,
+        derived_order=56,
+    ),
+    "E8xC7": StructuralFingerprint(
+        order=56,
+        element_orders=((1, 1), (2, 7), (7, 48)),
+        sylow_shapes=((2, "ElementaryAbelian", 8, 3), (7, "Cyclic", 7, 0)),
+        solvable=True,
+        nilpotent=False,
+        center_order=1,
+        derived_order=8,
+    ),
+    "E32x(C31xC5)": StructuralFingerprint(
+        order=4960,
+        element_orders=((1, 1), (2, 31), (5, 1984), (10, 1984), (31, 960)),
+        sylow_shapes=(
+            (2, "ElementaryAbelian", 32, 5),
+            (5, "Cyclic", 5, 0),
+            (31, "Cyclic", 31, 0),
+        ),
+        solvable=True,
+        nilpotent=False,
+        center_order=1,
+        derived_order=992,
+    ),
+    "Q8xC3": StructuralFingerprint(
+        order=24,
+        element_orders=((1, 1), (2, 1), (3, 8), (4, 6), (6, 8)),
+        sylow_shapes=((2, "QuaternionQ8", 8, 0), (3, "Cyclic", 3, 0)),
+        solvable=True,
+        nilpotent=False,
+        center_order=2,
+        derived_order=8,
+    ),
+}
 
 _T12_SHAPES_OK = (
     lambda s: s["tag"] == "Cyclic",
@@ -145,14 +204,13 @@ def _match_t12_target(group):
     if group.full_subgroup().is_cyclic():
         a = group.order().bit_length() - 1
         return f"C_2^{a}", "exact"
-    for name in _T12_TARGET_NAMES:
-        if SEMIDIRECT_DATASETS[name][1] != group.order():
+    for name, fingerprint in _T12_TARGETS.items():
+        if fingerprint.order != group.order():
             continue
-        target = construct(name)
         if group.order() <= group.caps.iso_cap:
-            if is_isomorphic_small(group, target):
+            if is_isomorphic_small(group, construct(name)):
                 return name, "exact"
-        elif structural_fingerprint(group) == structural_fingerprint(target):
+        elif structural_fingerprint(group) == fingerprint:
             return name, "fingerprint"
     return None
 
@@ -178,7 +236,8 @@ def analyze_group(group, name, classes=tuple(ClassId)):
     subgroups are kept in the group's ``analysis_cache`` for the facts pass
     and ``structural_fingerprint``.  Only the analysed group keeps them: a
     kept Subgroup refers back to its group, and that cycle would hold a
-    dropped T12 target copy or quotient until the cyclic collector runs.
+    dropped quotient (or a target built for the exact T12 match) until the
+    cyclic collector runs.
     """
     report = hierarchy_report(group, group_id=name, classes=classes)
     solvable = is_solvable(group)

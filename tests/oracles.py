@@ -4,12 +4,14 @@ Everything here works directly on Permutation objects with naive algorithms:
 no stabilizer chains, no index tables, no conjugacy pruning.  Slow on purpose;
 keep inputs small.  The exceptions work on element indices so that they can
 be compared with the fast paths key for key: the element walk that the coset
-walk of ``Group.closure_idx`` replaced, and, in the last section, the
-unpruned subgroup walks that the N_G(H)-orbit walks in ``subconj.subgroups``
-replaced.
+walk of ``Group.closure_idx`` replaced, the min-key coset BFS that the coset
+labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
+verdicts, and, in the last section, the unpruned subgroup walks that the
+N_G(H)-orbit walks in ``subconj.subgroups`` replaced.
 """
 
 import random
+from math import gcd
 
 from subconj import Group, Permutation
 from subconj.groups import normalizer
@@ -84,6 +86,55 @@ def element_walk_closure(group, seed, base=(), base_gens=()):
                 members.add(b)
                 frontier.append(b)
     return frozenset(members)
+
+
+def min_key_quotient_images(group, normal_sub):
+    """The generator images of G/N, one index tuple per generator of G, by
+    the coset BFS that ``Quotient`` replaced: cosets numbered as first
+    reached from N along right multiplication by the generators, each coset
+    Nt looked up by its least element index, a min over |N| products."""
+    nset = sorted(normal_sub.indices)
+    reps = [group.identity_idx]
+    coset_id = {nset[0]: 0}
+    gen_idx = group.gen_indices()
+    images = [[] for _ in gen_idx]
+    for r in reps:
+        for gpos, g in enumerate(gen_idx):
+            t = group.mul_idx(r, g)
+            key = min(group.right_coset(nset, t))
+            if key not in coset_id:
+                coset_id[key] = len(reps)
+                reps.append(t)
+            images[gpos].append(coset_id[key])
+    return [tuple(img) for img in images]
+
+
+def rational_class_verdicts(group):
+    """(C, C_pi) membership as booleans, from rational classes, with no
+    subgroup walk.
+
+    <x> and <y> of equal order are conjugate iff y is conjugate to some x^k
+    with gcd(k, |x|) = 1.  So the cyclic subgroups of order m are all
+    conjugate exactly when the elements of order m form one rational class
+    (a union of the conjugacy classes of x's generating powers).  C needs
+    that for every m, C_pi for every prime power m.  Orders are read from
+    ``Permutation.order`` and powers by ``pow_idx``."""
+    classes = group.conjugacy_classes_idx()
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    rational = {}  # element order -> number of rational classes
+    covered = set()
+    for c, members in enumerate(classes):
+        if c in covered:
+            continue
+        x = members[0]
+        m = group.perm_at(x).order()
+        covered.update(
+            class_of[group.pow_idx(x, k)] for k in range(1, m + 1) if gcd(k, m) == 1
+        )
+        rational[m] = rational.get(m, 0) + 1
+    c = all(n == 1 for n in rational.values())
+    c_pi = all(n == 1 for m, n in rational.items() if len(prime_factors(m)) <= 1)
+    return c, c_pi
 
 
 def naive_order(g):

@@ -15,6 +15,7 @@ import pytest
 from subconj import (
     MEMBER,
     NON_MEMBER,
+    UNDECIDED,
     ClassId,
     all_subgroup_classes,
     construct,
@@ -26,7 +27,7 @@ from subconj import (
 )
 from subconj.harness import CorpusManifest, analyze_corpus, run_checks
 
-from oracles import brute_force_subgroups, conjugacy_partition
+from oracles import brute_force_subgroups, conjugacy_partition, rational_class_verdicts
 
 
 def _report(number, ok, detail):
@@ -189,6 +190,23 @@ def test_criterion_09_oracle_equivalence(corpus_records):
         f"oracle equality on {checked} corpus groups of order <= 48; "
         f"B_pi == N_pi on all {len(corpus_records)} groups",
     )
+
+
+def test_cyclic_verdicts_match_rational_classes(corpus_records):
+    # every decided C and C_pi verdict against the rational-class count,
+    # which needs no subgroup walk
+    checked = 0
+    for record in corpus_records:
+        c, c_pi = rational_class_verdicts(construct(record.name))
+        for class_id, member in ((ClassId.C, c), (ClassId.C_PI, c_pi)):
+            verdict = record.verdict(class_id)
+            if verdict != UNDECIDED:
+                assert verdict == (MEMBER if member else NON_MEMBER), (
+                    record.name,
+                    class_id.value,
+                )
+                checked += 1
+    assert checked >= 2 * len(corpus_records) - 3  # C of SL2(13), E32x(C31xC5), M11
 
 
 def test_criterion_10_m11():

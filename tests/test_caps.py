@@ -1,6 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 from subconj import Caps
 
@@ -17,3 +22,31 @@ def test_readme_cap_table_matches_caps():
         (str(getattr(defaults, f.name)), Caps._ENV[f.name]) for f in fields(Caps)
     ]
     assert rows == expected
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5", ""])
+def test_from_env_names_a_bad_value(monkeypatch, raw):
+    monkeypatch.setenv("SUBCONJ_ISO_CAP", raw)
+    with pytest.raises(ValueError) as info:
+        Caps.from_env()
+    assert str(info.value) == f"SUBCONJ_ISO_CAP={raw!r} is not a non-negative integer"
+
+
+def test_from_env_reads_zero_and_unset_defaults(monkeypatch):
+    monkeypatch.setenv("SUBCONJ_ISO_CAP", "0")
+    monkeypatch.delenv("SUBCONJ_ELEMENT_CAP", raising=False)
+    caps = Caps.from_env()
+    assert caps.iso_cap == 0
+    assert caps.element_cap == Caps().element_cap
+
+
+def test_cli_start_names_a_bad_cap_variable():
+    # the defaults are read at import, so the message comes before any command
+    proc = subprocess.run(
+        [sys.executable, "-m", "subconj.cli", "analyze", "Cyclic(4)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "SUBCONJ_ISO_CAP": "abc"},
+    )
+    assert proc.returncode != 0
+    assert "SUBCONJ_ISO_CAP='abc' is not a non-negative integer" in proc.stderr

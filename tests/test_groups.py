@@ -19,11 +19,13 @@ from subconj import (
     structural_fingerprint,
 )
 from subconj.caps import Caps
+from subconj.groups import _coset_images
 from subconj.subgroups import all_subgroup_classes
 
 from oracles import (
     element_walk_closure,
     exhaustive_conjugator,
+    min_key_quotient_images,
     naive_closure,
     naive_order,
     relabelled,
@@ -206,6 +208,30 @@ def test_quotient_order_multiplicativity():
         for n in normal_subgroups(g):
             if n.order < g.order():
                 assert quotient(g, n).order() * n.order == g.order()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct("Symmetric(4)"),
+        lambda: construct("SL2(3)"),
+        lambda: construct("E4xC3"),
+        lambda: relabelled(construct("E32x(C31xC5)")),
+        lambda: construct("M11"),
+    ],
+    ids=["Symmetric(4)", "SL2(3)", "E4xC3", "E32x(C31xC5)-relabelled", "M11"],
+)
+def test_quotient_labels_match_the_min_key_walk(build):
+    # one coset label per element against a min over each coset: the same
+    # cosets in the same order, so the same generator images, for every
+    # proper normal subgroup (M11 is simple: only the trivial one)
+    from subconj import normal_subgroups
+
+    g = build()
+    proper = [n for n in normal_subgroups(g) if n.order < g.order()]
+    assert proper
+    for n in proper:
+        assert _coset_images(g, n) == min_key_quotient_images(g, n)
 
 
 def test_direct_product_with_trivial():
@@ -673,9 +699,16 @@ def test_index_of_rejects_a_non_member_with_a_member_base_image(name, relabel):
             g.index_of(y)
 
 
-@pytest.mark.parametrize("name", (*KEY_GROUPS, "M11", "SL2(13)"))
+_ORDER_BUILDS = {
+    "E32x(C31xC5)-relabelled": lambda: relabelled(construct("E32x(C31xC5)")),
+    "SL2(3)-redundant": lambda: _redundant("SL2(3)"),
+}
+
+
+@pytest.mark.parametrize("name", (*KEY_GROUPS, "M11", "SL2(13)", *_ORDER_BUILDS))
 def test_order_of_idx_matches_permutation_order(name):
-    g = construct(name)
+    # the cyclic-power walk against Permutation.order, element by element
+    g = _ORDER_BUILDS.get(name, lambda: construct(name))()
     assert [g.order_of_idx(i) for i in range(g.order())] == [
         x.order() for x in g.elements()
     ]

@@ -4,12 +4,15 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from subconj.caps import CapExceeded
+from subconj import harness
+from subconj.caps import CapExceeded, Caps
 from subconj.groups import Group
 from subconj.harness import (
     CHECK_IDS,
     CorpusEntry,
     CorpusManifest,
+    _T12_TARGETS,
+    _match_t12_target,
     analyze_corpus,
     analyze_entry,
     emit_report,
@@ -18,6 +21,8 @@ from subconj.harness import (
     witness_search,
 )
 from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED
+from subconj.structure import structural_fingerprint
+from subconj.zoo import SEMIDIRECT_DATASETS, construct
 
 from oracles import element_walk_closure, relabelled
 
@@ -151,6 +156,47 @@ def test_closure_bases_are_generated_by_their_base_gens(monkeypatch, entry):
     assert len(based) > 10
     for group, base, base_gens in based:
         assert element_walk_closure(group, base_gens) == base | {group.identity_idx}
+
+
+@pytest.mark.parametrize("name", list(_T12_TARGETS))
+def test_stored_t12_fingerprints_match_the_built_targets(name):
+    fingerprint = _T12_TARGETS[name]
+    assert fingerprint == structural_fingerprint(construct(name))
+    assert fingerprint.order == SEMIDIRECT_DATASETS[name][1]
+
+
+def _refuse_construct(monkeypatch):
+    def refuse(name):
+        raise AssertionError(f"built a copy of {name}")
+
+    monkeypatch.setattr(harness, "construct", refuse)
+
+
+def test_t12_match_above_iso_cap_builds_no_target(monkeypatch):
+    group = construct("E32x(C31xC5)")
+    assert group.order() > group.caps.iso_cap
+    _refuse_construct(monkeypatch)
+    assert _match_t12_target(group) == ("E32x(C31xC5)", "fingerprint")
+
+
+def test_t12_match_under_a_lowered_iso_cap_reads_the_fingerprint(monkeypatch):
+    built = construct("E4xC3")
+    group = Group(built.generators, degree=built.degree, caps=Caps(iso_cap=8))
+    _refuse_construct(monkeypatch)
+    assert _match_t12_target(group) == ("E4xC3", "fingerprint")
+
+
+def test_e32_entry_builds_its_group_once(monkeypatch):
+    built = []
+
+    def recording(name):
+        built.append(name)
+        return construct(name)
+
+    monkeypatch.setattr(harness, "construct", recording)
+    record = analyze_entry(CorpusEntry("E32x(C31xC5)"))
+    assert built == ["E32x(C31xC5)"]
+    assert record.facts["o2prime_quotient"]["level"] == "fingerprint"
 
 
 def test_record_facts_cover_quotient_suites(records):
