@@ -21,8 +21,11 @@ products this way.
 Subgroups are closed coset by coset (Dimino), both the element list of the
 group and every ``closure_idx``: adjoining x to a closed subgroup K walks one
 representative per left coset tK, and adds each new coset whole, as K read
-through t's getter in one C-level pass.  Normal closures grow the same way
-from the subgroup closed in the round before.
+through t's getter in one C-level pass.  That walk needs generators of K, so
+its base is a :class:`Subgroup`, which carries them, and subgroups grow
+through ``Subgroup.join``: <H, seed> with H's generators and the new seeds.
+Normal closures join each round's generators to the subgroup of the round
+before.
 
 Element orders come from cyclic powers: one walk x, x^2, ..., x^m = 1, one
 key read per step, gives every power x^k its order m / gcd(k, m).  A quotient
@@ -66,10 +69,6 @@ def _inv(a):
     return tuple(out)
 
 
-def _is_id(a):
-    return all(i == j for i, j in enumerate(a))
-
-
 def _no_points(t):
     return ()
 
@@ -96,7 +95,7 @@ class _Chain:
         self.degree = degree
         self.levels = []
         self.identity = tuple(range(degree))
-        gens0 = [g for g in gens0 if not _is_id(g)]
+        gens0 = [g for g in gens0 if g != self.identity]
         for g in gens0:
             self._ensure_base_point(g)
         for i, level in enumerate(self.levels):
@@ -121,8 +120,7 @@ class _Chain:
         level = self.levels[i]
         trans = {level.point: self.identity}
         queue = [level.point]
-        while queue:
-            a = queue.pop(0)
+        for a in queue:
             u = trans[a]
             for g in level.gens:
                 b = g[a]
@@ -150,10 +148,10 @@ class _Chain:
             u = level.transversal[gamma]
             for g in level.gens:
                 sg = _mult(_mult(u, g), _inv(level.transversal[g[gamma]]))
-                if _is_id(sg):
+                if sg == self.identity:
                     continue
                 residue, j = self.strip(sg, i + 1)
-                if _is_id(residue):
+                if residue == self.identity:
                     continue
                 if j == len(self.levels):
                     pt = min(k for k in range(self.degree) if residue[k] != k)
@@ -172,7 +170,7 @@ class _Chain:
 
     def contains(self, t):
         residue, _ = self.strip(t)
-        return _is_id(residue)
+        return residue == self.identity
 
 
 class Group:
@@ -223,7 +221,7 @@ class Group:
     __contains__ = contains
 
     def identity(self):
-        return Permutation.identity(self.degree)
+        return Permutation._from0(tuple(range(self.degree)))
 
     # ------------------------------------------------------------------
     # indexed element view
@@ -439,17 +437,17 @@ class Group:
     # ------------------------------------------------------------------
     # closures on index sets
 
-    def closure_idx(self, seed, base=(), base_gens=()):
-        """Subgroup (as an index set) generated by ``base | seed``.
+    def closure_idx(self, seed, base=None):
+        """Subgroup (as an index set) generated by ``base`` and ``seed``.
 
-        ``base`` may be an already-closed index set K; then ``base_gens`` must
-        generate it: <base_gens> = K | {1}.  The walk relies on that and
-        returns a wrong set when it fails.  The seeds are adjoined one at a
+        ``base`` is a :class:`Subgroup` K of this group, None for the trivial
+        one; the walk starts from its members and ``gens_idx()``.
+        ``Subgroup.join`` wraps this walk.  The seeds are adjoined one at a
         time (Dimino).  The first seed over a trivial K closes <x> by its
         powers.  Each further seed x, with K the subgroup closed so far, gives
         H = <K, x> as the union of the left cosets tK.  H acts on them by left
-        multiplication and is generated by ``base_gens`` and the seeds so far,
-        so the orbit of K under those generators is every coset: the walk
+        multiplication and is generated by K's generators and the seeds so
+        far, so the orbit of K under those generators is every coset: the walk
         keeps one representative r per coset, reads s * r for each generator
         s, and, as the members are always a union of cosets of K, a product t
         outside them starts a new coset tK, which is added whole as K read
@@ -464,8 +462,10 @@ class Group:
         self._materialize()
         elts, keys, by = self._elts0, self._keys, self._by_bimg
         identity = self.identity_idx
-        members = {identity, *base}
-        gens = list(base_gens)
+        if base is None:
+            members, gens = {identity}, []
+        else:
+            members, gens = set(base.indices), list(base.gens_idx())
         half = self._order // 2
         for x in dict.fromkeys(seed):
             if x in members:
@@ -496,31 +496,26 @@ class Group:
         Alternates subgroup closure with a normality check on the generators;
         a closed set whose generators conjugate into it is normal.
         """
-        return self._normal_closure(seed)[0]
+        return self._normal_closure(seed).indices
 
-    def _normal_closure(self, seed, base=(), base_gens=()):
-        """``normal_closure_idx`` and the generating indices it closed.
+    def _normal_closure(self, seed, base=None):
+        """The normal closure of ``base`` (a normal Subgroup, None for the
+        trivial one) and the seeds, as a Subgroup grown from ``base``.
 
-        ``base`` may be a normal subgroup with generating indices
-        ``base_gens`` (as for ``closure_idx``); the result is then the normal
-        closure of ``base_gens`` and the seeds, grown from ``base``.  Each
-        round extends the subgroup closed so far by the generators it added
-        and checks only their conjugates: the earlier ones conjugate into the
-        earlier, smaller subgroup.  The generators come out as
-        ``base_gens``, the seeds outside ``base`` in order, then each round's
-        missing conjugates.
+        Each round joins the generators found in the round before and checks
+        only their conjugates: the earlier ones conjugate into the earlier,
+        smaller subgroup.  The generators come out as ``base``'s, the seeds
+        outside it in order, then each round's missing conjugates.
         """
-        self._materialize()
         maps = self.conj_maps()
-        members = frozenset({self.identity_idx, *base})
-        gens = list(base_gens)
-        new = [j for j in dict.fromkeys(seed) if j not in members]
+        sub = self.trivial_subgroup() if base is None else base
+        new = list(dict.fromkeys(seed))
         while True:
-            members = self.closure_idx(new, base=members, base_gens=gens)
-            gens.extend(new)
+            sub = sub.join(new)
+            members = sub.indices
             missing = [c for m in maps for g in new if (c := m[g]) not in members]
             if not missing:
-                return members, tuple(gens)
+                return sub
             new = list(dict.fromkeys(missing))
 
     # ------------------------------------------------------------------
@@ -534,8 +529,7 @@ class Group:
         for p in perms:
             if p not in self:
                 raise ValueError(f"{p} is not a member of the group")
-        seed = [self.index_of(p) for p in perms]
-        return Subgroup(self, self.closure_idx(seed), tuple(dict.fromkeys(seed)))
+        return self.trivial_subgroup().join(self.index_of(p) for p in perms)
 
     def trivial_subgroup(self):
         return self.subgroup_from_indices({self.identity_idx}, ())
@@ -552,8 +546,8 @@ class Group:
 class Subgroup:
     """A subgroup of a parent group, held as a set of element indices.
 
-    The generator list is kept small; it is recovered greedily from the
-    element set when the subgroup was produced by a scan.  Fingerprints are
+    A subgroup grown by ``join`` carries the generators that grew it; one
+    produced by a scan recovers a small list greedily from its elements.  Fingerprints are
     conjugation-invariant summaries used to prune conjugacy searches.
     """
 
@@ -574,6 +568,16 @@ class Subgroup:
         if self._gens_idx is None:
             self._gens_idx = _greedy_gens(self.parent, self.indices)
         return self._gens_idx
+
+    def join(self, seed):
+        """<H, seed> as a Subgroup: generated by H's generators, then the
+        seeds outside H in order and without repeats; H itself when no seed
+        is new."""
+        new = [x for x in dict.fromkeys(seed) if x not in self.indices]
+        if not new:
+            return self
+        grown = self.parent.closure_idx(new, base=self)
+        return Subgroup(self.parent, grown, (*self.gens_idx(), *new))
 
     @property
     def generators(self):
@@ -637,21 +641,19 @@ class Subgroup:
 
 def _greedy_gens(parent, indices):
     """Small generating index list for a known-closed index set: each
-    element not yet reached, largest order first, extends the closure so far
-    through ``closure_idx(base=...)``."""
+    element not yet reached, largest order first, is joined to the subgroup
+    grown so far."""
     order = len(indices)
     if order == 1:
         return ()
     ordered = sorted(indices, key=lambda i: (-parent.order_of_idx(i), i))
-    gens = []
-    current = frozenset()
+    current = parent.trivial_subgroup()
     for i in ordered:
-        if i in current:
+        if i in current.indices:
             continue
-        current = parent.closure_idx([i], base=current, base_gens=gens)
-        gens.append(i)
-        if len(current) == order:
-            return tuple(gens)
+        current = current.join([i])
+        if current.order == order:
+            return current.gens_idx()
     raise RuntimeError("index set is not closed under multiplication")
 
 
@@ -679,9 +681,9 @@ def normalizer(group, sub):
     and the step that finds K gives it a carrier c with H^c = K; |N_G(H)| =
     |G| / the number of conjugates.  Every other step K -> K^g, carriers c and
     c', gives a Schreier generator c g c'^-1 of N_G(H).  Those outside the
-    subgroup built so far are adjoined to H through ``closure_idx(base=...)``,
-    each at least doubling it, until the order is reached; the returned
-    subgroup carries H's generators and the ones adjoined.
+    subgroup built so far are joined to H, each at least doubling it, until
+    the order is reached; the returned subgroup carries H's generators and
+    the ones joined.
     """
     mul, inv = group.mul_idx, group.inv_idx
     gens_g = group.gen_indices()
@@ -693,17 +695,16 @@ def normalizer(group, sub):
         else:
             steps.append((i, j, m))
     target = group.order() // len(carriers)
-    members, gens = sub.indices, list(sub.gens_idx())
+    current = sub
     for i, j, m in steps:
-        if len(members) == target:
+        if current.order == target:
             break
         s = mul(mul(carriers[i], gens_g[j]), inv(carriers[m]))
-        if s not in members:
-            members = group.closure_idx([s], base=members, base_gens=gens)
-            gens.append(s)
-    if len(members) != target:  # pragma: no cover - contradicts Schreier's lemma
+        if s not in current.indices:
+            current = current.join([s])
+    if current.order != target:  # pragma: no cover - contradicts Schreier's lemma
         raise RuntimeError("Schreier generators do not reach |G| / orbit size")
-    return group.subgroup_from_indices(members, gens)
+    return current
 
 
 def center(group):

@@ -98,7 +98,7 @@ class Permutation:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
+        result = Permutation._from0(tuple(range(self.degree)))
         base = self
         while n:
             if n & 1:
@@ -108,8 +108,7 @@ class Permutation:
         return result
 
     def is_identity(self):
-        t = self._t
-        return all(t[i] == i for i in range(len(t)))
+        return self._t == tuple(range(len(self._t)))
 
     def order(self):
         return lcm(*(len(c) for c in self._cycles0())) if not self.is_identity() else 1

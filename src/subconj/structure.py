@@ -116,7 +116,7 @@ def sylow_subgroup(group, p):
             # power down to the p-part of the element order
             seed = group.pow_idx(i, o // p_part(o, p))
             break
-    current = group.subgroup_from_indices(group.closure_idx([seed]), (seed,))
+    current = group.trivial_subgroup().join([seed])
     while current.order < target:
         nz = normalizer(group, current)
         ext = None
@@ -126,10 +126,7 @@ def sylow_subgroup(group, p):
                 break
         if ext is None:  # pragma: no cover - impossible by Sylow theory
             raise RuntimeError("no p-element found in the normalizer")
-        grown = group.closure_idx(
-            [ext], base=current.indices, base_gens=current.gens_idx()
-        )
-        current = group.subgroup_from_indices(grown, (*current.gens_idx(), ext))
+        current = current.join([ext])
     return current
 
 
@@ -140,10 +137,10 @@ def core_p(group, p):
 
 def fitting_subgroup(group):
     """F(G): the product of the cores O_p(G) over the primes dividing |G|."""
-    seed = set()
+    fit = group.trivial_subgroup()
     for p in prime_factors(group.order()):
-        seed |= core_p(group, p).indices
-    return group.subgroup_from_indices(group.closure_idx(sorted(seed)))
+        fit = fit.join(core_p(group, p).gens_idx())
+    return fit
 
 
 def normal_subgroups(group):
@@ -153,32 +150,27 @@ def normal_subgroups(group):
     classes it contains, and the join of two normal subgroups is their
     product NM.  So each class's normal closure is computed once, with a
     generating set, and the lattice is grown from the trivial subgroup by
-    ``closure_idx(M's generators, base=N)``: a plain closure, with no
-    normality check.
+    joining N with M's generators: a plain closure, with no normality check.
     """
     identity = group.identity_idx
-    closures = {}  # normal closure -> generating indices
+    closures = {}  # normal closure's indices -> the closure
     for cls in group.conjugacy_classes_idx():
         if cls[0] != identity:
-            m, gens = group._normal_closure([cls[0]])
-            closures.setdefault(m, gens)
-    trivial = frozenset({identity})
-    found = {trivial: ()}
+            m = group._normal_closure([cls[0]])
+            closures.setdefault(m.indices, m)
+    trivial = group.trivial_subgroup()
+    found = {trivial.indices: trivial}
     queue = [trivial]
     while queue:
         current = queue.pop()
-        base_gens = found[current]
-        for m, m_gens in closures.items():
-            if m <= current:
+        for m in closures.values():
+            if m.indices <= current.indices:
                 continue
-            seed = [x for x in m_gens if x not in current]
-            bigger = group.closure_idx(seed, base=current, base_gens=base_gens)
-            if bigger not in found:
-                found[bigger] = (*base_gens, *seed)
+            bigger = current.join(m.gens_idx())
+            if bigger.indices not in found:
+                found[bigger.indices] = bigger
                 queue.append(bigger)
-    subs = [group.subgroup_from_indices(s, g) for s, g in found.items()]
-    subs.sort(key=lambda s: (s.order, s.key()))
-    return subs
+    return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
 def o_pprime(group, p):
@@ -193,20 +185,17 @@ def _largest_normal(group, admits):
     Grows K = 1 by element classes.  Every normal subgroup of accepted order
     lies in the one sought, so while K does, the normal closure of K and x
     has accepted order exactly when x lies in it; one pass over the classes
-    absorbs them all.  Each normal closure grows from K, with the full
-    generating tuple of K, not just the class representatives absorbed so far:
-    ``closure_idx`` needs generators of its base.
+    absorbs them all.  Each normal closure grows from K.
     """
-    members = frozenset({group.identity_idx})
-    gens = ()
+    current = group.trivial_subgroup()
     for cls in group.conjugacy_classes_idx():
         x = cls[0]
-        if x in members or not admits(group.order_of_idx(x)):
+        if x in current.indices or not admits(group.order_of_idx(x)):
             continue
-        grown, grown_gens = group._normal_closure([x], base=members, base_gens=gens)
-        if admits(len(grown)):
-            members, gens = grown, grown_gens
-    return group.subgroup_from_indices(members)
+        grown = group._normal_closure([x], base=current)
+        if admits(grown.order):
+            current = grown
+    return current
 
 
 # ----------------------------------------------------------------------
@@ -329,22 +318,20 @@ def is_supersolvable(group, sub=None):
     mul = group.mul_idx
     inv = group.inv_idx
     hgens = sub.gens_idx()
-    members = frozenset({group.identity_idx})
-    gens = []
-    while len(members) < sub.order:
-        tried = set(members)
+    current = group.trivial_subgroup()
+    while current.order < sub.order:
+        tried = set(current.indices)
         for x in sorted(sub.indices):
             if x in tried:
                 continue
-            grown = group.closure_idx([x], base=members, base_gens=gens)
-            if not is_prime(len(grown) // len(members)):
+            grown = current.join([x])
+            if not is_prime(grown.order // current.order):
                 continue
-            if all(mul(mul(inv(h), x), h) in grown for h in hgens):
-                members = grown
-                gens.append(x)
+            if all(mul(mul(inv(h), x), h) in grown.indices for h in hgens):
+                current = grown
                 break
             # every element of grown outside N generates grown over N
-            tried |= grown
+            tried |= grown.indices
         else:
             return False
     return True
@@ -384,18 +371,25 @@ def is_isomorphic_small(a, b):
         [j for j in range(b.order()) if inv_b[j] == inv_a[g]] for g in gens
     ]
 
-    id_map = {a.identity_idx: b.identity_idx}
+    identity = {a.identity_idx: b.identity_idx}
+    return _extend_to_isomorphism(a, b, gens, candidates, identity, [])
 
-    def search(phi, pairs, k):
-        if k == len(gens):
-            return len(phi) == a.order()
-        for b_gen in candidates[k]:
-            if b_gen in phi.values():
-                continue
-            grown = pairs + [(gens[k], b_gen)]
-            bigger = extend_homomorphism(a, b, {**phi, gens[k]: b_gen}, grown)
-            if bigger is not None and search(bigger, grown, k + 1):
-                return True
-        return False
 
-    return search(id_map, [], 0)
+def _extend_to_isomorphism(a, b, gens, candidates, phi, pairs):
+    """The backtracking step of :func:`is_isomorphic_small`: ``phi`` maps
+    ``gens[:k]`` by ``pairs`` (k = len(pairs)); try each candidate image of
+    ``gens[k]``.  A plain function, not a closure over itself, so a finished
+    search leaves no reference cycle holding either group."""
+    k = len(pairs)
+    if k == len(gens):
+        return len(phi) == a.order()
+    for b_gen in candidates[k]:
+        if b_gen in phi.values():
+            continue
+        grown = pairs + [(gens[k], b_gen)]
+        bigger = extend_homomorphism(a, b, {**phi, gens[k]: b_gen}, grown)
+        if bigger is not None and _extend_to_isomorphism(
+            a, b, gens, candidates, bigger, grown
+        ):
+            return True
+    return False

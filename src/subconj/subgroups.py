@@ -62,7 +62,7 @@ class _OrbitRegistry:
         self.group = group
         self.cap = group.caps.orbit_key_cap
         self.class_of = {}
-        self.reps = []  # class id -> lexicographically least key (sorted tuple)
+        self.reps = []  # class id -> Subgroup on the lexicographically least key
         self.sizes = []
 
     def classify(self, key):
@@ -73,7 +73,7 @@ class _OrbitRegistry:
             return cid, False
         cid = len(self.reps)
         self.class_of[key] = cid
-        best, size = tuple(sorted(key)), 1
+        best, size = (tuple(sorted(key)), key), 1
         for t, _, _, m in self.group.conjugates(key):
             if m < size:
                 continue
@@ -81,16 +81,13 @@ class _OrbitRegistry:
                 raise CapExceeded("orbit keys", f"more than {self.cap} subgroup sets")
             self.class_of[t] = cid
             size += 1
-            best = min(best, tuple(sorted(t)))
-        self.reps.append(best)
+            best = min(best, (tuple(sorted(t)), t))
+        self.reps.append(self.group.subgroup_from_indices(best[1]))
         self.sizes.append(size)
         return cid, True
 
     def subgroup_classes(self):
-        out = []
-        for rep, size in zip(self.reps, self.sizes):
-            sub = self.group.subgroup_from_indices(rep)
-            out.append(SubgroupClass(sub, size))
+        out = [SubgroupClass(rep, size) for rep, size in zip(self.reps, self.sizes)]
         out.sort(key=lambda c: (c.order, c.representative.key()))
         return out
 
@@ -153,13 +150,12 @@ def _extend_classes(group, top, in_normalizer, wanted):
     registry = _OrbitRegistry(group)
     queue = [registry.classify(frozenset({group.identity_idx}))[0]]
     for cid in queue:
-        rep = group.subgroup_from_indices(registry.reps[cid])
+        rep = registry.reps[cid]
         if rep.order == top:
             continue
-        base_gens = rep.gens_idx()
         orbit_size = registry.sizes[cid]
         for x in _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
-            key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+            key = group.closure_idx([x], base=rep)
             new_cid, new = registry.classify(key)
             if new:
                 queue.append(new_cid)

@@ -304,15 +304,14 @@ def unpruned_p_subgroup_classes(group, p):
     while size < sylow_order:
         grown = []
         for cid in level:
-            rep = group.subgroup_from_indices(registry.reps[cid])
-            base_gens = rep.gens_idx()
+            rep = registry.reps[cid]
             for x in sorted(normalizer(group, rep).indices):
                 o = group.order_of_idx(x)
                 if x in rep.indices or o != p_part(o, p):
                     continue
                 if group.pow_idx(x, p) not in rep.indices:
                     continue
-                key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+                key = group.closure_idx([x], base=rep)
                 new_cid, new = registry.classify(key)
                 if new:
                     grown.append(new_cid)
@@ -328,19 +327,17 @@ def unpruned_all_subgroup_classes(group):
     registry = _OrbitRegistry(group)
     queue = [registry.classify(frozenset({group.identity_idx}))[0]]
     for cid in queue:
-        rep_key = registry.reps[cid]
-        rep = group.subgroup_from_indices(rep_key)
+        rep = registry.reps[cid]
         if rep.order == n:
             continue
-        base_gens = rep.gens_idx()
         covered = set(rep.indices)
         for x in range(n):
             o = group.order_of_idx(x)
             if x in covered or o == 1 or len(prime_factors(o)) != 1:
                 continue
-            key = group.closure_idx([x], base=rep.indices, base_gens=base_gens)
+            key = group.closure_idx([x], base=rep)
             new_cid, new = registry.classify(key)
             if new:
                 queue.append(new_cid)
-            covered.update(group.right_coset(rep_key, x))
+            covered.update(group.right_coset(rep.indices, x))
     return registry.subgroup_classes()

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps program names by module attribute; every name
-it hooks must stay bound, or ``bench/run.py --trace 1`` breaks."""
+it hooks must stay bound, and the layer probes call the program by name, or
+``bench/run.py --trace 1`` breaks."""
 
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 from subconj import harness  # noqa: E402
+from probes import probe_group  # noqa: E402
 from tracing import Tracer, install, uninstall  # noqa: E402
 
 
@@ -59,3 +61,16 @@ def test_tracer_sees_the_untabled_key_path():
     names = {span[0] for span in tracer.spans}
     assert "groups.materialize" in names
     assert tracer.counters["groups.elements_materialized"] == 2184
+
+
+def test_probes_run_on_a_small_group():
+    # the unwrapped probes build a Group and call _materialize, mul_idx,
+    # closure_idx and _OrbitRegistry.classify directly
+    metrics = probe_group("Symmetric(4)")
+    assert set(metrics) == {
+        "chain_s",
+        "materialize_s",
+        "mul_idx_ns",
+        "closure_idx_ms",
+        "classify_ms",
+    }

@@ -7,6 +7,7 @@ from subconj import (
     CapExceeded,
     Group,
     Permutation,
+    are_conjugate,
     center,
     centralizer,
     construct,
@@ -208,6 +209,23 @@ def test_quotient_order_multiplicativity():
         for n in normal_subgroups(g):
             if n.order < g.order():
                 assert quotient(g, n).order() * n.order == g.order()
+
+
+def test_quotient_above_degree_256_builds_its_identity():
+    # SL2(9)/Z acts on its 360 cosets, above the degree bound of
+    # Permutation.identity: the group's identity, powers and the conjugator
+    # of a subgroup with itself are built on the element's own points
+    g = construct("SL2(9)")
+    q = quotient(g, center(g))
+    assert q.degree == 360
+    one = q.identity()
+    assert one.degree == 360 and one.is_identity() and one in q
+    x = q.perm_at(1)
+    assert not x.is_identity()
+    assert x**2 == x * x
+    assert x**0 == one
+    t = q.subgroup([x])
+    assert are_conjugate(q, t, t) == one
 
 
 @pytest.mark.parametrize(
@@ -440,20 +458,20 @@ def test_closure_idx_matches_naive_closure(subgroup_reps, name, relabel):
         rgens = list(rep.gens_idx())
         assert g.closure_idx(rgens) == naive(rgens) == rep.indices
         for k in range(1, len(rgens)):
-            base = g.closure_idx(rgens[:k])
-            grown = g.closure_idx(rgens[k : k + 1], base=base, base_gens=rgens[:k])
+            base = g.subgroup_from_indices(g.closure_idx(rgens[:k]), rgens[:k])
+            grown = g.closure_idx(rgens[k : k + 1], base=base)
             assert grown == naive(rgens[: k + 1])
         # grown by each element outside it (a sample for the order-600 group):
         # the walk never pushes the members of base itself
         outside = [x for x in range(n) if x not in rep.indices]
         for x in outside[:: max(1, len(outside) // 8) if n > 100 else 1]:
-            grown = g.closure_idx([x], base=rep.indices, base_gens=rgens)
+            grown = g.closure_idx([x], base=rep)
             assert grown == naive([*rgens, x])
     for i in range(0, n, max(1, n // 12)):
         seed = [i, (5 * i + 3) % n]
         assert g.closure_idx(seed) == naive(seed)
-        base = g.closure_idx(seed[:1])
-        assert g.closure_idx(seed[1:], base=base, base_gens=seed[:1]) == naive(seed)
+        base = g.subgroup_from_indices(g.closure_idx(seed[:1]), seed[:1])
+        assert g.closure_idx(seed[1:], base=base) == naive(seed)
 
 
 @pytest.mark.parametrize("relabel", (True, False))
@@ -464,15 +482,18 @@ def test_closure_idx_closes_an_index_two_subgroup(relabel):
     a, b = g.index_of(P("(1,2,3)", 4)), g.index_of(P("(2,3,4)", 4))
     a4 = g.closure_idx([a, b])
     assert len(a4) == 12
-    assert g.closure_idx([b], base=g.closure_idx([a]), base_gens=[a]) == a4
+    base = g.subgroup_from_indices(g.closure_idx([a]), [a])
+    assert g.closure_idx([b], base=base) == a4
     t = g.index_of(P("(1,2)", 4))
-    assert g.closure_idx([t], base=a4, base_gens=[a, b]) == frozenset(range(24))
+    base = g.subgroup_from_indices(a4, [a, b])
+    assert g.closure_idx([t], base=base) == frozenset(range(24))
 
 
 @pytest.mark.parametrize("name", KEY_GROUPS)
 def test_coset_walk_matches_the_element_walk(subgroup_reps, name):
     # the coset walk of closure_idx against the element walk it replaced and
-    # the naive closure of base_gens + seed, on relabelled points
+    # the naive closure of the base's generators and the seed, on relabelled
+    # points
     g = _build(name, relabel=True)
     n, one = g.order(), g.identity_idx
     rng = random.Random(name)
@@ -482,7 +503,8 @@ def test_coset_walk_matches_the_element_walk(subgroup_reps, name):
         return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
 
     def check(seed, base=(), base_gens=()):
-        got = g.closure_idx(seed, base=base, base_gens=base_gens)
+        sub = g.subgroup_from_indices(base, base_gens) if base else None
+        got = g.closure_idx(seed, base=sub)
         assert got == element_walk_closure(g, seed, base, base_gens)
         assert got == naive([*base_gens, *seed])
         return got

@@ -1,12 +1,14 @@
+import gc
 import json
 import pickle
+import weakref
 from dataclasses import dataclass, replace
 
 import pytest
 
-from subconj import harness
-from subconj.caps import CapExceeded, Caps
-from subconj.groups import Group
+from subconj import groups, harness, structure, subgroups
+from subconj.caps import DEFAULT_CAPS, CapExceeded, Caps
+from subconj.groups import Group, Subgroup
 from subconj.harness import (
     CHECK_IDS,
     CorpusEntry,
@@ -129,33 +131,64 @@ def test_relabelled_product_entry_keeps_its_facts(name):
     assert moved.verdicts == canonical.verdicts
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        CorpusEntry("E25xSL(2,3)"),
-        CorpusEntry("Symmetric(5)"),
-        _RelabelledEntry("SL2(13)"),
-    ],
-    ids=lambda e: e.name,
-)
+_CONTRACT_ENTRIES = [
+    CorpusEntry("E25xSL(2,3)"),
+    CorpusEntry("Symmetric(5)"),
+    _RelabelledEntry("SL2(13)"),
+]
+
+
+@pytest.mark.parametrize("entry", _CONTRACT_ENTRIES, ids=lambda e: e.name)
 def test_closure_bases_are_generated_by_their_base_gens(monkeypatch, entry):
-    # the coset walk of closure_idx needs <base_gens> = base | {1}; a caller
+    # the coset walk of closure_idx needs <base.gens_idx()> = base; a base
     # that breaks it gets a wrong set without an error, so every base a whole
     # analysis passes is closed again from its generators alone
     closure = Group.closure_idx
-    calls = set()
+    bases = {}
 
-    def recording(group, seed, base=(), base_gens=()):
-        calls.add((group, frozenset(base), tuple(base_gens)))
-        return closure(group, seed, base, base_gens)
+    def recording(group, seed, base=None):
+        if base is not None and base.order > 1:
+            bases[base.indices, base.gens_idx()] = base
+        return closure(group, seed, base)
 
     monkeypatch.setattr(Group, "closure_idx", recording)
     analyze_entry(entry)
     monkeypatch.undo()
-    based = [(g, base, gens) for g, base, gens in calls if len(base) > 1]
-    assert len(based) > 10
-    for group, base, base_gens in based:
-        assert element_walk_closure(group, base_gens) == base | {group.identity_idx}
+    assert len(bases) > 10
+    for base in bases.values():
+        assert element_walk_closure(base.parent, base.gens_idx()) == base.indices
+
+
+@pytest.mark.parametrize("entry", _CONTRACT_ENTRIES, ids=lambda e: e.name)
+def test_grown_subgroups_are_generated_by_their_gens(monkeypatch, entry):
+    # every Subgroup that a growth step hands out during a whole analysis is
+    # closed again from the generators it carries
+    grown = {}
+
+    def keep(sub):
+        grown[sub.indices, sub.gens_idx()] = sub
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for sub in result if isinstance(result, list) else [result]:
+                keep(sub)
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(Subgroup, "join", recording(Subgroup.join))
+    monkeypatch.setattr(Group, "_normal_closure", recording(Group._normal_closure))
+    for module in (groups, structure, subgroups):
+        monkeypatch.setattr(module, "normalizer", recording(module.normalizer))
+    for module in (structure, harness):
+        for name in ("normal_subgroups", "sylow_subgroup"):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    analyze_entry(entry)
+    monkeypatch.undo()
+    assert len(grown) > 10
+    for sub in grown.values():
+        assert element_walk_closure(sub.parent, sub.gens_idx()) == sub.indices
 
 
 @pytest.mark.parametrize("name", list(_T12_TARGETS))
@@ -163,6 +196,30 @@ def test_stored_t12_fingerprints_match_the_built_targets(name):
     fingerprint = _T12_TARGETS[name]
     assert fingerprint == structural_fingerprint(construct(name))
     assert fingerprint.order == SEMIDIRECT_DATASETS[name][1]
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, f in _T12_TARGETS.items() if f.order <= DEFAULT_CAPS.iso_cap]
+)
+def test_exact_t12_match_frees_its_target_copy(monkeypatch, name):
+    # the exact search leaves no reference cycle behind: the target copy it
+    # builds is freed when the call returns, without the cyclic collector
+    copies = []
+
+    def recording(target):
+        built = construct(target)
+        copies.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setattr(harness, "construct", recording)
+    group = relabelled(construct(name))
+    gc.disable()
+    try:
+        assert _match_t12_target(group) == (name, "exact")
+        assert len(copies) == 1
+        assert copies[0]() is None
+    finally:
+        gc.enable()
 
 
 def _refuse_construct(monkeypatch):

@@ -275,8 +275,8 @@ def moved_groups():
 
 @pytest.mark.parametrize("name", NORMAL_CASES)
 def test_normal_closure_grows_from_a_normal_base(moved_groups, name):
-    # grown from N with N's generators, the normal closure of N and x is the
-    # from-scratch one of those generators and x, generator tuple included
+    # grown from N, the normal closure of N and x is the from-scratch one of
+    # N's generators and x, generator tuple included
     g = moved_groups[name]
     reps = [c[0] for c in g.conjugacy_classes_idx()]
     for n in normal_subgroups(g):
@@ -284,9 +284,11 @@ def test_normal_closure_grows_from_a_normal_base(moved_groups, name):
         for x in reps:
             if x in n.indices:
                 continue
-            grown = g._normal_closure([x], base=n.indices, base_gens=gens)
-            assert grown == g._normal_closure([*gens, x])
-            assert is_normal(g, g.subgroup_from_indices(*grown))
+            grown = g._normal_closure([x], base=n)
+            scratch = g._normal_closure([*gens, x])
+            assert grown.indices == scratch.indices
+            assert grown.gens_idx() == scratch.gens_idx()
+            assert is_normal(g, grown)
 
 
 @pytest.mark.parametrize("name", NORMAL_CASES)
@@ -301,9 +303,10 @@ def test_cores_are_the_largest_admitted_normal_subgroups(monkeypatch, moved_grou
     closure = g.closure_idx
     bases = set()
 
-    def recording(seed, base=(), base_gens=()):
-        bases.add((frozenset(base), tuple(base_gens)))
-        return closure(seed, base, base_gens)
+    def recording(seed, base=None):
+        if base is not None:
+            bases.add((base.indices, base.gens_idx()))
+        return closure(seed, base)
 
     monkeypatch.setattr(g, "closure_idx", recording)
     for p in prime_factors(g.order()):

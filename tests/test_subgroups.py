@@ -14,6 +14,7 @@ from subconj import (
 from subconj.caps import Caps
 from subconj.predicates import UNDECIDED, ClassId, decide
 from subconj.structure import prime_factors
+from subconj.subgroups import _OrbitRegistry
 
 from oracles import (
     brute_force_subgroups,
@@ -303,18 +304,26 @@ def test_orbit_walks_match_unpruned_walks_without_table(name):
 
 
 def _closures_from_trivial(monkeypatch, g, run):
-    """Seeds of the closures that extend the trivial class during ``run(g)``."""
+    """Seeds of the closures that extend the trivial class during ``run(g)``:
+    those whose base is a registry's representative of that class."""
     closure = g.closure_idx
-    trivial = frozenset({g.identity_idx})
+    registries = []
     seeds = []
+    init = _OrbitRegistry.__init__
 
-    def counted(seed, base=(), base_gens=()):
-        if base == trivial:
+    def recording_init(self, group):
+        init(self, group)
+        registries.append(self)
+
+    def counted(seed, base=None):
+        if any(r.reps and base is r.reps[0] for r in registries):
             seeds.append(tuple(seed))
-        return closure(seed, base=base, base_gens=base_gens)
+        return closure(seed, base=base)
 
+    monkeypatch.setattr(_OrbitRegistry, "__init__", recording_init)
     monkeypatch.setattr(g, "closure_idx", counted)
     run(g)
+    monkeypatch.undo()
     return seeds
 
 
