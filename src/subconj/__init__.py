@@ -7,7 +7,7 @@ invariants, a corpus of constructed groups and a registry of consistency
 checks with re-verifiable witnesses.
 """
 
-from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .caps import Caps, CapExceeded, default_caps
 from .groups import (
     Group,
     Subgroup,
@@ -63,3 +63,10 @@ from .zoo import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # DEFAULT_CAPS is read from the environment on first use (caps.default_caps)
+    if name == "DEFAULT_CAPS":
+        return default_caps()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

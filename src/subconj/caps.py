@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 
 
 class CapExceeded(RuntimeError):
@@ -76,4 +77,16 @@ class Caps:
         return cls(**values)
 
 
-DEFAULT_CAPS = Caps.from_env()
+@cache
+def default_caps():
+    """:data:`DEFAULT_CAPS`: ``Caps.from_env()``, read on first use rather
+    than at import, so that a bad ``SUBCONJ_*`` value reaches the caller (the
+    CLI prints it as one error line) instead of failing the import."""
+    return Caps.from_env()
+
+
+def __getattr__(name):
+    # DEFAULT_CAPS is computed lazily by default_caps()
+    if name == "DEFAULT_CAPS":
+        return default_caps()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .caps import CapExceeded
+from .caps import CapExceeded, default_caps
 from .harness import (
     CHECK_IDS,
     CorpusManifest,
@@ -175,6 +175,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        default_caps()  # a bad SUBCONJ_* value is a one-line error
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

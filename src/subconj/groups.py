@@ -53,7 +53,7 @@ from collections import Counter
 from math import gcd
 from operator import itemgetter
 
-from .caps import DEFAULT_CAPS, CapExceeded
+from .caps import CapExceeded, default_caps
 from .perms import Permutation
 
 
@@ -193,7 +193,7 @@ class Group:
                 kept.append(g)
         self.degree = degree
         self.generators = tuple(kept)
-        self.caps = caps if caps is not None else DEFAULT_CAPS
+        self.caps = caps if caps is not None else default_caps()
         self._chain = _Chain([g._t for g in self.generators], degree)
         self._order = self._chain.order()
         self._base = tuple(lvl.point for lvl in self._chain.levels)

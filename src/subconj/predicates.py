@@ -22,10 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 from .caps import CapExceeded
 from .structure import is_nilpotent, is_supersolvable, prime_factors
-from .subgroups import all_subgroup_classes, are_conjugate, p_subgroup_classes
+from .subgroups import (
+    all_subgroup_classes,
+    are_conjugate,
+    p_classes_of,
+    p_subgroup_classes,
+)
 
 
 class ClassId(Enum):
@@ -131,24 +137,34 @@ def _pi_kind_filter(kind):
 
 
 def _first_split_bucket(classes, keep):
-    """First order bucket holding two kept classes, in deterministic order."""
+    """First order bucket holding two kept classes, and its two kept classes
+    of least key.  ``keep`` is called only in buckets of two or more classes,
+    from the smallest order up, and only until the split is found."""
     buckets = {}
     for c in classes:
-        if keep(c):
-            buckets.setdefault(c.order, []).append(c)
+        buckets.setdefault(c.order, []).append(c)
     for order in sorted(buckets):
-        group = buckets[order]
-        if len(group) >= 2:
-            group.sort(key=lambda c: c.representative.key())
-            return order, group[0], group[1]
+        bucket = buckets[order]
+        if len(bucket) < 2:
+            continue
+        bucket.sort(key=lambda c: c.representative.key())
+        kept = list(islice(filter(keep, bucket), 2))
+        if len(kept) == 2:
+            return order, kept[0], kept[1]
     return None
 
 
 def _cached_p_classes(group, p):
+    """The p-subgroup classes: read off the full walk when it is cached (B is
+    decided before B_pi), else from their own walk."""
     cache = group.analysis_cache
     key = ("p_classes", p)
     if key not in cache:
-        cache[key] = p_subgroup_classes(group, p)
+        walk = cache.get("all_classes")
+        if walk is None:
+            cache[key] = p_subgroup_classes(group, p)
+        else:
+            cache[key] = p_classes_of(group, walk, p)
     return cache[key]
 
 

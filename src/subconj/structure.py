@@ -52,7 +52,7 @@ def derived_subgroup(group, sub=None):
     mul = group.mul_idx
     inv = group.inv_idx
     seed = [mul(mul(mul(inv(a), inv(b)), a), b) for a in gens for b in gens]
-    return group.subgroup_from_indices(group.normal_closure_idx(seed))
+    return group._normal_closure(seed)
 
 
 def derived_series(group):

@@ -10,14 +10,18 @@ Both enumerators share one cyclic-extension walk (Neubueser 1960; Cannon, Cox
 & Holt, JSC 2001).  Starting from the trivial class, each representative H is
 extended to <H, x> by single elements x, one per orbit of N_G(H) acting by
 conjugation on the right cosets Hx: every element of a coset gives the same
-extension, and conjugate cosets give conjugate extensions.  The registry
-already knows the number of conjugates of H, so |N_G(H)| = |G| / orbit size
-comes free, and the normaliser is computed only when it is neither G nor H.
+extension, and conjugate cosets give conjugate extensions.  The cosets of
+the powers x^k with k prime to |x| give <H, x> again and are marked with x's
+orbit, so each cyclic subgroup <x> is tried once, not once per generator.
+The registry already knows the number of conjugates of H, so |N_G(H)| =
+|G| / orbit size comes free, and the normaliser is computed only when it is
+neither G nor H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .caps import CapExceeded
 from .groups import normalizer
@@ -103,9 +107,10 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
     order, skipping x with ``wanted(H, x)`` false; x runs over G, or over N
     alone when ``in_normalizer``.
 
-    For g in N, (Hx)^g = H x^g and <H, x^g> = <H, x>^g, and <H, hx> = <H, x>
-    for h in H; so once x is yielded, every coset of its orbit adds only
-    conjugates of <H, x> and is marked as a whole.  |N| = |G| / ``orbit_size``
+    For g in N, (Hx)^g = H x^g and <H, x^g> = <H, x>^g, and <H, h x^k> =
+    <H, x> for h in H and k prime to |x|, since x^k generates <x>; so once x
+    is yielded, the N-orbits of the cosets H x^k add only conjugates of
+    <H, x> and are marked as a whole.  |N| = |G| / ``orbit_size``
     (the number of conjugates of H): N = G when that is |G|, N = H when it is
     |H|, and only otherwise is N computed.
     """
@@ -128,11 +133,19 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
     covered = bytearray(n)
     for h in hset:
         covered[h] = 1
+    mul = group.mul_idx
     for x in domain:
         if covered[x] or not wanted(hset, x):
             continue
         yield x
         orbit = [x]
+        m = group.order_of_idx(x)
+        y = x
+        for k in range(2, m):
+            y = mul(y, x)  # x^k
+            if not covered[y] and gcd(k, m) == 1:
+                covered[y] = 1
+                orbit.append(y)
         for y in orbit:
             for h in group.right_coset(hset, y):
                 covered[h] = 1
@@ -162,6 +175,28 @@ def _extend_classes(group, top, in_normalizer, wanted):
     return registry.subgroup_classes()
 
 
+def _capped_sylow_order(group, p):
+    """|Syl_p(G)|, or CapExceeded when it is above ``sylow_order_cap``."""
+    n = group.order()
+    if n % p != 0:
+        raise ValueError(f"{p} does not divide the group order {n}")
+    sylow_order = p_part(n, p)
+    if sylow_order > group.caps.sylow_order_cap:
+        raise CapExceeded(
+            "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
+        )
+    return sylow_order
+
+
+def p_classes_of(group, classes, p):
+    """The nontrivial p-subgroup classes among ``classes``, the group's
+    ``all_subgroup_classes``, in their (order, key) order: the list that
+    ``p_subgroup_classes`` returns, without its walk, and refused under the
+    same ``sylow_order_cap``."""
+    _capped_sylow_order(group, p)
+    return [c for c in classes if c.order > 1 and p_part(c.order, p) == c.order]
+
+
 def p_subgroup_classes(group, p):
     """Conjugacy classes of the nontrivial p-subgroups, built bottom-up.
 
@@ -172,14 +207,7 @@ def p_subgroup_classes(group, p):
     one x per N_G(H)-orbit of the cosets Hx inside N_G(H) (see
     ``_coset_orbit_reps``).  The trivial class is not returned.
     """
-    n = group.order()
-    if n % p != 0:
-        raise ValueError(f"{p} does not divide the group order {n}")
-    sylow_order = p_part(n, p)
-    if sylow_order > group.caps.sylow_order_cap:
-        raise CapExceeded(
-            "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
-        )
+    sylow_order = _capped_sylow_order(group, p)
     p_element = group.order_mask(lambda o: o > 1 and p_part(o, p) == o)
 
     def wanted(hset, x):

@@ -341,3 +341,23 @@ def unpruned_all_subgroup_classes(group):
                 queue.append(new_cid)
             covered.update(group.right_coset(rep.indices, x))
     return registry.subgroup_classes()
+
+
+# ----------------------------------------------------------------------
+# the eager split bucket that the lazy one in ``subconj.predicates`` replaced
+
+
+def eager_first_split_bucket(classes, keep):
+    """First order bucket holding two kept classes, with ``keep`` called on
+    every class: (order, class, class) for its two kept classes of least
+    key, or None."""
+    buckets = {}
+    for c in classes:
+        if keep(c):
+            buckets.setdefault(c.order, []).append(c)
+    for order in sorted(buckets):
+        bucket = buckets[order]
+        if len(bucket) >= 2:
+            bucket.sort(key=lambda c: c.representative.key())
+            return order, bucket[0], bucket[1]
+    return None

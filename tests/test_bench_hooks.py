@@ -14,12 +14,16 @@ from tracing import Tracer, install, uninstall  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
+    # Cyclic(6) has one subgroup class per order, so its verdicts never ask
+    # for a kind; Symmetric(4)'s split buckets ask for nilpotency and
+    # supersolvability
     original = harness.analyze_entry
     tracer = Tracer()
     saved = install(tracer)
     try:
         assert harness.analyze_entry is not original
-        harness.analyze_entry(harness.CorpusEntry("Cyclic(6)"))
+        for name in ("Cyclic(6)", "Symmetric(4)"):
+            harness.analyze_entry(harness.CorpusEntry(name))
     finally:
         uninstall(saved)
     assert harness.analyze_entry is original
@@ -36,12 +40,14 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_sees_the_subgroup_walks():
-    # Symmetric(4) is enumerated in full and per prime, through the shared
-    # extension walk; both entry points must stay traced
+    # Symmetric(4) is enumerated in full, and its p-classes are read off that
+    # walk; with the full walk refused (full_cap 12 < 24) they come from the
+    # per-prime walk.  Both entry points must stay traced
     tracer = Tracer()
     saved = install(tracer)
     try:
-        harness.analyze_entry(harness.CorpusEntry("Symmetric(4)"))
+        for full_cap in (None, 12):
+            harness.analyze_entry(harness.CorpusEntry("Symmetric(4)", full_cap=full_cap))
     finally:
         uninstall(saved)
     names = {span[0] for span in tracer.spans}

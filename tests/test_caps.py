@@ -41,12 +41,25 @@ def test_from_env_reads_zero_and_unset_defaults(monkeypatch):
 
 
 def test_cli_start_names_a_bad_cap_variable():
-    # the defaults are read at import, so the message comes before any command
+    # the defaults are read on first use, which the CLI makes before any
+    # command: one error line and the usage-error status, no traceback
     proc = subprocess.run(
         [sys.executable, "-m", "subconj.cli", "analyze", "Cyclic(4)"],
         capture_output=True,
         text=True,
         env={**os.environ, "SUBCONJ_ISO_CAP": "abc"},
     )
-    assert proc.returncode != 0
-    assert "SUBCONJ_ISO_CAP='abc' is not a non-negative integer" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: SUBCONJ_ISO_CAP='abc' is not a non-negative integer\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_default_caps_stay_importable():
+    # read from the environment on first use, then kept
+    from subconj import DEFAULT_CAPS
+    from subconj.caps import DEFAULT_CAPS as caps_default, default_caps
+
+    assert DEFAULT_CAPS is caps_default is default_caps()
+    assert isinstance(DEFAULT_CAPS, Caps)

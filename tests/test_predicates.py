@@ -4,16 +4,25 @@ from subconj import (
     MEMBER,
     NON_MEMBER,
     UNDECIDED,
+    CapExceeded,
     Caps,
     ClassId,
     Group,
+    all_subgroup_classes,
     center,
     construct,
     decide,
     hierarchy_report,
+    p_subgroup_classes,
     quotient,
     verify_witness,
 )
+from subconj.harness import CorpusManifest
+from subconj.predicates import _first_split_bucket, _kind_filter
+from subconj.structure import prime_factors
+from subconj.subgroups import p_classes_of
+
+from oracles import eager_first_split_bucket, relabelled
 
 PI_IDS = [c for c in ClassId if c.is_pi]
 PLAIN_IDS = [c for c in ClassId if not c.is_pi]
@@ -186,3 +195,85 @@ def test_witness_prime_marks_pi_buckets():
     _, w = decide(construct("PSL2(9)"), ClassId.A_PI)
     assert w.prime is not None
     assert w.order % w.prime == 0
+
+
+# ----------------------------------------------------------------------
+# verdicts without repeated work: p-classes read off the full walk, and the
+# kind filters asked only in buckets where a split can fall
+
+
+def _keyed(classes):
+    return [(c.order, c.representative.key(), c.orbit_size) for c in classes]
+
+
+def _split_keys(split):
+    if split is None:
+        return None
+    order, ca, cb = split
+    return order, ca.representative.key(), cb.representative.key()
+
+
+@pytest.fixture(scope="module", params=["as-built", "relabelled"])
+def corpus_walks(request):
+    """(name, group, all_subgroup_classes) for every default-corpus group of
+    order at most 720, as built, or relabelled where a relabelling moves the
+    base (it cannot for the cyclic, small dihedral and quaternion actions)."""
+    out = []
+    for entry in CorpusManifest.default().entries:
+        g = construct(entry.name)
+        if g.order() > 720:
+            continue
+        if request.param == "relabelled":
+            try:
+                g = relabelled(g)
+            except AssertionError:
+                continue
+        out.append((entry.name, g, all_subgroup_classes(g)))
+    return out
+
+
+def test_p_classes_read_off_the_walk_match_the_p_walk(corpus_walks):
+    for name, g, walk in corpus_walks:
+        for p in prime_factors(g.order()):
+            read = _keyed(p_classes_of(g, walk, p))
+            assert read == _keyed(p_subgroup_classes(g, p)), (name, p)
+
+
+def test_lazy_split_bucket_matches_the_eager_one(corpus_walks):
+    for name, g, walk in corpus_walks:
+        lists = [walk] + [p_classes_of(g, walk, p) for p in prime_factors(g.order())]
+        for classes in lists:
+            for kind in ("any", "supersolvable", "nilpotent", "abelian", "cyclic"):
+                keep = _kind_filter(kind)
+                lazy = _first_split_bucket(classes, keep)
+                eager = eager_first_split_bucket(classes, keep)
+                assert _split_keys(lazy) == _split_keys(eager), (name, kind)
+
+
+def test_p_classes_off_the_walk_keep_the_sylow_cap():
+    # |Syl_2(SL2(7))| = 16 > 4: every pi verdict is refused, as when the
+    # p-classes came from their own walk, while the full walk still decides
+    # the plain classes with the uncapped witnesses
+    g0 = construct("SL2(7)")
+    g = Group(g0.generators, degree=g0.degree, caps=Caps(sylow_order_cap=4))
+    report = hierarchy_report(g)
+    assert {c.value: v for c, v in report.verdicts.items()} == {
+        "B": NON_MEMBER,
+        "H": NON_MEMBER,
+        "N": NON_MEMBER,
+        "A": MEMBER,
+        "C": MEMBER,
+        "B_pi": UNDECIDED,
+        "H_pi": UNDECIDED,
+        "N_pi": UNDECIDED,
+        "A_pi": UNDECIDED,
+        "C_pi": UNDECIDED,
+    }
+    uncapped = hierarchy_report(g0).witnesses
+    assert set(report.witnesses) == {ClassId.B, ClassId.H, ClassId.N}
+    for cid, w in report.witnesses.items():
+        assert w.order == 8 and w.prime is None
+        assert w.sub_a.key() == uncapped[cid].sub_a.key()
+        assert w.sub_b.key() == uncapped[cid].sub_b.key()
+    with pytest.raises(CapExceeded, match="sylow order"):
+        p_classes_of(g, all_subgroup_classes(g), 2)

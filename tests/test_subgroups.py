@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from subconj import (
 from subconj.caps import Caps
 from subconj.predicates import UNDECIDED, ClassId, decide
 from subconj.structure import prime_factors
+from subconj import subgroups
 from subconj.subgroups import _OrbitRegistry
 
 from oracles import (
@@ -342,3 +345,28 @@ def test_trivial_class_takes_one_closure_per_element_class(monkeypatch):
         )
         assert len(seeds) == len(order_p)
         assert {next(c for c in order_p if s[0] in c) for s in seeds} == set(order_p)
+
+
+@pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
+def test_one_extension_per_cyclic_subgroup(monkeypatch, name):
+    """No single orbit walk yields both x and a power x^k with k prime to
+    |x|: the cosets H x^k give <H, x> again and are marked with x's orbit."""
+    g = relabelled(construct(name))
+    walk = subgroups._coset_orbit_reps
+    calls = []
+
+    def recording(*args):
+        calls.append(list(walk(*args)))
+        return iter(calls[-1])
+
+    monkeypatch.setattr(subgroups, "_coset_orbit_reps", recording)
+    all_subgroup_classes(g)
+    for p in prime_factors(g.order()):
+        p_subgroup_classes(g, p)
+    assert sum(map(len, calls)) > len(calls)
+    for yielded in calls:
+        seen = set(yielded)
+        for x in yielded:
+            m = g.order_of_idx(x)
+            powers = {g.pow_idx(x, k) for k in range(2, m) if gcd(k, m) == 1}
+            assert not powers & seen, (x, sorted(powers & seen))
