@@ -207,7 +207,7 @@ class Group:
         self._invs = None
         self._conj_maps = None
         self._classes = None
-        # subgroup-class enumerations, filled once per key by the predicates
+        # subgroup-class enumerations and the resumable subgroup walk
         self.analysis_cache = {}
 
     def order(self):

@@ -20,16 +20,19 @@ re-verified independently of the enumeration that found it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
 
 from .caps import CapExceeded
 from .structure import is_nilpotent, is_supersolvable, prime_factors
 from .subgroups import (
+    WALK_KEY,
+    _capped_sylow_order,
     all_subgroup_classes,
     are_conjugate,
-    p_classes_of,
     p_subgroup_classes,
 )
 
@@ -136,44 +139,52 @@ def _pi_kind_filter(kind):
     return _kind_filter(kind)
 
 
-def _first_split_bucket(classes, keep):
-    """First order bucket holding two kept classes, and its two kept classes
-    of least key.  ``keep`` is called only in buckets of two or more classes,
-    from the smallest order up, and only until the split is found."""
-    buckets = {}
-    for c in classes:
-        buckets.setdefault(c.order, []).append(c)
-    for order in sorted(buckets):
-        bucket = buckets[order]
+def _first_split_bucket(buckets, keep):
+    """First of ``buckets`` holding two kept classes: (order, class, class)
+    for its two kept classes of least key, or None.  ``buckets`` are class
+    lists of one order each, in key order, smallest order first; ``keep`` is
+    called only in buckets of two or more classes, and no bucket after the
+    split is read."""
+    for bucket in buckets:
         if len(bucket) < 2:
             continue
-        bucket.sort(key=lambda c: c.representative.key())
         kept = list(islice(filter(keep, bucket), 2))
         if len(kept) == 2:
-            return order, kept[0], kept[1]
+            return kept[0].order, kept[0], kept[1]
     return None
 
 
-def _cached_p_classes(group, p):
-    """The p-subgroup classes: read off the full walk when it is cached (B is
-    decided before B_pi), else from their own walk."""
+def _divisors(n):
+    """The divisors of n in ascending order, found as they are read: a walk
+    refused by a cap, or split early, reads only the first few."""
+    return (d for d in range(1, n + 1) if n % d == 0)
+
+
+def _walk_buckets(group, orders):
+    """The classes of each order in ``orders`` (ascending), read off the
+    graded walk of ``all_subgroup_classes``, which runs no further than the
+    last bucket read.  Each bucket is kept in ``group.analysis_cache`` for
+    the verdicts that read it next."""
+    read = group.analysis_cache.setdefault("order buckets", {})
+    for d in orders:
+        if d not in read:
+            classes = all_subgroup_classes(group, d)
+            read[d] = classes[bisect_left(classes, d, key=attrgetter("order")) :]
+        yield read[d]
+
+
+def _p_buckets(group, p):
+    """The p-subgroup classes of each order p, p^2, ..., refused above
+    ``sylow_order_cap``: read off the graded walk once a plain verdict has
+    started it (B is decided before B_pi), else from the p-walk."""
+    sylow_order = _capped_sylow_order(group, p)
     cache = group.analysis_cache
+    if WALK_KEY in cache:
+        return _walk_buckets(group, islice(_divisors(sylow_order), 1, None))
     key = ("p_classes", p)
     if key not in cache:
-        walk = cache.get("all_classes")
-        if walk is None:
-            cache[key] = p_subgroup_classes(group, p)
-        else:
-            cache[key] = p_classes_of(group, walk, p)
-    return cache[key]
-
-
-def _cached_all_classes(group):
-    cache = group.analysis_cache
-    key = "all_classes"
-    if key not in cache:
-        cache[key] = all_subgroup_classes(group)
-    return cache[key]
+        cache[key] = p_subgroup_classes(group, p)
+    return [list(run) for _, run in groupby(cache[key], key=attrgetter("order"))]
 
 
 def decide(group, class_id):
@@ -198,11 +209,10 @@ def _decide_pi(group, class_id):
     capped = False
     for p in prime_factors(group.order()):
         try:
-            classes = _cached_p_classes(group, p)
+            split = _first_split_bucket(_p_buckets(group, p), keep)
         except CapExceeded:
             capped = True
             continue
-        split = _first_split_bucket(classes, keep)
         if split is not None:
             order, ca, cb = split
             witness = _verified_witness(group, class_id, p, order, ca, cb)
@@ -214,14 +224,14 @@ def _decide_pi(group, class_id):
 
 def _decide_plain(group, class_id):
     try:
-        classes = _cached_all_classes(group)
+        buckets = _walk_buckets(group, _divisors(group.order()))
+        split = _first_split_bucket(buckets, _kind_filter(class_id.kind))
     except CapExceeded:
         verdict, witness = _decide_pi(group, class_id.pi_counterpart)
         if verdict == NON_MEMBER:
             witness.class_id = class_id
             return NON_MEMBER, witness
         return UNDECIDED, None
-    split = _first_split_bucket(classes, _kind_filter(class_id.kind))
     if split is not None:
         order, ca, cb = split
         witness = _verified_witness(group, class_id, None, order, ca, cb)

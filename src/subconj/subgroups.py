@@ -16,16 +16,28 @@ orbit, so each cyclic subgroup <x> is tried once, not once per generator.
 The registry already knows the number of conjugates of H, so |N_G(H)| =
 |G| / orbit size comes free, and the normaliser is computed only when it is
 neither G nor H.
+
+The walk runs in order of subgroup order: it always extends the listed class
+of least order, and it can stop after any order and resume later.  Every
+subgroup K > 1 is <H, x> for a proper subgroup H of smaller order (a maximal
+one, and x any element of K outside it that the walk may take), so once every
+class of order < d is extended, every class of order <= d is registered.  A
+verdict that splits at order d therefore never builds the larger classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import gcd
 
 from .caps import CapExceeded
 from .groups import normalizer
 from .structure import is_nilpotent, is_supersolvable, p_part, prime_factors
+
+# where ``all_subgroup_classes`` keeps its walk in ``group.analysis_cache``
+WALK_KEY = "subgroup walk"
 
 
 @dataclass
@@ -90,11 +102,6 @@ class _OrbitRegistry:
         self.sizes.append(size)
         return cid, True
 
-    def subgroup_classes(self):
-        out = [SubgroupClass(rep, size) for rep, size in zip(self.reps, self.sizes)]
-        out.sort(key=lambda c: (c.order, c.representative.key()))
-        return out
-
 
 def _conjugator(group, g):
     """The index map x -> g^-1 * x * g, evaluated on demand."""
@@ -138,12 +145,18 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
         if covered[x] or not wanted(hset, x):
             continue
         yield x
+        # H x^k depends on k mod j, the least j with x^j in H (j divides |x|),
+        # and k prime to |x| meets exactly the residues prime to j (CRT)
+        powers = [x]
+        for _ in range(2, group.order_of_idx(x)):
+            y = mul(powers[-1], x)
+            if y in hset:
+                break
+            powers.append(y)
+        j = len(powers) + 1
         orbit = [x]
-        m = group.order_of_idx(x)
-        y = x
-        for k in range(2, m):
-            y = mul(y, x)  # x^k
-            if not covered[y] and gcd(k, m) == 1:
+        for k, y in enumerate(powers[1:], 2):
+            if not covered[y] and gcd(k, j) == 1:
                 covered[y] = 1
                 orbit.append(y)
         for y in orbit:
@@ -156,23 +169,56 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
                     orbit.append(z)
 
 
-def _extend_classes(group, top, in_normalizer, wanted):
-    """Classes of subgroups reached from the trivial class by one-element
-    extensions <H, x>, x from ``_coset_orbit_reps``; classes of order ``top``
-    are not extended."""
-    registry = _OrbitRegistry(group)
-    queue = [registry.classify(frozenset({group.identity_idx}))[0]]
-    for cid in queue:
-        rep = registry.reps[cid]
-        if rep.order == top:
-            continue
-        orbit_size = registry.sizes[cid]
-        for x in _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
-            key = group.closure_idx([x], base=rep)
-            new_cid, new = registry.classify(key)
-            if new:
-                queue.append(new_cid)
-    return registry.subgroup_classes()
+class _GradedWalk:
+    """The cyclic-extension walk from the trivial class, in order of subgroup
+    order, resumable: ``through(d)`` extends every class of order below d
+    (below ``top`` at most; classes of order ``top`` are never extended),
+    each by the x of ``_coset_orbit_reps``, and lists the classes of order up
+    to d.  Pending classes wait in a heap keyed by (order, representative
+    key), so they are listed in the order of the final class list."""
+
+    def __init__(self, group, top, in_normalizer, wanted):
+        self.group = group
+        self.top = top
+        self.in_normalizer = in_normalizer
+        self.wanted = wanted
+        self.registry = _OrbitRegistry(group)
+        self.pending = []  # (order, key, class id) of registered, unlisted classes
+        self.classes = []  # listed classes, in (order, key) order
+        self.orders = []  # their orders
+        self.extended = 0  # classes[:extended] are extended
+        self._register(frozenset({group.identity_idx}))
+
+    def _register(self, key):
+        cid, new = self.registry.classify(key)
+        if new:
+            rep = self.registry.reps[cid]
+            heappush(self.pending, (rep.order, rep.key(), cid))
+
+    def through(self, d):
+        """The classes of order at most d, in (order, key) order."""
+        d = min(d, self.top)
+        group, pending = self.group, self.pending
+        classes, orders = self.classes, self.orders
+        while True:
+            if self.extended < len(orders) and orders[self.extended] < d:
+                c = classes[self.extended]
+                self.extended += 1
+                rep = c.representative
+                for x in _coset_orbit_reps(
+                    group, rep, c.orbit_size, self.in_normalizer, self.wanted
+                ):
+                    self._register(group.closure_idx([x], base=rep))
+            elif pending and pending[0][0] <= d:
+                order, _, cid = heappop(pending)
+                reps, sizes = self.registry.reps, self.registry.sizes
+                classes.append(SubgroupClass(reps[cid], sizes[cid]))
+                orders.append(order)
+            else:
+                break
+        if d == self.top:
+            self.registry = None  # it holds every subgroup's key; only classes are read
+        return classes[: bisect_right(orders, d)]
 
 
 def _capped_sylow_order(group, p):
@@ -186,15 +232,6 @@ def _capped_sylow_order(group, p):
             "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
         )
     return sylow_order
-
-
-def p_classes_of(group, classes, p):
-    """The nontrivial p-subgroup classes among ``classes``, the group's
-    ``all_subgroup_classes``, in their (order, key) order: the list that
-    ``p_subgroup_classes`` returns, without its walk, and refused under the
-    same ``sylow_order_cap``."""
-    _capped_sylow_order(group, p)
-    return [c for c in classes if c.order > 1 and p_part(c.order, p) == c.order]
 
 
 def p_subgroup_classes(group, p):
@@ -213,14 +250,16 @@ def p_subgroup_classes(group, p):
     def wanted(hset, x):
         return p_element[x] and group.pow_idx(x, p) in hset
 
-    classes = _extend_classes(group, sylow_order, True, wanted)[1:]
+    classes = _GradedWalk(group, sylow_order, True, wanted).through(sylow_order)[1:]
     if classes[-1].order != sylow_order:  # pragma: no cover - contradicts Sylow theory
         raise RuntimeError(f"no subgroups of order {sylow_order} found")
     return classes
 
 
-def all_subgroup_classes(group):
-    """Every subgroup up to conjugacy (trivial and full group included).
+def all_subgroup_classes(group, max_order=None):
+    """Every subgroup up to conjugacy (trivial and full group included), in
+    (order, key) order; with ``max_order`` = d, the classes of order at most
+    d, which are a prefix of that list.
 
     Starts from the trivial class and extends each representative H by single
     elements of prime-power order; since every subgroup is generated one
@@ -230,13 +269,32 @@ def all_subgroup_classes(group):
     normalizer-driven cyclic extension would miss them).  Of the cosets Hx,
     one per N_G(H)-orbit is tried: a coset and its conjugates under N_G(H)
     give conjugate extensions (see ``_coset_orbit_reps``).
+
+    The walk runs in order of subgroup order and stops once every class of
+    order < d is extended: a subgroup K of order d has a maximal subgroup H,
+    of smaller order, and some prime-power element x of K outside H, since
+    those elements generate K; then K = <H, x>, and the walk extends a
+    conjugate of H by a conjugate of x, or by an x' whose extension is
+    conjugate to it.  The walk is kept in ``group.analysis_cache`` and
+    resumed by the next call that asks for more; a walk that hits a cap is
+    dropped, so the next call starts afresh and stops at the same cap.
     """
     n = group.order()
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
-    pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
-    return _extend_classes(group, n, False, lambda hset, x: pp_element[x])
+    cache = group.analysis_cache
+    walk = cache.get(WALK_KEY)
+    if walk is None:
+        pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
+        walk = cache[WALK_KEY] = _GradedWalk(
+            group, n, False, lambda hset, x: pp_element[x]
+        )
+    try:
+        return walk.through(n if max_order is None else max_order)
+    except CapExceeded:
+        del cache[WALK_KEY]
+        raise
 
 
 def are_conjugate(group, sub_a, sub_b):

@@ -6,8 +6,9 @@ keep inputs small.  The exceptions work on element indices so that they can
 be compared with the fast paths key for key: the element walk that the coset
 walk of ``Group.closure_idx`` replaced, the min-key coset BFS that the coset
 labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
-verdicts, and, in the last section, the unpruned subgroup walks that the
-N_G(H)-orbit walks in ``subconj.subgroups`` replaced.
+verdicts, and, in the last sections, the unpruned subgroup walks that the
+N_G(H)-orbit walks in ``subconj.subgroups`` replaced and the eager reads of
+a full class list that the order-graded walk replaced.
 """
 
 import random
@@ -16,7 +17,7 @@ from math import gcd
 from subconj import Group, Permutation
 from subconj.groups import normalizer
 from subconj.structure import p_part, prime_factors
-from subconj.subgroups import _OrbitRegistry
+from subconj.subgroups import SubgroupClass, _OrbitRegistry
 
 
 def hand_compose(f, g):
@@ -287,6 +288,13 @@ def _is_prime(n):
 # unpruned subgroup walks: one extension per coset of H, no orbit marking
 
 
+def _registered_classes(registry):
+    """A registry's classes in (order, representative key) order."""
+    out = [SubgroupClass(rep, size) for rep, size in zip(registry.reps, registry.sizes)]
+    out.sort(key=lambda c: (c.order, c.representative.key()))
+    return out
+
+
 def unpruned_p_subgroup_classes(group, p):
     """Nontrivial p-subgroup classes: one closure per element of order p,
     then each representative H extended by every p-element x of N_G(H) with
@@ -317,7 +325,7 @@ def unpruned_p_subgroup_classes(group, p):
                     grown.append(new_cid)
         level = grown
         size *= p
-    return registry.subgroup_classes()
+    return _registered_classes(registry)
 
 
 def unpruned_all_subgroup_classes(group):
@@ -340,11 +348,18 @@ def unpruned_all_subgroup_classes(group):
             if new:
                 queue.append(new_cid)
             covered.update(group.right_coset(rep.indices, x))
-    return registry.subgroup_classes()
+    return _registered_classes(registry)
 
 
 # ----------------------------------------------------------------------
-# the eager split bucket that the lazy one in ``subconj.predicates`` replaced
+# eager reads of a complete class list: the p-classes filtered out of it, and
+# the split bucket found with ``keep`` called on every class
+
+
+def p_classes_of(classes, p):
+    """The nontrivial p-subgroup classes among ``classes`` (an
+    ``all_subgroup_classes`` list), in its (order, key) order."""
+    return [c for c in classes if c.order > 1 and p_part(c.order, p) == c.order]
 
 
 def eager_first_split_bucket(classes, keep):

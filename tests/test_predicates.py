@@ -18,11 +18,17 @@ from subconj import (
     verify_witness,
 )
 from subconj.harness import CorpusManifest
-from subconj.predicates import _first_split_bucket, _kind_filter
+from subconj.predicates import (
+    _divisors,
+    _first_split_bucket,
+    _kind_filter,
+    _p_buckets,
+    _walk_buckets,
+)
 from subconj.structure import prime_factors
-from subconj.subgroups import p_classes_of
+from subconj.subgroups import WALK_KEY, _OrbitRegistry
 
-from oracles import eager_first_split_bucket, relabelled
+from oracles import eager_first_split_bucket, p_classes_of, relabelled
 
 PI_IDS = [c for c in ClassId if c.is_pi]
 PLAIN_IDS = [c for c in ClassId if not c.is_pi]
@@ -198,8 +204,8 @@ def test_witness_prime_marks_pi_buckets():
 
 
 # ----------------------------------------------------------------------
-# verdicts without repeated work: p-classes read off the full walk, and the
-# kind filters asked only in buckets where a split can fall
+# verdicts without repeated work: p-classes and split buckets read off the
+# order-graded walk, which stops at the first split
 
 
 def _keyed(classes):
@@ -211,6 +217,11 @@ def _split_keys(split):
         return None
     order, ca, cb = split
     return order, ca.representative.key(), cb.representative.key()
+
+
+def _fresh(g):
+    """The same group, index for index, with no walk started."""
+    return Group(g.generators, degree=g.degree, caps=g.caps)
 
 
 @pytest.fixture(scope="module", params=["as-built", "relabelled"])
@@ -235,19 +246,75 @@ def corpus_walks(request):
 def test_p_classes_read_off_the_walk_match_the_p_walk(corpus_walks):
     for name, g, walk in corpus_walks:
         for p in prime_factors(g.order()):
-            read = _keyed(p_classes_of(g, walk, p))
-            assert read == _keyed(p_subgroup_classes(g, p)), (name, p)
+            read = [c for bucket in _p_buckets(g, p) for c in bucket]
+            assert _keyed(read) == _keyed(p_subgroup_classes(g, p)), (name, p)
+            assert _keyed(read) == _keyed(p_classes_of(walk, p)), (name, p)
+
+
+def test_graded_walk_lists_a_prefix_of_the_full_walk(corpus_walks):
+    # a walk run through order d, resumed order by order, lists exactly the
+    # classes of order <= d of the full list, in its order
+    for name, g, walk in corpus_walks:
+        fresh = _fresh(g)
+        for d in _divisors(g.order()):
+            prefix = [c for c in walk if c.order <= d]
+            assert _keyed(all_subgroup_classes(fresh, d)) == _keyed(prefix), (name, d)
+        assert _keyed(all_subgroup_classes(fresh, 1)) == _keyed(walk[:1])
+        assert fresh.analysis_cache[WALK_KEY].registry is None
 
 
 def test_lazy_split_bucket_matches_the_eager_one(corpus_walks):
+    # the splits read off a fresh graded walk, plain and per prime, against
+    # the eager split of the full lists, for every kind
     for name, g, walk in corpus_walks:
-        lists = [walk] + [p_classes_of(g, walk, p) for p in prime_factors(g.order())]
-        for classes in lists:
-            for kind in ("any", "supersolvable", "nilpotent", "abelian", "cyclic"):
-                keep = _kind_filter(kind)
-                lazy = _first_split_bucket(classes, keep)
-                eager = eager_first_split_bucket(classes, keep)
-                assert _split_keys(lazy) == _split_keys(eager), (name, kind)
+        fresh = _fresh(g)
+        for kind in ("any", "supersolvable", "nilpotent", "abelian", "cyclic"):
+            keep = _kind_filter(kind)
+            lazy = _first_split_bucket(_walk_buckets(fresh, _divisors(g.order())), keep)
+            eager = eager_first_split_bucket(walk, keep)
+            assert _split_keys(lazy) == _split_keys(eager), (name, kind)
+            for p in prime_factors(g.order()):
+                lazy = _first_split_bucket(_p_buckets(fresh, p), keep)
+                eager = eager_first_split_bucket(p_classes_of(walk, p), keep)
+                assert _split_keys(lazy) == _split_keys(eager), (name, kind, p)
+
+
+def _run_counting_classes(monkeypatch, run):
+    """Classes registered by each subgroup walk that ``run`` starts."""
+    registries = []
+    init = _OrbitRegistry.__init__
+
+    def recording_init(self, group):
+        init(self, group)
+        registries.append(self)
+
+    monkeypatch.setattr(_OrbitRegistry, "__init__", recording_init)
+    result = run()
+    monkeypatch.undo()
+    return result, [len(r.reps) for r in registries]
+
+
+def test_symmetric6_stops_its_walk_at_the_first_split(monkeypatch):
+    # every Symmetric(6) witness has order 2, so its analysis registers only
+    # the classes that extending the trivial class reaches, not all 56
+    s6 = construct("Symmetric(6)")
+    full, counts = _run_counting_classes(
+        monkeypatch, lambda: all_subgroup_classes(_fresh(s6))
+    )
+    assert counts == [len(full)] == [56]
+    walked = _fresh(s6)
+    report, counts = _run_counting_classes(monkeypatch, lambda: hierarchy_report(walked))
+    assert len(counts) == 1 and counts[0] < 56
+    assert walked.analysis_cache[WALK_KEY].registry is not None
+    whole = _fresh(s6)
+    all_subgroup_classes(whole)
+    expected = hierarchy_report(whole)
+    assert report.verdicts == expected.verdicts
+    assert set(report.witnesses) == set(ClassId)
+    for cid, w in report.witnesses.items():
+        assert w.order == 2
+        assert w.sub_a.key() == expected.witnesses[cid].sub_a.key()
+        assert w.sub_b.key() == expected.witnesses[cid].sub_b.key()
 
 
 def test_p_classes_off_the_walk_keep_the_sylow_cap():
@@ -275,5 +342,6 @@ def test_p_classes_off_the_walk_keep_the_sylow_cap():
         assert w.order == 8 and w.prime is None
         assert w.sub_a.key() == uncapped[cid].sub_a.key()
         assert w.sub_b.key() == uncapped[cid].sub_b.key()
+    assert WALK_KEY in g.analysis_cache
     with pytest.raises(CapExceeded, match="sylow order"):
-        p_classes_of(g, all_subgroup_classes(g), 2)
+        _p_buckets(g, 2)

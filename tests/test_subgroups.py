@@ -14,7 +14,14 @@ from subconj import (
 )
 
 from subconj.caps import Caps
-from subconj.predicates import UNDECIDED, ClassId, decide
+from subconj.predicates import (
+    MEMBER,
+    NON_MEMBER,
+    UNDECIDED,
+    ClassId,
+    decide,
+    hierarchy_report,
+)
 from subconj.structure import prime_factors
 from subconj import subgroups
 from subconj.subgroups import _OrbitRegistry
@@ -231,9 +238,13 @@ def test_full_enumeration_cap():
 S4_TWO_SUBGROUP_ORBIT_KEYS = 20
 
 
+def _capped(name, **caps):
+    g = construct(name)
+    return Group(g.generators, degree=g.degree, caps=Caps(**caps))
+
+
 def _s4(**caps):
-    s4 = construct("Symmetric(4)")
-    return Group(s4.generators, degree=s4.degree, caps=Caps(**caps))
+    return _capped("Symmetric(4)", **caps)
 
 
 def test_orbit_key_cap_bounds_the_registry():
@@ -256,6 +267,39 @@ def test_orbit_key_cap_bounds_are_conjugate():
     with pytest.raises(CapExceeded) as info:
         are_conjugate(*pair(5))
     assert info.value.kind == "orbit keys"
+
+
+def test_orbit_key_cap_spares_a_verdict_settled_before_it():
+    # Symmetric(6) has 1455 subgroups, but every one of its verdicts splits
+    # at order 2, which the walk reaches after 242 subgroup sets
+    with pytest.raises(CapExceeded, match="orbit keys"):
+        all_subgroup_classes(_capped("Symmetric(6)", orbit_key_cap=300))
+    g = _capped("Symmetric(6)", orbit_key_cap=300)
+    assert decide(g, ClassId.B)[0] == NON_MEMBER
+    report = hierarchy_report(g)
+    expected = hierarchy_report(construct("Symmetric(6)"))
+    assert report.verdicts == expected.verdicts
+    # the plain witnesses come from the walk, not from the pi fallback
+    for cid, w in expected.witnesses.items():
+        got = report.witnesses[cid]
+        assert (got.prime, got.sub_a.key(), got.sub_b.key()) == (
+            w.prime,
+            w.sub_a.key(),
+            w.sub_b.key(),
+        )
+
+
+def test_orbit_key_cap_leaves_a_member_walk_undecided():
+    # SL2(8) (386 subgroups) is a member of every class, so each plain
+    # verdict needs the whole walk; under the cap it is refused, and the pi
+    # verdicts come from the p-walks, which stay below it
+    report = hierarchy_report(_capped("SL2(8)", orbit_key_cap=300))
+    assert {c: v for c, v in report.verdicts.items() if not c.is_pi} == {
+        c: UNDECIDED for c in ClassId if not c.is_pi
+    }
+    assert {c: v for c, v in report.verdicts.items() if c.is_pi} == {
+        c: MEMBER for c in ClassId if c.is_pi
+    }
 
 
 def test_sylow_cap_blocks_p_enumeration():
