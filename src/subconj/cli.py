@@ -69,14 +69,14 @@ def cmd_corpus_run(args):
     )
     records = analyze_corpus(manifest, jobs=args.jobs)
     results = run_checks(records)
-    out = emit_report(records, results, fmt="markdown" if args.markdown else "json")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(emit_report(records, results, fmt="json"))
         for c in results:
             print(f"{c.check_id}: {c.status}")
     else:
-        print(out, end="")
+        fmt = "markdown" if args.markdown else "json"
+        print(emit_report(records, results, fmt=fmt), end="")
     return 1 if any(c.status == "fail" for c in results) else 0
 
 

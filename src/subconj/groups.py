@@ -207,7 +207,8 @@ class Group:
         self._invs = None
         self._conj_maps = None
         self._classes = None
-        # subgroup-class enumerations and the resumable subgroup walk
+        # subgroup-class enumerations, the resumable subgroup walk, Sylow
+        # subgroups and the witness pairs proved non-conjugate
         self.analysis_cache = {}
 
     def order(self):

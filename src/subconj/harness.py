@@ -184,15 +184,23 @@ _T12_SHAPES_OK = (
 )
 
 
-def _serialize_witness(witness):
-    a, b = witness.element_lists()
+def _serialize_witness(witness, rendered):
+    """The witness as a report dict.  ``rendered`` maps a subgroup's index
+    set to its element strings, so a subgroup quoted by several witnesses of
+    one record is formatted once."""
+
+    def strings(sub):
+        if sub.indices not in rendered:
+            rendered[sub.indices] = tuple(str(p) for p in sub.elements())
+        return list(rendered[sub.indices])
+
     return {
         "class": witness.class_id.value,
         "kind": witness.kind,
         "prime": witness.prime,
         "order": witness.order,
-        "subgroup_a": list(a),
-        "subgroup_b": list(b),
+        "subgroup_a": strings(witness.sub_a),
+        "subgroup_b": strings(witness.sub_b),
         "verified": witness.method,
     }
 
@@ -246,6 +254,7 @@ def analyze_group(group, name, classes=tuple(ClassId)):
         syl = group.analysis_cache["sylow", p] = sylow_subgroup(group, p)
         s = sylow_shape(syl)
         shapes.append({"p": p, "tag": s.tag, "order": s.order, "rank": s.rank})
+    rendered = {}
     record = GroupRecord(
         name=name,
         order=group.order(),
@@ -253,7 +262,7 @@ def analyze_group(group, name, classes=tuple(ClassId)):
         sylow_shapes=shapes,
         verdicts={cid.value: report.verdicts[cid] for cid in ClassId},
         witnesses=[
-            _serialize_witness(report.witnesses[cid])
+            _serialize_witness(report.witnesses[cid], rendered)
             for cid in ClassId
             if cid in report.witnesses
         ],
@@ -399,7 +408,9 @@ def _worker(args):
 
 def analyze_corpus(manifest, jobs=1):
     """Analyze every entry; order of the result follows the manifest."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         return [analyze_entry(e) for e in manifest.entries]
     args = [(e.name, e.full_cap) for e in manifest.entries]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

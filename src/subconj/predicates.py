@@ -15,7 +15,11 @@ report still carries all three verdicts and asserts their equality.
 
 Verdicts are "member", "non-member" or "undecided" (a cap was hit); membership
 is never guessed.  Every non-member verdict carries a witness pair that is
-re-verified independently of the enumeration that found it.
+re-verified independently of the enumeration that found it.  The classes are
+nested, so one pair often witnesses several verdicts of a group: each distinct
+pair is proved non-conjugate once per group, and every witness of it still
+runs its own order, property and p-subgroup checks.  The public
+:func:`verify_witness` is never cached; it always runs the whole check.
 """
 
 from __future__ import annotations
@@ -100,11 +104,6 @@ class Witness:
     sub_a: object  # Subgroup
     sub_b: object  # Subgroup
     method: str = ""  # how non-conjugacy was re-verified
-
-    def element_lists(self):
-        a = tuple(str(p) for p in self.sub_a.elements())
-        b = tuple(str(p) for p in self.sub_b.elements())
-        return a, b
 
 
 @dataclass
@@ -215,7 +214,9 @@ def _decide_pi(group, class_id):
             continue
         if split is not None:
             order, ca, cb = split
-            witness = _verified_witness(group, class_id, p, order, ca, cb)
+            witness = _verified_witness(
+                group, class_id, p, order, ca.representative, cb.representative
+            )
             return NON_MEMBER, witness
     if capped:
         return UNDECIDED, None
@@ -234,23 +235,39 @@ def _decide_plain(group, class_id):
         return UNDECIDED, None
     if split is not None:
         order, ca, cb = split
-        witness = _verified_witness(group, class_id, None, order, ca, cb)
+        witness = _verified_witness(
+            group, class_id, None, order, ca.representative, cb.representative
+        )
         return NON_MEMBER, witness
     return MEMBER, None
 
 
-def _verified_witness(group, class_id, prime, order, class_a, class_b):
+def _verified_witness(group, class_id, prime, order, sub_a, sub_b):
+    """The witness (sub_a, sub_b) for ``class_id``, re-verified.  Each
+    distinct pair is proved non-conjugate once per group, by
+    :func:`verify_witness`; a later witness of the same pair runs only its
+    own checks and reuses the proof's method, kept in
+    ``group.analysis_cache``."""
     w = Witness(
         class_id=class_id,
         kind=class_id.kind,
         order=order,
         prime=prime,
-        sub_a=class_a.representative,
-        sub_b=class_b.representative,
+        sub_a=sub_a,
+        sub_b=sub_b,
     )
-    ok, method = verify_witness(group, w)
-    if not ok:  # pragma: no cover - would mean the enumeration lied
-        raise RuntimeError(f"witness for {class_id} failed re-verification")
+    proved = group.analysis_cache.setdefault("witness pairs", {})
+    pair = (sub_a.indices, sub_b.indices)
+    if pair in proved:
+        ok, method = _witness_checks(w)
+        if ok:
+            method = proved[pair]
+    else:
+        ok, method = verify_witness(group, w)
+        if ok:
+            proved[pair] = method
+    if not ok:  # would mean the enumeration lied
+        raise RuntimeError(f"witness for {class_id} failed re-verification: {method}")
     w.method = method
     return w
 
@@ -261,8 +278,17 @@ def verify_witness(group, witness):
     Checks order equality and the quantified property directly on the element
     sets, then non-conjugacy: by scanning every group element when the group
     has order at most ``_SCAN_ORDER``, otherwise by a full conjugation-orbit
-    walk.
+    walk.  Nothing is cached: every call runs the whole check.
     """
+    ok, failure = _witness_checks(witness)
+    if not ok:
+        return False, failure
+    return _non_conjugacy(group, witness.sub_a, witness.sub_b)
+
+
+def _witness_checks(witness):
+    """The checks of one witness that do not involve conjugation: (True, "")
+    or (False, what failed)."""
     a, b = witness.sub_a, witness.sub_b
     if a.order != b.order or a.order != witness.order:
         return False, "order mismatch"
@@ -273,6 +299,12 @@ def verify_witness(group, witness):
         for sub in (a, b):
             if len(prime_factors(sub.order)) != 1 or sub.order % witness.prime:
                 return False, "not a p-subgroup"
+    return True, ""
+
+
+def _non_conjugacy(group, a, b):
+    """(True, method) when a and b are not conjugate in the group, else
+    (False, "conjugate after all")."""
     if group.order() <= _SCAN_ORDER:
         mul = group.mul_idx
         inv = group.inv_idx

@@ -104,6 +104,15 @@ def test_usage_error_exits_2():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("jobs", ("0", "-1"))
+@pytest.mark.parametrize("command", (["corpus", "run"], ["theorems"], ["witness", "B", "A"]))
+def test_jobs_below_one_exits_2(command, jobs):
+    result = run_cli(*command, "--jobs", jobs)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_cap_hit_exits_2_with_one_error_line():
     # |S9| = 362880 is above the default element cap
     result = run_cli("analyze", "Symmetric(9)")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from subconj import (
@@ -8,11 +10,13 @@ from subconj import (
     Caps,
     ClassId,
     Group,
+    Subgroup,
     all_subgroup_classes,
     center,
     construct,
     decide,
     hierarchy_report,
+    predicates,
     p_subgroup_classes,
     quotient,
     verify_witness,
@@ -23,6 +27,7 @@ from subconj.predicates import (
     _first_split_bucket,
     _kind_filter,
     _p_buckets,
+    _verified_witness,
     _walk_buckets,
 )
 from subconj.structure import prime_factors
@@ -98,7 +103,7 @@ def test_s4_witness_is_the_classic_pair():
     v, w = decide(construct("Symmetric(4)"), ClassId.C_PI)
     assert v == NON_MEMBER
     assert w.order == 2
-    a, b = w.element_lists()
+    a, b = w.sub_a.elements(), w.sub_b.elements()
     # a transposition subgroup against a double-transposition subgroup
     assert {len(x) for x in (a, b)} == {2}
 
@@ -345,3 +350,81 @@ def test_p_classes_off_the_walk_keep_the_sylow_cap():
     assert WALK_KEY in g.analysis_cache
     with pytest.raises(CapExceeded, match="sylow order"):
         _p_buckets(g, 2)
+
+
+# ----------------------------------------------------------------------
+# witness work once per distinct pair: the first witness of a pair proves
+# non-conjugacy, later ones run their own checks and reuse its method
+
+
+def _uncached_check(g, w):
+    """verify_witness for ``w`` on a freshly built copy of g, which has
+    proved no pair yet."""
+    fresh = _fresh(g)
+    copy = replace(
+        w,
+        sub_a=Subgroup(fresh, w.sub_a.indices),
+        sub_b=Subgroup(fresh, w.sub_b.indices),
+        method="",
+    )
+    return verify_witness(fresh, copy)
+
+
+def test_reused_pair_methods_match_an_uncached_check():
+    names = [e.name for e in CorpusManifest.default().entries]
+    groups = [(name, construct(name)) for name in names]
+    groups = [(name, g) for name, g in groups if g.order() <= 720]
+    for name, g in groups + [("M11", construct("M11"))]:
+        for cid, w in hierarchy_report(g).witnesses.items():
+            assert _uncached_check(g, w) == (True, w.method), (name, cid)
+
+
+def _counting(monkeypatch, attr):
+    """Replace ``predicates.<attr>`` by a wrapper recording each result."""
+    calls = []
+    fn = getattr(predicates, attr)
+
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(predicates, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,witnesses,method",
+    [("Symmetric(6)", 10, "exhaustive-scan"), ("M11", 8, "orbit-walk")],
+)
+def test_one_proof_per_distinct_pair(monkeypatch, name, witnesses, method):
+    # every witness of these groups is one pair: one proof, and the per-witness
+    # checks still run for each witness
+    proofs = _counting(monkeypatch, "verify_witness")
+    checks = _counting(monkeypatch, "_witness_checks")
+    report = hierarchy_report(construct(name))
+    assert len(report.witnesses) == witnesses
+    assert proofs == [(True, method)]
+    assert checks == [(True, "")] * witnesses
+    assert {w.method for w in report.witnesses.values()} == {method}
+
+
+@pytest.mark.parametrize("name", ["Symmetric(6)", "M11"])
+def test_proved_pairs_do_not_pass_other_pairs(name):
+    # the proofs are keyed by the pair, not by the class: after every verdict
+    # is decided, A against a conjugate of A is still refused for a class
+    # whose pair was proved, and a proved pair still fails its own checks
+    g = construct(name)
+    w = hierarchy_report(g).witnesses[ClassId.A]
+    a = w.sub_a
+    mul, inv = g.mul_idx, g.inv_idx
+    for x in range(g.order()):
+        moved = frozenset(mul(mul(inv(x), i), x) for i in a.indices)
+        if moved != a.indices:
+            break
+    with pytest.raises(RuntimeError, match="conjugate after all"):
+        _verified_witness(g, ClassId.A, w.prime, w.order, a, Subgroup(g, moved))
+    with pytest.raises(RuntimeError, match="not a p-subgroup"):
+        _verified_witness(g, ClassId.A_PI, 3, w.order, w.sub_a, w.sub_b)
+    again = _verified_witness(g, ClassId.A, w.prime, w.order, w.sub_a, w.sub_b)
+    assert again.method == w.method
