@@ -148,8 +148,9 @@ def build_parser():
     pr = corpus_sub.add_parser("run", help="analyze the corpus and run all checks")
     pr.add_argument("--manifest", help="JSON manifest overriding the default corpus")
     pr.add_argument("--jobs", type=int, default=1)
-    pr.add_argument("--json", metavar="OUT", help="write the JSON report to a file")
-    pr.add_argument("--markdown", action="store_true", help="print markdown instead")
+    out = pr.add_mutually_exclusive_group()
+    out.add_argument("--json", metavar="OUT", help="write the JSON report to a file")
+    out.add_argument("--markdown", action="store_true", help="print markdown instead")
     pr.set_defaults(fn=cmd_corpus_run)
 
     p = sub.add_parser("theorems", help="run registered checks on the default corpus")

@@ -208,7 +208,8 @@ class Group:
         self._conj_maps = None
         self._classes = None
         # subgroup-class enumerations, the resumable subgroup walk, Sylow
-        # subgroups and the witness pairs proved non-conjugate
+        # subgroups, the witness pairs proved non-conjugate and the quotients
+        # G/N, so each lives as long as the group
         self.analysis_cache = {}
 
     def order(self):
@@ -774,8 +775,17 @@ def _coset_images(group, normal_sub):
 
 
 def quotient(group, normal_sub):
-    """G/N as a permutation group on the cosets of N (faithful image of G/N)."""
-    return Quotient(group, normal_sub).group
+    """G/N as a permutation group on the cosets of N (faithful image of G/N):
+    G itself when N is trivial, else built once and kept in the group's
+    ``analysis_cache``.  N must be a subgroup of ``group``."""
+    if normal_sub.parent is not group:
+        raise ValueError("normal subgroup belongs to another group")
+    if normal_sub.order == 1:
+        return group
+    key = "quotient", normal_sub.indices
+    if key not in group.analysis_cache:
+        group.analysis_cache[key] = Quotient(group, normal_sub).group
+    return group.analysis_cache[key]
 
 
 def direct_product(a, b):

@@ -86,13 +86,27 @@ class CorpusManifest:
 
     @classmethod
     def from_json(cls, path):
+        """Read ``{"entries": [{"id": name, "full_cap": n}, ...]}``, where
+        ``full_cap`` is optional; malformed input raises ValueError naming
+        the file and the entry index."""
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        items = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(items, list):
+            raise ValueError(f"{path}: expected an object with an 'entries' list")
         entries = []
-        for item in data["entries"]:
-            entries.append(
-                CorpusEntry(name=item["id"], full_cap=item.get("full_cap"))
-            )
+        for i, item in enumerate(items):
+            if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+                raise ValueError(f"{path}: entry {i} has no string 'id'")
+            cap = item.get("full_cap")
+            if cap is not None and (type(cap) is not int or cap < 0):  # not bool
+                raise ValueError(
+                    f"{path}: entry {i}: full_cap={cap!r} is not a non-negative integer"
+                )
+            entries.append(CorpusEntry(name=item["id"], full_cap=cap))
         return cls(entries)
 
 
@@ -244,8 +258,7 @@ def analyze_group(group, name, classes=tuple(ClassId)):
     subgroups are kept in the group's ``analysis_cache`` for the facts pass
     and ``structural_fingerprint``.  Only the analysed group keeps them: a
     kept Subgroup refers back to its group, and that cycle would hold a
-    dropped quotient (or a target built for the exact T12 match) until the
-    cyclic collector runs.
+    target built for the exact T12 match until the cyclic collector runs.
     """
     report = hierarchy_report(group, group_id=name, classes=classes)
     solvable = is_solvable(group)
@@ -339,11 +352,7 @@ def _collect_facts(group, record):
     if solvable:
         facts["proper_quotients"] = proper
 
-        o2p = o_pprime(group, 2)
-        if o2p.order == 1:
-            q = group
-        else:
-            q = quotient(group, o2p)
+        q = quotient(group, o_pprime(group, 2))
         matched = _match_t12_target(q)
         facts["o2prime_quotient"] = {
             "order": q.order(),
@@ -353,7 +362,10 @@ def _collect_facts(group, record):
         facts["g_over_o2prime_cyclic2"] = q.full_subgroup().is_cyclic()
 
         if facts["all_sylow_cyclic"]:
-            facts["metacyclic_or_cyclic"] = _is_metacyclic_or_cyclic(group, normals)
+            facts["metacyclic_or_cyclic"] = any(
+                n.is_cyclic() and quotient(group, n).full_subgroup().is_cyclic()
+                for n in normals
+            )
             derived = derived_subgroup(group)
             facts["derived_coprime"] = (
                 gcd(derived.order, group.order() // derived.order) == 1
@@ -362,22 +374,10 @@ def _collect_facts(group, record):
         shape2 = next((s for s in record.sylow_shapes if s["p"] == 2), None)
         if shape2 is not None and shape2["tag"] == "QuaternionQ8":
             if not facts.get("sylow2_normal"):
-                fit = fitting_subgroup(group)
-                qf = quotient(group, fit) if fit.order > 1 else group
-                v, _ = decide(qf, ClassId.B)
+                v, _ = decide(quotient(group, fitting_subgroup(group)), ClassId.B)
                 facts["gfg_b_verdict"] = v
 
     return facts
-
-
-def _is_metacyclic_or_cyclic(group, normals):
-    for n in normals:
-        if not n.is_cyclic():
-            continue
-        q = quotient(group, n) if n.order > 1 else group
-        if q.full_subgroup().is_cyclic():
-            return True
-    return False
 
 
 def _product_quotient_facts(name, group):
@@ -395,8 +395,7 @@ def _product_quotient_facts(name, group):
     for factor_name, k in zip(parts, orders):
         divides = group.order_mask(lambda o: k % o == 0)
         copy = list(compress(range(group.order()), divides))
-        q = quotient(group, group.subgroup_from_indices(copy))
-        v, _ = decide(q, ClassId.A_PI)
+        v, _ = decide(quotient(group, group.subgroup_from_indices(copy)), ClassId.A_PI)
         out.append([factor_name, v])
     return out
 

@@ -209,19 +209,6 @@ class SylowShape:
     order: int
     rank: int = 0  # only for ElementaryAbelian
 
-    def __str__(self):
-        if self.tag == "ElementaryAbelian":
-            return f"E_{self.p}^{self.rank}"
-        if self.tag == "Cyclic":
-            return f"C_{self.order}"
-        if self.tag == "QuaternionQ8":
-            return "Q8"
-        if self.tag == "GeneralizedQuaternion":
-            return f"Q{self.order}"
-        if self.tag == "Dihedral":
-            return f"D{self.order}"
-        return f"Other({self.order})"
-
 
 def sylow_shape(sub):
     """Classify a p-group handle into the shape taxonomy."""

@@ -16,7 +16,8 @@ from tracing import Tracer, install, uninstall  # noqa: E402
 def test_tracer_installs_and_uninstalls():
     # Cyclic(6) has one subgroup class per order, so its verdicts never ask
     # for a kind; Symmetric(4)'s split buckets ask for nilpotency and
-    # supersolvability
+    # supersolvability, and its facts build quotients (through the
+    # group's cache, which must still construct each one by Quotient)
     original = harness.analyze_entry
     tracer = Tracer()
     saved = install(tracer)
@@ -35,6 +36,7 @@ def test_tracer_installs_and_uninstalls():
         "structure.nilpotent",
         "structure.supersolvable",
         "structure.o_pprime",
+        "groups.quotient",
     } <= names
     assert tracer.counters["groups.mul_idx_calls"] > 0
 

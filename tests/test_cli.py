@@ -167,3 +167,62 @@ def test_corpus_failure_names_the_entry_and_stage(tmp_path, exc, code, jobs):
     assert result.returncode == code
     assert result.stdout == ""
     assert "in corpus entry Cyclic(6), stage facts" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+        ([{"id": "Cyclic(4)"}], "expected an object with an 'entries' list"),
+        ({"entries": {"id": "Cyclic(4)"}}, "expected an object with an 'entries' list"),
+        (
+            {"entries": [{"id": "Cyclic(4)"}, {"full_cap": 3}]},
+            "entry 1 has no string 'id'",
+        ),
+        ({"entries": ["Cyclic(4)"]}, "entry 0 has no string 'id'"),
+        (
+            {"entries": [{"id": "Cyclic(4)", "full_cap": "abc"}]},
+            "entry 0: full_cap='abc' is not a non-negative integer",
+        ),
+        (
+            {"entries": [{"id": "Cyclic(4)"}, {"id": "Cyclic(6)", "full_cap": -3}]},
+            "entry 1: full_cap=-3 is not a non-negative integer",
+        ),
+        (
+            {"entries": [{"id": "Cyclic(4)", "full_cap": 2.5}]},
+            "entry 0: full_cap=2.5 is not a non-negative integer",
+        ),
+        (
+            {"entries": [{"id": "Cyclic(4)", "full_cap": True}]},
+            "entry 0: full_cap=True is not a non-negative integer",
+        ),
+    ],
+)
+def test_malformed_manifest_exits_2_naming_file_and_entry(tmp_path, doc, message):
+    manifest = tmp_path / "manifest.json"
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    manifest.write_text(text, encoding="utf-8")
+    result = run_cli("corpus", "run", "--manifest", str(manifest))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {manifest}: {message}\n"
+
+
+def test_manifest_full_cap_zero_is_accepted(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"entries": [{"id": "Cyclic(4)", "full_cap": 0}]}), encoding="utf-8"
+    )
+    result = run_cli("corpus", "run", "--manifest", str(manifest))
+    # a one-entry corpus fails the checks that need a witness elsewhere (1)
+    assert result.returncode in (0, 1)
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["groups"][0]["id"] == "Cyclic(4)"
+
+
+def test_corpus_json_file_and_markdown_exclude_each_other(tmp_path):
+    out = tmp_path / "report.json"
+    result = run_cli("corpus", "run", "--json", str(out), "--markdown")
+    assert result.returncode == 2
+    assert "not allowed with argument" in result.stderr
+    assert not out.exists()

@@ -178,6 +178,26 @@ def test_quotient_by_trivial_preserves_structure():
     )
 
 
+def test_quotient_by_trivial_is_the_group():
+    g = construct("SL2(3)")
+    assert quotient(g, g.trivial_subgroup()) is g
+
+
+def test_quotient_is_built_once_per_normal_subgroup():
+    g = construct("SL2(3)")
+    q = quotient(g, center(g))
+    assert quotient(g, center(g)) is q
+    assert q.order() == 12
+
+
+def test_quotient_rejects_a_subgroup_of_another_group():
+    g, h = construct("SL2(3)"), construct("SL2(3)")
+    with pytest.raises(ValueError, match="another group"):
+        quotient(g, center(h))
+    with pytest.raises(ValueError, match="another group"):
+        quotient(g, h.trivial_subgroup())
+
+
 def test_s4_mod_v4_is_s3_shaped():
     g = S(4)
     v4 = g.subgroup([P("(1,2)(3,4)", 4), P("(1,3)(2,4)", 4)])

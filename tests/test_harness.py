@@ -256,6 +256,25 @@ def test_e32_entry_builds_its_group_once(monkeypatch):
     assert record.facts["o2prime_quotient"]["level"] == "fingerprint"
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["Dihedral(15)", "Cyclic(30)", "E25xSL(2,3)", "Alternating(4)*Cyclic(5)"],
+)
+def test_facts_pass_builds_each_quotient_once(monkeypatch, name):
+    # each fact asks quotient() for G/N; those sharing an N share one build
+    built = []
+    init = groups.Quotient.__init__
+
+    def recording(self, group, normal_sub):
+        built.append(normal_sub.indices)
+        init(self, group, normal_sub)
+
+    monkeypatch.setattr(groups.Quotient, "__init__", recording)
+    analyze_entry(CorpusEntry(name))
+    assert built
+    assert len(built) == len(set(built))
+
+
 def test_record_facts_cover_quotient_suites(records):
     by_name = {r.name: r for r in records}
     e25 = by_name["E25xSL(2,3)"]
