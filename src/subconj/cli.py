@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 when everything passes, 1 when a registered check fails, 2 for
-usage or parse errors and for a computation refused by a cap.
+usage or parse errors, for a file that cannot be read or written, and for a
+computation refused by a cap.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CapExceeded) as exc:
+    except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for note in getattr(exc, "__notes__", ()):
             print(f"note: {note}", file=sys.stderr)

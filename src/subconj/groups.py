@@ -28,7 +28,8 @@ Normal closures join each round's generators to the subgroup of the round
 before.
 
 Element orders come from cyclic powers: one walk x, x^2, ..., x^m = 1, one
-key read per step, gives every power x^k its order m / gcd(k, m).  A quotient
+key read per step, gives every power x^k its order m / gcd(k, m) and its
+inverse x^(m-k).  A quotient
 G/N labels every element with its coset number in one pass: the first time
 its BFS reaches a coset Nt, it writes the number over all of Nt.
 
@@ -326,23 +327,22 @@ class Group:
         return result
 
     def inv_idx(self, i):
+        """Index of x_i^-1, from ``_order_list``."""
         if self._invs is None:
-            self._materialize()
-            # x^-1 maps each base point b to the point x sends to b
-            by, base = self._by_bimg, self._base
-            key = _getter(range(len(base)))  # k images -> the key shape
-            self._invs = [by[key(tuple(map(t.index, base)))] for t in self._elts0]
+            self._order_list()
         return self._invs[i]
 
     def _order_list(self):
-        """The element orders by index, computed once: for each x whose
-        order is not known yet, walk x, x^2, ..., x^m = 1, one key read per
-        step; then x^k has order m / gcd(k, m)."""
+        """The element orders by index, computed once with the inverses: for
+        each x whose order is not known yet, walk x, x^2, ..., x^m = 1, one
+        key read per step; then x^k has order m / gcd(k, m) and inverse
+        x^(m-k)."""
         if self._orders is None:
             self._materialize()
             elts, keys, by = self._elts0, self._keys, self._by_bimg
             identity = self._identity_idx
             orders = [0] * self._order
+            invs = [0] * self._order
             for x in range(self._order):
                 if orders[x]:
                     continue
@@ -353,7 +353,9 @@ class Group:
                 m = len(powers)
                 for k, y in enumerate(powers, 1):
                     orders[y] = m // gcd(k, m)
+                    invs[y] = powers[m - k - 1]  # x^(m-k), and x^0 = x^m
             self._orders = tuple(orders)
+            self._invs = invs
         return self._orders
 
     def order_of_idx(self, i):

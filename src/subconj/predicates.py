@@ -13,6 +13,16 @@ are conjugate.  Since prime-power-order groups are nilpotent (hence
 supersolvable), B_pi, H_pi and N_pi are decided by the same computation; the
 report still carries all three verdicts and asserts their equality.
 
+Each verdict reads its subgroup classes one order at a time, smallest first,
+and stops at the first order holding two non-conjugate quantified subgroups.
+B, H, N and A read the order-graded walk of ``all_subgroup_classes``; B_pi,
+H_pi, N_pi and A_pi read one graded ``p_subgroup_classes`` walk per prime,
+or the full walk once a plain verdict has started it.  C and C_pi walk no
+subgroups: <x> and <y> are conjugate exactly when x is conjugate to y^k for
+some k prime to |y|, so the cyclic classes of each order come from the
+rational classes of the elements.  A prime whose Sylow subgroup is cyclic is
+skipped by every pi verdict, since it has one class of each p-power order.
+
 Verdicts are "member", "non-member" or "undecided" (a cap was hit); membership
 is never guessed.  Every non-member verdict carries a witness pair that is
 re-verified independently of the enumeration that found it.  The classes are
@@ -27,14 +37,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby, islice
+from itertools import islice
 from operator import attrgetter
 
 from .caps import CapExceeded
 from .structure import is_nilpotent, is_supersolvable, prime_factors
 from .subgroups import (
     WALK_KEY,
+    SubgroupClass,
     _capped_sylow_order,
+    _coset_orbit_reps,
+    _OrbitRegistry,
     all_subgroup_classes,
     are_conjugate,
     p_subgroup_classes,
@@ -159,31 +172,79 @@ def _divisors(n):
     return (d for d in range(1, n + 1) if n % d == 0)
 
 
-def _walk_buckets(group, orders):
-    """The classes of each order in ``orders`` (ascending), read off the
-    graded walk of ``all_subgroup_classes``, which runs no further than the
-    last bucket read.  Each bucket is kept in ``group.analysis_cache`` for
-    the verdicts that read it next."""
-    read = group.analysis_cache.setdefault("order buckets", {})
+def _read_buckets(group, name, walk, orders):
+    """The classes of each order d in ``orders`` (ascending), cut from
+    ``walk(d)``, a graded walk that runs no further than the last bucket
+    read.  Each bucket is kept in ``group.analysis_cache[name]`` for the
+    verdicts that read it next."""
+    read = group.analysis_cache.setdefault(name, {})
     for d in orders:
         if d not in read:
-            classes = all_subgroup_classes(group, d)
+            classes = walk(d)
             read[d] = classes[bisect_left(classes, d, key=attrgetter("order")) :]
         yield read[d]
+
+
+def _walk_buckets(group, orders):
+    """The classes of each order in ``orders``, read off the graded walk of
+    ``all_subgroup_classes``."""
+    return _read_buckets(
+        group, "order buckets", lambda d: all_subgroup_classes(group, d), orders
+    )
 
 
 def _p_buckets(group, p):
     """The p-subgroup classes of each order p, p^2, ..., refused above
     ``sylow_order_cap``: read off the graded walk once a plain verdict has
-    started it (B is decided before B_pi), else from the p-walk."""
-    sylow_order = _capped_sylow_order(group, p)
+    started it (B is decided before B_pi), else off the graded p-walk."""
+    orders = islice(_divisors(_capped_sylow_order(group, p)), 1, None)
+    if WALK_KEY in group.analysis_cache:
+        return _walk_buckets(group, orders)
+    return _read_buckets(
+        group, ("p buckets", p), lambda d: p_subgroup_classes(group, p, d), orders
+    )
+
+
+def _rational_classes(group):
+    """{m: [x, ...]}: one x per rational class of the elements of order m > 1,
+    in index order, for every element order m.  These are the x that
+    ``_coset_orbit_reps`` yields for the trivial class: one per conjugacy
+    class of the cyclic subgroups <x>.  Kept in ``group.analysis_cache``."""
     cache = group.analysis_cache
-    if WALK_KEY in cache:
-        return _walk_buckets(group, islice(_divisors(sylow_order), 1, None))
-    key = ("p_classes", p)
-    if key not in cache:
-        cache[key] = p_subgroup_classes(group, p)
-    return [list(run) for _, run in groupby(cache[key], key=attrgetter("order"))]
+    if "rational classes" not in cache:
+        by_order = {}
+        trivial = group.trivial_subgroup()
+        for x in _coset_orbit_reps(group, trivial, 1, False, lambda hset, x: True):
+            by_order.setdefault(group.order_of_idx(x), []).append(x)
+        cache["rational classes"] = by_order
+    return cache["rational classes"]
+
+
+def _cyclic_buckets(group, orders):
+    """The classes of cyclic subgroups of each order in ``orders``, in key
+    order, as the full walk lists them, with no subgroup walk.
+
+    <x> and <y> are conjugate exactly when x is conjugate to y^k for some k
+    prime to |y| (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005), so the cyclic subgroups of order d make one class per
+    rational class of elements of order d.  A bucket of fewer than two such
+    classes cannot split, and is left as its list of generators.  In a
+    larger one each <x> is classified through an ``_OrbitRegistry``, which
+    gives the walk's least-key representatives and orbit sizes and counts
+    the bucket's subgroup sets against ``orbit_key_cap``; the bucket is kept
+    in ``group.analysis_cache``.
+    """
+    by_order = _rational_classes(group)
+    read = group.analysis_cache.setdefault("cyclic buckets", {})
+    for d in orders:
+        xs = by_order.get(d, [])
+        if len(xs) > 1 and d not in read:
+            registry = _OrbitRegistry(group)
+            for x in xs:
+                registry.classify(group.closure_idx([x]))
+            classes = map(SubgroupClass, registry.reps, registry.sizes)
+            read[d] = sorted(classes, key=lambda c: c.representative.key())
+        yield read.get(d, xs)
 
 
 def decide(group, class_id):
@@ -208,7 +269,14 @@ def _decide_pi(group, class_id):
     capped = False
     for p in prime_factors(group.order()):
         try:
-            split = _first_split_bucket(_p_buckets(group, p), keep)
+            sylow_order = _capped_sylow_order(group, p)
+            if sylow_order in _rational_classes(group):
+                continue  # a cyclic Sylow subgroup: one class per p-power order
+            if class_id.kind == "cyclic":
+                orders = islice(_divisors(sylow_order), 1, None)
+                split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
+            else:
+                split = _first_split_bucket(_p_buckets(group, p), keep)
         except CapExceeded:
             capped = True
             continue
@@ -224,8 +292,9 @@ def _decide_pi(group, class_id):
 
 
 def _decide_plain(group, class_id):
+    read = _cyclic_buckets if class_id.kind == "cyclic" else _walk_buckets
     try:
-        buckets = _walk_buckets(group, _divisors(group.order()))
+        buckets = read(group, _divisors(group.order()))
         split = _first_split_bucket(buckets, _kind_filter(class_id.kind))
     except CapExceeded:
         verdict, witness = _decide_pi(group, class_id.pi_counterpart)

@@ -234,8 +234,26 @@ def _capped_sylow_order(group, p):
     return sylow_order
 
 
-def p_subgroup_classes(group, p):
-    """Conjugacy classes of the nontrivial p-subgroups, built bottom-up.
+def _resumed(group, key, start, d):
+    """The classes of order at most d off the walk kept in
+    ``group.analysis_cache[key]``, begun by ``start()`` when none is kept.
+    A walk that hits a cap is dropped, so the next call starts afresh and
+    stops at the same cap."""
+    cache = group.analysis_cache
+    walk = cache.get(key)
+    if walk is None:
+        walk = cache[key] = start()
+    try:
+        return walk.through(d)
+    except CapExceeded:
+        del cache[key]
+        raise
+
+
+def p_subgroup_classes(group, p, max_order=None):
+    """Conjugacy classes of the nontrivial p-subgroups, built bottom-up, in
+    (order, key) order; with ``max_order`` = d, the classes of order at most
+    d, which are a prefix of that list.
 
     Each class of order p^(k+1) arises from a class representative H of order
     p^k extended by a p-element x of N_G(H) with x^p in H; completeness rests
@@ -243,15 +261,26 @@ def p_subgroup_classes(group, p):
     trivial class, whose extensions are the subgroups of order p, and takes
     one x per N_G(H)-orbit of the cosets Hx inside N_G(H) (see
     ``_coset_orbit_reps``).  The trivial class is not returned.
+
+    The walk is graded and resumable like that of ``all_subgroup_classes``:
+    it stops once every class of order < d is extended, is kept in
+    ``group.analysis_cache`` for the next call that asks for more, and is
+    dropped when it hits a cap.
     """
     sylow_order = _capped_sylow_order(group, p)
-    p_element = group.order_mask(lambda o: o > 1 and p_part(o, p) == o)
 
-    def wanted(hset, x):
-        return p_element[x] and group.pow_idx(x, p) in hset
+    def start():
+        p_element = group.order_mask(lambda o: o > 1 and p_part(o, p) == o)
 
-    classes = _GradedWalk(group, sylow_order, True, wanted).through(sylow_order)[1:]
-    if classes[-1].order != sylow_order:  # pragma: no cover - contradicts Sylow theory
+        def wanted(hset, x):
+            return p_element[x] and group.pow_idx(x, p) in hset
+
+        return _GradedWalk(group, sylow_order, True, wanted)
+
+    d = sylow_order if max_order is None else max_order
+    classes = _resumed(group, ("p walk", p), start, d)[1:]
+    if d >= sylow_order and classes[-1].order != sylow_order:  # pragma: no cover
+        # contradicts Sylow theory
         raise RuntimeError(f"no subgroups of order {sylow_order} found")
     return classes
 
@@ -283,18 +312,12 @@ def all_subgroup_classes(group, max_order=None):
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
-    cache = group.analysis_cache
-    walk = cache.get(WALK_KEY)
-    if walk is None:
+
+    def start():
         pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
-        walk = cache[WALK_KEY] = _GradedWalk(
-            group, n, False, lambda hset, x: pp_element[x]
-        )
-    try:
-        return walk.through(n if max_order is None else max_order)
-    except CapExceeded:
-        del cache[WALK_KEY]
-        raise
+        return _GradedWalk(group, n, False, lambda hset, x: pp_element[x])
+
+    return _resumed(group, WALK_KEY, start, n if max_order is None else max_order)
 
 
 def are_conjugate(group, sub_a, sub_b):

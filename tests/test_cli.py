@@ -226,3 +226,19 @@ def test_corpus_json_file_and_markdown_exclude_each_other(tmp_path):
     assert result.returncode == 2
     assert "not allowed with argument" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["manifest", "json"])
+def test_unreadable_or_unwritable_file_exits_2_with_one_error_line(tmp_path, missing):
+    manifest = tmp_path / "manifest.json"
+    out = tmp_path / "report.json"
+    if missing == "manifest":
+        manifest = tmp_path / "missing.json"
+    else:
+        manifest.write_text(json.dumps({"entries": [{"id": "Cyclic(4)"}]}))
+        out = tmp_path / "no-such-dir" / "report.json"
+    result = run_cli("corpus", "run", "--manifest", str(manifest), "--json", str(out))
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in result.stderr

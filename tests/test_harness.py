@@ -133,7 +133,7 @@ def test_relabelled_product_entry_keeps_its_facts(name):
 
 _CONTRACT_ENTRIES = [
     CorpusEntry("E25xSL(2,3)"),
-    CorpusEntry("PSL2(7)"),
+    CorpusEntry("SL2(7)"),
     _RelabelledEntry("SL2(13)"),
 ]
 

@@ -23,14 +23,16 @@ from subconj import (
 )
 from subconj.harness import CorpusManifest
 from subconj.predicates import (
+    _cyclic_buckets,
     _divisors,
     _first_split_bucket,
     _kind_filter,
     _p_buckets,
+    _rational_classes,
     _verified_witness,
     _walk_buckets,
 )
-from subconj.structure import prime_factors
+from subconj.structure import p_part, prime_factors
 from subconj.subgroups import WALK_KEY, _OrbitRegistry
 
 from oracles import eager_first_split_bucket, p_classes_of, relabelled
@@ -230,14 +232,14 @@ def _fresh(g):
 
 
 @pytest.fixture(scope="module", params=["as-built", "relabelled"])
-def corpus_walks(request):
+def corpus_walks_2000(request):
     """(name, group, all_subgroup_classes) for every default-corpus group of
-    order at most 720, as built, or relabelled where a relabelling moves the
+    order at most 2000, as built, or relabelled where a relabelling moves the
     base (it cannot for the cyclic, small dihedral and quaternion actions)."""
     out = []
     for entry in CorpusManifest.default().entries:
         g = construct(entry.name)
-        if g.order() > 720:
+        if g.order() > 2000:
             continue
         if request.param == "relabelled":
             try:
@@ -246,6 +248,12 @@ def corpus_walks(request):
                 continue
         out.append((entry.name, g, all_subgroup_classes(g)))
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus_walks(corpus_walks_2000):
+    """The walks of ``corpus_walks_2000`` for groups of order at most 720."""
+    return [(name, g, walk) for name, g, walk in corpus_walks_2000 if g.order() <= 720]
 
 
 def test_p_classes_read_off_the_walk_match_the_p_walk(corpus_walks):
@@ -284,6 +292,99 @@ def test_lazy_split_bucket_matches_the_eager_one(corpus_walks):
                 assert _split_keys(lazy) == _split_keys(eager), (name, kind, p)
 
 
+def _assert_cyclic_buckets(g, orders, classes):
+    """The cyclic buckets of g at ``orders`` hold the cyclic classes of each
+    order among ``classes``: the same classes in order, key and orbit size
+    where two or more can split, one generator of the class otherwise."""
+    for d, bucket in zip(orders, _cyclic_buckets(g, orders)):
+        expected = [c for c in classes if c.order == d and c.is_cyclic()]
+        if len(expected) > 1:
+            assert _keyed(bucket) == _keyed(expected), d
+        else:
+            assert [g.order_of_idx(x) for x in bucket] == [d] * len(expected), d
+
+
+def test_cyclic_buckets_match_the_walk(corpus_walks_2000):
+    # built from the rational classes of a fresh copy, with no subgroup walk
+    for name, g, walk in corpus_walks_2000:
+        fresh = _fresh(g)
+        _assert_cyclic_buckets(fresh, list(_divisors(g.order()))[1:], walk)
+        for p in prime_factors(g.order()):
+            orders = list(_divisors(p_part(g.order(), p)))[1:]
+            _assert_cyclic_buckets(fresh, orders, p_classes_of(walk, p))
+        assert WALK_KEY not in fresh.analysis_cache and not _p_walks(fresh), name
+
+
+def test_graded_p_walk_lists_a_prefix_of_the_p_classes(corpus_walks):
+    # a p-walk run through order d, resumed order by order, lists exactly the
+    # classes of order <= d of the whole p-walk, which are the walk's p-classes
+    for name, g, walk in corpus_walks:
+        for p in prime_factors(g.order()):
+            whole = p_classes_of(walk, p)
+            assert _keyed(p_subgroup_classes(_fresh(g), p)) == _keyed(whole), (name, p)
+            fresh = _fresh(g)
+            for d in _divisors(p_part(g.order(), p)):
+                prefix = [c for c in whole if c.order <= d]
+                assert _keyed(p_subgroup_classes(fresh, p, d)) == _keyed(prefix)
+            assert fresh.analysis_cache["p walk", p].registry is None
+
+
+def test_a_cyclic_sylow_subgroup_has_one_class_per_order():
+    # the reason _decide_pi skips such a prime: no pi verdict splits there
+    skipped = 0
+    for entry in CorpusManifest.default().entries:
+        g = construct(entry.name)
+        for p in prime_factors(g.order()):
+            sylow_order = p_part(g.order(), p)
+            if sylow_order in _rational_classes(g):
+                orders = [c.order for c in p_subgroup_classes(g, p)]
+                assert orders == list(_divisors(sylow_order))[1:], (entry.name, p)
+                skipped += 1
+    assert skipped > 100
+
+
+def _p_walks(g):
+    """The p-walks that ``p_subgroup_classes`` keeps on g, by cache key."""
+    cache = g.analysis_cache
+    return {k: v for k, v in cache.items() if isinstance(k, tuple) and k[0] == "p walk"}
+
+
+@pytest.mark.parametrize("name", ["M11", "SL2(13)", "E32x(C31xC5)"])
+def test_cyclic_verdicts_above_the_full_cap_need_no_walk(name):
+    g = construct(name)
+    assert decide(g, ClassId.C) == (MEMBER, None)
+    assert decide(g, ClassId.C_PI) == (MEMBER, None)
+    assert WALK_KEY not in g.analysis_cache and not _p_walks(g)
+
+
+@pytest.mark.parametrize("name", ["SL2(13)", "E32x(C31xC5)"])
+def test_cyclic_verdict_above_the_cap_matches_the_raised_walk(name):
+    g0 = construct(name)
+    g = Group(g0.generators, degree=g0.degree, caps=Caps(full_subgroup_cap=8000))
+    cyclic = [c.order for c in all_subgroup_classes(g) if c.is_cyclic()]
+    assert len(cyclic) == len(set(cyclic))  # one class per order: a C member
+    assert decide(g0, ClassId.C)[0] == MEMBER
+
+
+@pytest.mark.parametrize(
+    "name,top", [("M11", 4), ("SL2(13)", 8), ("E32x(C31xC5)", 32)]
+)
+def test_above_cap_groups_walk_only_their_2_subgroups(name, top):
+    # M11's B_pi splits at order 4 (C4 against E4), so nothing of order 8 is
+    # built; the other two are pi members, walked up to their Sylow
+    # 2-subgroup.  C and C_pi read the rational classes, and every other
+    # Sylow subgroup of these groups that could split is never reached or
+    # is cyclic
+    g = construct(name)
+    assert hierarchy_report(g).verdicts[ClassId.C] == MEMBER
+    walks = _p_walks(g)
+    assert list(walks) == [("p walk", 2)]
+    walk = walks["p walk", 2]
+    assert max(walk.orders) == top
+    assert all(order <= top for order, _, _ in walk.pending)
+    assert (walk.registry is None) == (top == p_part(g.order(), 2))
+
+
 def _run_counting_classes(monkeypatch, run):
     """Classes registered by each subgroup walk that ``run`` starts."""
     registries = []
@@ -309,7 +410,9 @@ def test_symmetric6_stops_its_walk_at_the_first_split(monkeypatch):
     assert counts == [len(full)] == [56]
     walked = _fresh(s6)
     report, counts = _run_counting_classes(monkeypatch, lambda: hierarchy_report(walked))
-    assert len(counts) == 1 and counts[0] < 56
+    # the second registry classifies C's bucket of order 2, read off the
+    # rational classes: the three classes of involutions
+    assert len(counts) == 2 and counts[0] < 56 and counts[1] == 3
     assert walked.analysis_cache[WALK_KEY].registry is not None
     whole = _fresh(s6)
     all_subgroup_classes(whole)

@@ -253,7 +253,17 @@ def test_orbit_key_cap_bounds_the_registry():
     g = _s4(orbit_key_cap=S4_TWO_SUBGROUP_ORBIT_KEYS - 1)
     with pytest.raises(CapExceeded, match="orbit keys"):
         p_subgroup_classes(g, 2)
-    assert decide(g, ClassId.B_PI) == (UNDECIDED, None)
+    # B_pi splits at order 2, which the p-walk reaches below the cap, with
+    # the uncapped witness; the whole p-walk is still refused after it
+    verdict, w = decide(g, ClassId.B_PI)
+    _, expected = decide(construct("Symmetric(4)"), ClassId.B_PI)
+    assert verdict == NON_MEMBER and w.order == 2
+    assert (w.sub_a.key(), w.sub_b.key()) == (
+        expected.sub_a.key(),
+        expected.sub_b.key(),
+    )
+    with pytest.raises(CapExceeded, match="orbit keys"):
+        p_subgroup_classes(g, 2)
 
 
 def test_orbit_key_cap_bounds_are_conjugate():
@@ -291,11 +301,12 @@ def test_orbit_key_cap_spares_a_verdict_settled_before_it():
 
 def test_orbit_key_cap_leaves_a_member_walk_undecided():
     # SL2(8) (386 subgroups) is a member of every class, so each plain
-    # verdict needs the whole walk; under the cap it is refused, and the pi
-    # verdicts come from the p-walks, which stay below it
+    # verdict but C needs the whole walk; under the cap it is refused, and
+    # the pi verdicts come from the p-walks, which stay below it.  C reads
+    # the rational classes, one per element order, so it needs no walk
     report = hierarchy_report(_capped("SL2(8)", orbit_key_cap=300))
     assert {c: v for c, v in report.verdicts.items() if not c.is_pi} == {
-        c: UNDECIDED for c in ClassId if not c.is_pi
+        c: MEMBER if c is ClassId.C else UNDECIDED for c in ClassId if not c.is_pi
     }
     assert {c: v for c, v in report.verdicts.items() if c.is_pi} == {
         c: MEMBER for c in ClassId if c.is_pi
