@@ -208,6 +208,8 @@ class Group:
         self._invs = None
         self._conj_maps = None
         self._classes = None
+        self._class_of = None
+        self._rational = None
         # subgroup-class enumerations, the resumable subgroup walk, Sylow
         # subgroups, the witness pairs proved non-conjugate and the quotients
         # G/N, so each lives as long as the group
@@ -415,7 +417,38 @@ class Group:
                             orbit.append(y)
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
+            self._class_of = class_of
         return self._classes
+
+    def rational_classes(self):
+        """{m: [x, ...]}: the least index of each rational class of elements
+        of order m > 1, in index order, for every element order m.
+
+        The rational class of x is the union of the conjugacy classes of its
+        generating powers x^k, k prime to |x|, so <x> and <y> are conjugate
+        exactly when x and y are in one rational class (Holt, Eick & O'Brien,
+        Handbook of Computational Group Theory, 2005).  The conjugacy classes
+        come in order of their least index, so the first class of each
+        rational class met holds its least index; that class is merged with
+        the classes of the powers of its first element."""
+        if self._rational is None:
+            classes = self.conjugacy_classes_idx()
+            class_of, mul = self._class_of, self.mul_idx
+            merged = bytearray(len(classes))
+            by_order = {}
+            for cid, cls in enumerate(classes):
+                x = cls[0]
+                m = self.order_of_idx(x)
+                if merged[cid] or m == 1:
+                    continue
+                y = x
+                for k in range(2, m):
+                    y = mul(y, x)  # x^k
+                    if gcd(k, m) == 1:
+                        merged[class_of[y]] = 1
+                by_order.setdefault(m, []).append(x)
+            self._rational = by_order
+        return self._rational
 
     def conjugates(self, hset):
         """The one orbit walk on subgroups: the conjugates of the index set
@@ -815,6 +848,16 @@ def semidirect_product(normal, acting, action):
     mapped all of N.  The product acts on the elements of N
     (affine action) next to the natural points of H, which is always faithful.
 
+    It is generated by H's generators and translations by generators of N,
+    and H conjugates the translation by g to the one by g's image.  So a
+    generator of N is translated only when it lies outside the smallest
+    H-invariant subgroup of N holding the generators translated before it.
+    That subgroup is the set reached from the identity by right
+    multiplication with those generators and by the automorphisms: the set
+    is closed under each automorphism's inverse, a power of it, hence under
+    multiplication by every image of a kept generator.  E32x(C31xC5) is
+    then generated by 3 permutations, not 7.
+
     Inconsistent relations (images that do not satisfy the relations of H)
     surface as an order mismatch and raise ValueError.
     """
@@ -842,11 +885,23 @@ def semidirect_product(normal, acting, action):
         auto_maps.append([phi[x] for x in range(n_size)])
 
     # Generators on elements(N) + points(H): N acts by right translation,
-    # H-generators act by their automorphism on the N block.
+    # H-generators act by their automorphism on the N block.  ``span`` is
+    # the H-invariant subgroup of N spanned by the translations kept so far.
     deg_h = acting.degree
     gens = []
-    for g in normal.generators:
-        gi = normal.index_of(g)
+    kept = []
+    span = {normal.identity_idx}
+    for gi in n_gens:
+        if gi in span:
+            continue
+        kept.append(gi)
+        queue = list(span)
+        for x in queue:
+            steps = [normal.mul_idx(x, k) for k in kept]
+            for y in steps + [amap[x] for amap in auto_maps]:
+                if y not in span:
+                    span.add(y)
+                    queue.append(y)
         block = [normal.mul_idx(x, gi) for x in range(n_size)]
         gens.append(
             Permutation._from0(tuple(block) + tuple(n_size + k for k in range(deg_h)))

@@ -20,7 +20,8 @@ H_pi, N_pi and A_pi read one graded ``p_subgroup_classes`` walk per prime,
 or the full walk once a plain verdict has started it.  C and C_pi walk no
 subgroups: <x> and <y> are conjugate exactly when x is conjugate to y^k for
 some k prime to |y|, so the cyclic classes of each order come from the
-rational classes of the elements.  A prime whose Sylow subgroup is cyclic is
+rational classes of the elements, which ``Group.rational_classes`` merges
+from the conjugacy classes.  A prime whose Sylow subgroup is cyclic is
 skipped by every pi verdict, since it has one class of each p-power order.
 
 Verdicts are "member", "non-member" or "undecided" (a cap was hit); membership
@@ -46,7 +47,6 @@ from .subgroups import (
     WALK_KEY,
     SubgroupClass,
     _capped_sylow_order,
-    _coset_orbit_reps,
     _OrbitRegistry,
     all_subgroup_classes,
     are_conjugate,
@@ -205,21 +205,6 @@ def _p_buckets(group, p):
     )
 
 
-def _rational_classes(group):
-    """{m: [x, ...]}: one x per rational class of the elements of order m > 1,
-    in index order, for every element order m.  These are the x that
-    ``_coset_orbit_reps`` yields for the trivial class: one per conjugacy
-    class of the cyclic subgroups <x>.  Kept in ``group.analysis_cache``."""
-    cache = group.analysis_cache
-    if "rational classes" not in cache:
-        by_order = {}
-        trivial = group.trivial_subgroup()
-        for x in _coset_orbit_reps(group, trivial, 1, False, lambda hset, x: True):
-            by_order.setdefault(group.order_of_idx(x), []).append(x)
-        cache["rational classes"] = by_order
-    return cache["rational classes"]
-
-
 def _cyclic_buckets(group, orders):
     """The classes of cyclic subgroups of each order in ``orders``, in key
     order, as the full walk lists them, with no subgroup walk.
@@ -234,7 +219,7 @@ def _cyclic_buckets(group, orders):
     the bucket's subgroup sets against ``orbit_key_cap``; the bucket is kept
     in ``group.analysis_cache``.
     """
-    by_order = _rational_classes(group)
+    by_order = group.rational_classes()
     read = group.analysis_cache.setdefault("cyclic buckets", {})
     for d in orders:
         xs = by_order.get(d, [])
@@ -270,7 +255,7 @@ def _decide_pi(group, class_id):
     for p in prime_factors(group.order()):
         try:
             sylow_order = _capped_sylow_order(group, p)
-            if sylow_order in _rational_classes(group):
+            if sylow_order in group.rational_classes():
                 continue  # a cyclic Sylow subgroup: one class per p-power order
             if class_id.kind == "cyclic":
                 orders = islice(_divisors(sylow_order), 1, None)

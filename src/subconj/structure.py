@@ -148,16 +148,16 @@ def normal_subgroups(group):
 
     Every normal subgroup is the join of the normal closures of the element
     classes it contains, and the join of two normal subgroups is their
-    product NM.  So each class's normal closure is computed once, with a
-    generating set, and the lattice is grown from the trivial subgroup by
-    joining N with M's generators: a plain closure, with no normality check.
+    product NM.  An element, its conjugates and its generating powers have
+    one normal closure, so it is computed once per rational class (see
+    ``Group.rational_classes``), from its least element, with a generating
+    set, and the lattice is grown from the trivial subgroup by joining N
+    with M's generators: a plain closure, with no normality check.
     """
-    identity = group.identity_idx
     closures = {}  # normal closure's indices -> the closure
-    for cls in group.conjugacy_classes_idx():
-        if cls[0] != identity:
-            m = group._normal_closure([cls[0]])
-            closures.setdefault(m.indices, m)
+    for x in _rational_reps(group):
+        m = group._normal_closure([x])
+        closures.setdefault(m.indices, m)
     trivial = group.trivial_subgroup()
     found = {trivial.indices: trivial}
     queue = [trivial]
@@ -173,6 +173,12 @@ def normal_subgroups(group):
     return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
+def _rational_reps(group):
+    """The least element of each rational class but the identity's, in
+    index order."""
+    return sorted(x for xs in group.rational_classes().values() for x in xs)
+
+
 def o_pprime(group, p):
     """O_{p'}(G): the largest normal subgroup of order coprime to p."""
     return _largest_normal(group, lambda n: n % p != 0)
@@ -182,14 +188,15 @@ def _largest_normal(group, admits):
     """The largest normal subgroup whose order ``admits`` accepts, where the
     accepted orders are those of a p-group or of a p'-group.
 
-    Grows K = 1 by element classes.  Every normal subgroup of accepted order
-    lies in the one sought, so while K does, the normal closure of K and x
-    has accepted order exactly when x lies in it; one pass over the classes
-    absorbs them all.  Each normal closure grows from K.
+    Grows K = 1 by rational classes of elements, one x per class: x, its
+    conjugates and its generating powers have one normal closure.  Every
+    normal subgroup of accepted order lies in the one sought, so while K
+    does, the normal closure of K and x has accepted order exactly when x
+    lies in it; one pass over the classes absorbs them all.  Each normal
+    closure grows from K.
     """
     current = group.trivial_subgroup()
-    for cls in group.conjugacy_classes_idx():
-        x = cls[0]
+    for x in _rational_reps(group):
         if x in current.indices or not admits(group.order_of_idx(x)):
             continue
         grown = group._normal_closure([x], base=current)

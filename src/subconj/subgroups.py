@@ -34,7 +34,13 @@ from math import gcd
 
 from .caps import CapExceeded
 from .groups import normalizer
-from .structure import is_nilpotent, is_supersolvable, p_part, prime_factors
+from .structure import (
+    _rational_reps,
+    is_nilpotent,
+    is_supersolvable,
+    p_part,
+    prime_factors,
+)
 
 # where ``all_subgroup_classes`` keeps its walk in ``group.analysis_cache``
 WALK_KEY = "subgroup walk"
@@ -112,7 +118,9 @@ def _conjugator(group, g):
 def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
     """One x per orbit of N = N_G(H) on the right cosets Hx of H, in index
     order, skipping x with ``wanted(H, x)`` false; x runs over G, or over N
-    alone when ``in_normalizer``.
+    alone when ``in_normalizer``.  The walks call it for H > 1 only: for the
+    trivial H these orbits are the rational classes of the elements, which
+    the group keeps (``Group.rational_classes``).
 
     For g in N, (Hx)^g = H x^g and <H, x^g> = <H, x>^g, and <H, h x^k> =
     <H, x> for h in H and k prime to |x|, since x^k generates <x>; so once x
@@ -173,8 +181,9 @@ class _GradedWalk:
     """The cyclic-extension walk from the trivial class, in order of subgroup
     order, resumable: ``through(d)`` extends every class of order below d
     (below ``top`` at most; classes of order ``top`` are never extended),
-    each by the x of ``_coset_orbit_reps``, and lists the classes of order up
-    to d.  Pending classes wait in a heap keyed by (order, representative
+    the trivial class by the wanted rational-class representatives and every
+    other by the x of ``_coset_orbit_reps``, and lists the classes of order
+    up to d.  Pending classes wait in a heap keyed by (order, representative
     key), so they are listed in the order of the final class list."""
 
     def __init__(self, group, top, in_normalizer, wanted):
@@ -205,9 +214,16 @@ class _GradedWalk:
                 c = classes[self.extended]
                 self.extended += 1
                 rep = c.representative
-                for x in _coset_orbit_reps(
-                    group, rep, c.orbit_size, self.in_normalizer, self.wanted
-                ):
+                if rep.order == 1:
+                    # for H = 1 the orbit of the cosets H x^k is x's rational
+                    # class, and both walks want an x by its order alone
+                    hset = rep.indices
+                    xs = [x for x in _rational_reps(group) if self.wanted(hset, x)]
+                else:
+                    xs = _coset_orbit_reps(
+                        group, rep, c.orbit_size, self.in_normalizer, self.wanted
+                    )
+                for x in xs:
                     self._register(group.closure_idx([x], base=rep))
             elif pending and pending[0][0] <= d:
                 order, _, cid = heappop(pending)

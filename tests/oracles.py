@@ -6,7 +6,8 @@ keep inputs small.  The exceptions work on element indices so that they can
 be compared with the fast paths key for key: the element walk that the coset
 walk of ``Group.closure_idx`` replaced, the min-key coset BFS that the coset
 labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
-verdicts, and, in the last sections, the unpruned subgroup walks that the
+verdicts, the coset sweep that ``Group.rational_classes`` replaced, and, in
+the last sections, the unpruned subgroup walks that the
 N_G(H)-orbit walks in ``subconj.subgroups`` replaced and the eager reads of
 a full class list that the order-graded walk replaced.
 """
@@ -17,7 +18,7 @@ from math import gcd
 from subconj import Group, Permutation
 from subconj.groups import normalizer
 from subconj.structure import p_part, prime_factors
-from subconj.subgroups import SubgroupClass, _OrbitRegistry
+from subconj.subgroups import SubgroupClass, _coset_orbit_reps, _OrbitRegistry
 
 
 def hand_compose(f, g):
@@ -136,6 +137,18 @@ def rational_class_verdicts(group):
     c = all(n == 1 for n in rational.values())
     c_pi = all(n == 1 for m, n in rational.items() if len(prime_factors(m)) <= 1)
     return c, c_pi
+
+
+def coset_walk_rational_classes(group):
+    """{m: [x, ...]}, the least index of each rational class of order m > 1,
+    by the sweep that ``Group.rational_classes`` replaced: the trivial
+    class's coset walk over every element, which yields x in index order and
+    marks the conjugates of x's generating powers."""
+    by_order = {}
+    trivial = group.trivial_subgroup()
+    for x in _coset_orbit_reps(group, trivial, 1, False, lambda hset, x: True):
+        by_order.setdefault(group.order_of_idx(x), []).append(x)
+    return by_order
 
 
 def naive_order(g):

@@ -21,9 +21,17 @@ from subconj import (
 )
 from subconj.caps import Caps
 from subconj.groups import _coset_images
+from subconj.harness import CorpusManifest
 from subconj.subgroups import all_subgroup_classes
+from subconj.zoo import (
+    SEMIDIRECT_DATASETS,
+    build_semidirect_dataset,
+    elementary_abelian,
+    generalized_quaternion,
+)
 
 from oracles import (
+    coset_walk_rational_classes,
     element_walk_closure,
     exhaustive_conjugator,
     min_key_quotient_images,
@@ -318,16 +326,58 @@ def test_semidirect_inversion_action():
     assert not g.full_subgroup().is_abelian()
 
 
+def _translations(g, n_size):
+    """The generators of a semidirect product that fix its acting block."""
+    block = range(n_size + 1, g.degree + 1)
+    return [p for p in g.generators if all(p.apply(i) == i for i in block)]
+
+
 def test_semidirect_embeds_normal_factor():
     e9 = direct_product(construct("Cyclic(3)"), construct("Cyclic(3)"))
     c2 = construct("Cyclic(2)")
     g = semidirect_product(e9, c2, [[x.inverse() for x in e9.generators]])
-    # the translation generators fix the acting block and span the copy of E9
-    embedded = g.subgroup(
-        [p for p in g.generators if all(p.apply(i) == i for i in range(10, g.degree + 1))]
+    # the normal closure of the translation generators is the copy of E9;
+    # inversion leaves every subgroup invariant, so both generators are kept
+    translations = _translations(g, 9)
+    assert len(translations) == 2
+    embedded = g.subgroup_from_indices(
+        g.normal_closure_idx([g.index_of(p) for p in translations])
     )
     assert embedded.order == 9
     assert is_normal(g, embedded)
+
+
+# the normal factor of each dataset, and the generator count of the product
+SEMIDIRECT_NORMALS = {
+    "E25xSL(2,3)": (lambda: elementary_abelian(5, 2), 4),
+    "E4xC3": (lambda: elementary_abelian(2, 2), 2),
+    "E8xC7": (lambda: elementary_abelian(2, 3), 2),
+    "E8x(C7xC3)": (lambda: elementary_abelian(2, 3), 3),
+    "E32x(C31xC5)": (lambda: elementary_abelian(2, 5), 3),
+    "Q8xC3": (lambda: generalized_quaternion(8), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_DATASETS))
+def test_semidirect_products_keep_the_translations_they_need(name):
+    # a translation inside the invariant span of those kept is left out; the
+    # group built with every translation generator has the same elements
+    build_normal, count = SEMIDIRECT_NORMALS[name]
+    normal = build_normal()
+    n_size = normal.order()
+    g = build_semidirect_dataset(name)
+    assert len(g.generators) == count
+    assert 1 <= len(_translations(g, n_size)) < len(normal.generators)
+    rest = tuple(range(n_size, g.degree))
+    every = [
+        Permutation._from0(
+            tuple(normal.mul_idx(x, normal.index_of(t)) for x in range(n_size)) + rest
+        )
+        for t in normal.generators
+    ]
+    full = Group([*every, *g.generators], degree=g.degree)
+    assert full.order() == g.order() == SEMIDIRECT_DATASETS[name][1]
+    assert full.elements() == g.elements()
 
 
 def test_semidirect_rejects_non_automorphism():
@@ -788,3 +838,32 @@ def test_materialize_checks_the_closure_against_the_chain_order(delta):
     g._order += delta
     with pytest.raises(RuntimeError, match="closure size 24"):
         g._materialize()
+
+
+def _corpus_groups(top):
+    """Every default-corpus group of order at most ``top``, with its
+    relabelled copy where a relabelling moves the base."""
+    for entry in CorpusManifest.default().entries:
+        g = construct(entry.name)
+        if g.order() > top:
+            continue
+        yield entry.name, g
+        try:
+            yield entry.name, relabelled(g)
+        except AssertionError:
+            pass
+
+
+def test_rational_classes_match_the_coset_sweep():
+    # merged conjugacy classes against the coset walk over every element
+    for name, g in _corpus_groups(2000):
+        got = g.rational_classes()
+        assert list(got.items()) == list(coset_walk_rational_classes(g).items()), name
+
+
+@pytest.mark.parametrize("name", ["M11", "SL2(13)", "E32x(C31xC5)"])
+def test_rational_classes_of_the_large_groups(name):
+    g = construct(name)
+    got = g.rational_classes()
+    assert list(got.items()) == list(coset_walk_rational_classes(g).items())
+    assert g.rational_classes() is got

@@ -245,7 +245,7 @@ def test_normal_subgroups_match_oracle():
 
 @pytest.fixture(scope="module")
 def large_groups():
-    # E32x(C31xC5) on relabelled points, with its 7 generators
+    # E32x(C31xC5) on relabelled points, with its 3 generators
     return {
         "E32x(C31xC5)": relabelled(construct("E32x(C31xC5)")),
         "SL2(13)": construct("SL2(13)"),
@@ -289,6 +289,24 @@ def test_normal_closure_grows_from_a_normal_base(moved_groups, name):
             assert grown.indices == scratch.indices
             assert grown.gens_idx() == scratch.gens_idx()
             assert is_normal(g, grown)
+
+
+@pytest.mark.parametrize(
+    "name", ["Symmetric(4)", "SL2(3)", "E4xC3", "Q8xC3", *NORMAL_CASES]
+)
+def test_one_closure_per_rational_class_finds_every_normal_subgroup(
+    moved_groups, name
+):
+    # against the joins over every conjugacy class, and for the small groups
+    # against O_p' of the brute-force normal subgroup list
+    g = moved_groups[name] if name in moved_groups else relabelled(construct(name))
+    joins = normal_closure_joins(g)
+    assert {n.indices for n in normal_subgroups(g)} == joins
+    for p in prime_factors(g.order()):
+        got = o_pprime(g, p)
+        assert got.indices == max((n for n in joins if len(n) % p), key=len)
+        if g.order() <= 24:
+            assert set(got.elements()) == o_pprime_oracle(g, p)
 
 
 @pytest.mark.parametrize("name", NORMAL_CASES)

@@ -403,6 +403,25 @@ def test_trivial_class_takes_one_closure_per_element_class(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
+def test_the_first_level_reads_the_rational_classes(monkeypatch, name):
+    # the trivial class is extended by its rational-class representatives,
+    # so no coset walk runs for it, in the full walk or in any p-walk
+    g = relabelled(construct(name))
+    walk = subgroups._coset_orbit_reps
+    bases = []
+
+    def recording(group, rep, *args):
+        bases.append(rep.order)
+        return walk(group, rep, *args)
+
+    monkeypatch.setattr(subgroups, "_coset_orbit_reps", recording)
+    all_subgroup_classes(g)
+    for p in prime_factors(g.order()):
+        p_subgroup_classes(g, p)
+    assert bases and 1 not in bases
+
+
+@pytest.mark.parametrize("name", ["Symmetric(5)", "PSL2(7)"])
 def test_one_extension_per_cyclic_subgroup(monkeypatch, name):
     """No single orbit walk yields both x and a power x^k with k prime to
     |x|: the cosets H x^k give <H, x> again and are marked with x's orbit."""
