@@ -6,6 +6,17 @@ that, groups whose order fits under the element cap expose an indexed view of
 their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
+Inside a group of degree at most 256, every element, generator, transversal
+element and Schreier generator is one 256-byte table: its 0-based images,
+then the points degree..255 fixed.  A byte holds a point only up to 255, so
+a larger degree keeps 0-based image tuples.  The group picks that form once,
+from its degree, and every product, inverse and left multiplication goes
+through it: for tables ``a.translate(b)`` is a * b in one C loop.  Elements
+are packed and unpacked only at the boundary (``contains`` and ``index_of``
+pack a permutation; ``elements``, ``perm_at`` and ``identity`` hand out
+tuples), and tables sort as their image tuples do, so element indices do
+not depend on the form.
+
 Every element is keyed by its base image: its images of the k base points
 of the stabiliser chain.  Only the identity fixes the base pointwise, so two
 elements with the same base image are equal, and the key dict is the group's
@@ -80,6 +91,61 @@ def _getter(points):
     return itemgetter(*points) if points else _no_points
 
 
+# A byte holds the points 0..255, so groups of larger degree keep tuples.
+_TABLE_DEGREE = 256
+_POINTS = bytes(range(256))
+
+
+class _Tables:
+    """The element form of degree <= 256: the image tuple as bytes, then the
+    fixed points degree..255.  ``a.translate(b)`` is a * b, the table maps
+    each point of a through b; ``maketrans(a, points)`` sends a's image of i
+    back to i, so it is a^-1; and ``t.translate`` multiplies by t on the
+    left."""
+
+    def __init__(self, degree):
+        self.identity = _POINTS
+        self._degree = degree
+        self._fixed = _POINTS[degree:]
+
+    def pack(self, t):
+        return bytes(t) + self._fixed
+
+    def unpack(self, a):
+        return tuple(a[: self._degree])
+
+    mul = staticmethod(bytes.translate)
+
+    @staticmethod
+    def inv(a):
+        return bytes.maketrans(a, _POINTS)
+
+    @staticmethod
+    def left(t):
+        return t.translate
+
+
+class _Tuples:
+    """The element form above degree 256: 0-based image tuples; ``left(t)``
+    reads its argument at the points of t, which is t * h."""
+
+    def __init__(self, degree):
+        self.identity = tuple(range(degree))
+
+    @staticmethod
+    def pack(t):
+        return t
+
+    unpack = pack
+    mul = staticmethod(_mult)
+    inv = staticmethod(_inv)
+    left = staticmethod(_getter)
+
+
+def _form(degree):
+    return _Tables(degree) if degree <= _TABLE_DEGREE else _Tuples(degree)
+
+
 class _Level:
     __slots__ = ("point", "gens", "transversal")
 
@@ -92,10 +158,11 @@ class _Level:
 class _Chain:
     """Base and strong generating set, built deterministically."""
 
-    def __init__(self, gens0, degree):
+    def __init__(self, gens0, form, degree):
         self.degree = degree
         self.levels = []
-        self.identity = tuple(range(degree))
+        self.identity = form.identity
+        self._mul, self._inv = form.mul, form.inv
         gens0 = [g for g in gens0 if g != self.identity]
         for g in gens0:
             self._ensure_base_point(g)
@@ -121,23 +188,25 @@ class _Chain:
         level = self.levels[i]
         trans = {level.point: self.identity}
         queue = [level.point]
+        mul = self._mul
         for a in queue:
             u = trans[a]
             for g in level.gens:
                 b = g[a]
                 if b not in trans:
-                    trans[b] = _mult(u, g)
+                    trans[b] = mul(u, g)
                     queue.append(b)
         level.transversal = trans
 
     def strip(self, t, start=0):
         """Sift t through levels[start:]; returns (residue, level reached)."""
+        mul, inv = self._mul, self._inv
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
             u = lvl.transversal.get(t[lvl.point])
             if u is None:
                 return t, i
-            t = _mult(t, _inv(u))
+            t = mul(t, inv(u))
         return t, len(self.levels)
 
     def _complete_level(self, i):
@@ -145,10 +214,11 @@ class _Chain:
         # i sift to the identity through them.
         self._orbit(i)
         level = self.levels[i]
+        mul, inv = self._mul, self._inv
         for gamma in sorted(level.transversal):
             u = level.transversal[gamma]
             for g in level.gens:
-                sg = _mult(_mult(u, g), _inv(level.transversal[g[gamma]]))
+                sg = mul(mul(u, g), inv(level.transversal[g[gamma]]))
                 if sg == self.identity:
                     continue
                 residue, j = self.strip(sg, i + 1)
@@ -195,7 +265,10 @@ class Group:
         self.degree = degree
         self.generators = tuple(kept)
         self.caps = caps if caps is not None else default_caps()
-        self._chain = _Chain([g._t for g in self.generators], degree)
+        # every element inside the group is held in one form, chosen here
+        self._form = form = _form(degree)
+        self._gens = [form.pack(g._t) for g in self.generators]
+        self._chain = _Chain(self._gens, form, degree)
         self._order = self._chain.order()
         self._base = tuple(lvl.point for lvl in self._chain.levels)
         self._read_base = _getter(self._base)
@@ -221,7 +294,7 @@ class Group:
     def contains(self, perm):
         if perm.degree != self.degree:
             return False
-        return self._chain.contains(perm._t)
+        return self._chain.contains(self._form.pack(perm._t))
 
     __contains__ = contains
 
@@ -237,44 +310,47 @@ class Group:
         With H = <g_1..g_{k-1}> listed, a generator g_k already in H is
         skipped; otherwise K = <H, g_k> is the union of the left cosets tH
         reached from H under left multiplication by g_1..g_k, and each new
-        coset is H read through t's getter (t * h is h read at the points of
-        t), one C call per element.  The walk uses the generators only, so
-        its size is checked against the chain order.
+        coset is H multiplied on the left by t in the group's element form,
+        one C call per element.  The walk uses the generators only, so its
+        size is checked against the chain order.
         """
         if self._elts0 is not None:
             return
         cap = self.caps.element_cap
         if self._order > cap:
             raise CapExceeded("element enumeration", f"order {self._order} > {cap}")
-        identity = tuple(range(self.degree))
+        form = self._form
+        identity = form.identity
         seen = {identity}
-        gens = [g._t for g in self.generators]
+        gens = self._gens
         for k, g in enumerate(gens):
             if g in seen:
                 continue
             sub = tuple(seen)
-            left = [_getter(s) for s in gens[: k + 1]]
+            left = [form.left(s) for s in gens[: k + 1]]
             reps = [identity]
             for r in reps:
                 for s in left:
-                    t = s(r)  # s * r: r read at the points of s
+                    t = s(r)  # s * r
                     if t not in seen:
                         reps.append(t)
-                        seen.update(map(_getter(t), sub))
+                        seen.update(map(form.left(t), sub))
         if len(seen) != self._order:
             raise RuntimeError(
                 f"stabilizer chain order {self._order} != closure size {len(seen)}"
             )
         elts = sorted(seen)
-        # key every element by its base image; the keys must separate them
+        # key every element by its base image, read once; the keys must
+        # separate the elements, and each is also that element's getter
         read_base = self._read_base
-        by_bimg = {read_base(t): i for i, t in enumerate(elts)}
+        bimgs = list(map(read_base, elts))
+        by_bimg = dict(zip(bimgs, range(self._order)))
         if len(by_bimg) != self._order:
             raise RuntimeError(
                 f"base images separate {len(by_bimg)} of {self._order} elements"
             )
-        base = self._base
-        self._keys = [_getter(tuple(map(t.__getitem__, base))) for t in elts]
+        # a one-point base keys by the bare point, which itemgetter takes as is
+        self._keys = list(map(itemgetter if len(self._base) == 1 else _getter, bimgs))
         self._by_bimg = by_bimg
         self._identity_idx = by_bimg[read_base(identity)]
         self._elts0 = elts
@@ -282,7 +358,8 @@ class Group:
     def elements(self):
         """All elements, sorted by image tuple; requires order <= element cap."""
         self._materialize()
-        return tuple(Permutation._from0(t) for t in self._elts0)
+        unpack = self._form.unpack
+        return tuple(Permutation._from0(unpack(t)) for t in self._elts0)
 
     @property
     def identity_idx(self):
@@ -296,13 +373,13 @@ class Group:
         t = perm._t
         if len(t) == self.degree:
             idx = self._by_bimg.get(self._read_base(t))
-            if idx is not None and self._elts0[idx] == t:
+            if idx is not None and self._elts0[idx] == self._form.pack(t):
                 return idx
         raise ValueError(f"{perm} is not a member")
 
     def perm_at(self, i):
         self._materialize()
-        return Permutation._from0(self._elts0[i])
+        return Permutation._from0(self._form.unpack(self._elts0[i]))
 
     def mul_idx(self, i, j):
         """Index of x_i * x_j: the key of x_j read at x_i's base image."""
@@ -385,8 +462,7 @@ class Group:
             self._materialize()
             by, keys = self._by_bimg, self._keys
             maps = []
-            for g in self.generators:
-                gt = g._t
+            for gt in self._gens:
                 pre = _getter(tuple(map(gt.index, self._base)))  # g^-1(b) per b
                 maps.append([by[keys[by[pre(t)]](gt)] for t in self._elts0])
             self._conj_maps = maps

@@ -19,9 +19,10 @@ from subconj import (
     semidirect_product,
     structural_fingerprint,
 )
+from subconj import groups as groups_module
 from subconj.caps import Caps
 from subconj.groups import _coset_images
-from subconj.harness import CorpusManifest
+from subconj.harness import CorpusManifest, analyze_group
 from subconj.subgroups import all_subgroup_classes
 from subconj.zoo import (
     SEMIDIRECT_DATASETS,
@@ -778,9 +779,16 @@ def test_base_image_keys_match_full_image_tuples(name, reverse, relabel):
 @pytest.mark.parametrize("name", [n for n in KEY_GROUPS if n != "Symmetric(4)"])
 @pytest.mark.parametrize("relabel", (False, True))
 def test_index_of_rejects_a_non_member_with_a_member_base_image(name, relabel):
+    _assert_rejects_base_twins(_build(name, relabel=relabel))
+
+
+def test_tuple_form_rejects_a_non_member_with_a_member_base_image(monkeypatch):
+    _assert_rejects_base_twins(_in_tuples(monkeypatch, _build("SL2(3)", relabel=True)))
+
+
+def _assert_rejects_base_twins(g):
     # t swaps two points off the base (S4 has only one), so t * x agrees with
     # x on every base point, and it is no member: t fixes the base, t != 1
-    g = _build(name, relabel=relabel)
     a, b = [p for p in range(1, g.degree + 1) if p - 1 not in g._base][:2]
     t = P(f"({a},{b})", g.degree)
     for x in g.elements()[:: max(1, g.order() // 50)]:
@@ -825,9 +833,74 @@ def _redundant(name):
 def test_materialize_lists_the_naive_closure(build):
     # the coset-by-coset listing against a breadth-first search over products
     g = build()
-    g._materialize()
     naive = naive_closure(list(g.generators), g.degree)
-    assert g._elts0 == sorted(x._t for x in naive)
+    assert g.elements() == tuple(sorted(naive))
+
+
+def _in_tuples(monkeypatch, g):
+    # g's generators in the image-tuple form of degrees above 256; every group
+    # built later in the test, quotients included, takes that form too
+    monkeypatch.setattr(groups_module, "_TABLE_DEGREE", 0)
+    copy = Group(g.generators, degree=g.degree)
+    assert isinstance(copy._form.identity, tuple)
+    return copy
+
+
+@pytest.mark.parametrize("name", ["SL2(13)", "E32x(C31xC5)", "Symmetric(4)", "SL2(3)"])
+def test_byte_tables_and_tuples_list_the_same_group(monkeypatch, name):
+    tables = relabelled(construct(name))
+    assert isinstance(tables._form.identity, bytes)
+    tuples = _in_tuples(monkeypatch, tables)
+    assert tuples._base == tables._base
+    assert tuples.elements() == tables.elements()
+    assert tuples.conjugacy_classes_idx() == tables.conjugacy_classes_idx()
+    assert tuples.rational_classes() == tables.rational_classes()
+
+
+@pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)"])
+def test_byte_tables_and_tuples_analyse_alike(monkeypatch, name):
+    tables = construct(name)
+    expected = analyze_group(tables, name)
+    assert analyze_group(_in_tuples(monkeypatch, tables), name) == expected
+
+
+@pytest.mark.parametrize("n,form", [(256, bytes), (257, tuple)])
+def test_the_element_form_changes_above_degree_256(n, form):
+    c = Permutation._from0((*range(1, n), 0))
+    g = Group([c], degree=n)
+    assert isinstance(g._form.identity, form)
+    assert g.order() == n
+    for i in (0, 1, n // 2, n - 1):
+        assert g.index_of(g.perm_at(i)) == i
+    assert g.perm_at(g.index_of(c)) == c
+    assert c in g and c * c in g
+    swap = Permutation._from0((1, 0, *range(2, n)))
+    assert swap not in g
+    with pytest.raises(ValueError, match="not a member"):
+        g.index_of(swap)
+
+
+def _handed_out(g):
+    sub = g.subgroup(g.generators[:1])
+    q = quotient(g, center(g)) if center(g).order > 1 else g
+    yield from (g.perm_at(0), g.perm_at(g.order() - 1), g.identity())
+    yield from g.elements()
+    yield from sub.generators
+    yield from sub.elements()
+    yield from q.elements()
+    yield q.identity()
+
+
+@pytest.mark.parametrize("name", ["SL2(3)", "SL2(13)", "Dihedral(8)"])
+def test_handed_out_permutations_are_plain_tuples(name):
+    # no packed table leaks: each permutation equals and hashes as one built
+    # from its 1-based images (SL2(13)'s G/Z(G) has degree 1092)
+    g = construct(name)
+    for x in _handed_out(g):
+        assert type(x._t) is tuple and len(x._t) == x.degree
+        twin = Permutation._from0(tuple(j - 1 for j in x.images))
+        assert x == twin and hash(x) == hash(twin)
+    assert g.identity() == Permutation.identity(g.degree)
 
 
 @pytest.mark.parametrize("delta", (-1, 1))
