@@ -6,16 +6,18 @@ that, groups whose order fits under the element cap expose an indexed view of
 their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
-Inside a group of degree at most 256, every element, generator, transversal
-element and Schreier generator is one 256-byte table: its 0-based images,
-then the points degree..255 fixed.  A byte holds a point only up to 255, so
-a larger degree keeps 0-based image tuples.  The group picks that form once,
-from its degree, and every product, inverse and left multiplication goes
-through it: for tables ``a.translate(b)`` is a * b in one C loop.  Elements
-are packed and unpacked only at the boundary (``contains`` and ``index_of``
-pack a permutation; ``elements``, ``perm_at`` and ``identity`` hand out
-tuples), and tables sort as their image tuples do, so element indices do
-not depend on the form.
+Inside a group of degree at most 256, a listed element is its 0-based
+image tuple as ``degree`` bytes, and every generator, transversal element,
+Schreier generator and coset representative is a 256-byte table: those
+bytes, then the points degree..255 fixed.  A byte holds a point only up to
+255, so a larger degree keeps 0-based image tuples.  The group picks that
+form once, from its degree, and every product, inverse and coset goes
+through it: ``a.translate(b)`` is a * b in one C loop when b is a table,
+whichever length a has.  Elements are packed and unpacked only at the
+boundary (``contains`` packs a permutation; ``elements``, ``perm_at`` and
+``identity`` hand out tuples, and ``index_of`` compares one), and bytes of
+one length sort as their image tuples do, so element indices do not depend
+on the form.
 
 Every element is keyed by its base image: its images of the k base points
 of the stabiliser chain.  Only the identity fixes the base pointwise, so two
@@ -31,18 +33,23 @@ products this way.
 
 Subgroups are closed coset by coset (Dimino), both the element list of the
 group and every ``closure_idx``: adjoining x to a closed subgroup K walks one
-representative per left coset tK, and adds each new coset whole, as K read
-through t's getter in one C-level pass.  That walk needs generators of K, so
+representative t per coset, and adds each new coset whole in one C-level
+pass.  ``closure_idx`` takes left cosets tK, K read through t's getter; the
+element list takes right cosets Kt, each listed element of K translated
+through the table t.  That walk needs generators of K, so
 its base is a :class:`Subgroup`, which carries them, and subgroups grow
 through ``Subgroup.join``: <H, seed> with H's generators and the new seeds.
 Normal closures join each round's generators to the subgroup of the round
 before.
 
-Element orders come from cyclic powers: one walk x, x^2, ..., x^m = 1, one
-key read per step, gives every power x^k its order m / gcd(k, m) and its
-inverse x^(m-k).  A quotient
-G/N labels every element with its coset number in one pass: the first time
-its BFS reaches a coset Nt, it writes the number over all of Nt.
+Element orders and inverses come with the conjugacy classes: only the
+first element x of each class walks its powers x, x^2, ..., x^m = 1, one key
+read per step, for its order m and its inverse x^(m-1).  Order is a class
+function and (x^g)^-1 = (x^-1)^g, so the class walk hands both on along each
+conjugation map (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005).  A quotient G/N labels every element with its coset number
+in one pass: the first time its BFS reaches a coset Nt, it writes the
+number over all of Nt.
 
 One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
 the conjugacy test and the subgroup-class registry all read it.
@@ -62,6 +69,7 @@ afterwards, so sharing across threads or analyses is safe.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat, starmap
 from math import gcd
 from operator import itemgetter
 
@@ -70,8 +78,10 @@ from .perms import Permutation
 
 
 def _mult(a, b):
-    # left-to-right product of 0-based image tuples
-    return tuple(map(b.__getitem__, a))
+    # left-to-right product of 0-based image tuples: b read at the points of
+    # a, one C call; a group of degree 1 has no product to take, so a holds
+    # two or more points and the getter returns a tuple
+    return itemgetter(*a)(b)
 
 
 def _inv(a):
@@ -97,11 +107,12 @@ _POINTS = bytes(range(256))
 
 
 class _Tables:
-    """The element form of degree <= 256: the image tuple as bytes, then the
-    fixed points degree..255.  ``a.translate(b)`` is a * b, the table maps
-    each point of a through b; ``maketrans(a, points)`` sends a's image of i
-    back to i, so it is a^-1; and ``t.translate`` multiplies by t on the
-    left."""
+    """The element form of degree <= 256.  A listed element is its image
+    tuple as ``degree`` bytes; a generator, a chain element or a coset
+    representative is a 256-byte table, those bytes and then the fixed
+    points degree..255.  ``a.translate(b)`` is a * b, a's points mapped
+    through the table b, so it is a table or a listed element as a is;
+    ``maketrans(a, points)`` sends a's image of i back to i, so it is a^-1."""
 
     def __init__(self, degree):
         self.identity = _POINTS
@@ -111,9 +122,10 @@ class _Tables:
     def pack(self, t):
         return bytes(t) + self._fixed
 
-    def unpack(self, a):
-        return tuple(a[: self._degree])
+    def element(self, a):
+        return a[: self._degree]
 
+    unpack = tuple
     mul = staticmethod(bytes.translate)
 
     @staticmethod
@@ -121,13 +133,15 @@ class _Tables:
         return bytes.maketrans(a, _POINTS)
 
     @staticmethod
-    def left(t):
-        return t.translate
+    def right(sub):
+        """t -> h * t for every listed h in ``sub``, t a table: one C call
+        per element."""
+        return lambda t: map(bytes.translate, sub, repeat(t))
 
 
 class _Tuples:
-    """The element form above degree 256: 0-based image tuples; ``left(t)``
-    reads its argument at the points of t, which is t * h."""
+    """The element form above degree 256: 0-based image tuples, listed
+    elements included."""
 
     def __init__(self, degree):
         self.identity = tuple(range(degree))
@@ -136,10 +150,16 @@ class _Tuples:
     def pack(t):
         return t
 
-    unpack = pack
+    element = unpack = pack
     mul = staticmethod(_mult)
     inv = staticmethod(_inv)
-    left = staticmethod(_getter)
+
+    @staticmethod
+    def right(sub):
+        """t -> h * t for every h in ``sub``: h's getter reads t at the
+        points of h, one C call per element."""
+        getters = list(starmap(itemgetter, sub))
+        return lambda t: map(itemgetter.__call__, getters, repeat(t))
 
 
 def _form(degree):
@@ -308,11 +328,13 @@ class Group:
         """List the elements coset by coset (Dimino), sort them and key them.
 
         With H = <g_1..g_{k-1}> listed, a generator g_k already in H is
-        skipped; otherwise K = <H, g_k> is the union of the left cosets tH
-        reached from H under left multiplication by g_1..g_k, and each new
-        coset is H multiplied on the left by t in the group's element form,
-        one C call per element.  The walk uses the generators only, so its
-        size is checked against the chain order.
+        skipped; otherwise K = <H, g_k> is the union of the right cosets Ht
+        reached from H under right multiplication by g_1..g_k.  The
+        representatives t are kept in the group's form (256-byte tables at
+        degree <= 256) and each new coset is H times t, one C call per
+        element; the listed elements themselves are only ``degree`` bytes
+        (or tuples).  The walk uses the generators only, so its size is
+        checked against the chain order.
         """
         if self._elts0 is not None:
             return
@@ -321,20 +343,19 @@ class Group:
             raise CapExceeded("element enumeration", f"order {self._order} > {cap}")
         form = self._form
         identity = form.identity
-        seen = {identity}
+        seen = {form.element(identity)}
         gens = self._gens
         for k, g in enumerate(gens):
-            if g in seen:
+            if form.element(g) in seen:
                 continue
-            sub = tuple(seen)
-            left = [form.left(s) for s in gens[: k + 1]]
+            coset = form.right(tuple(seen))
             reps = [identity]
             for r in reps:
-                for s in left:
-                    t = s(r)  # s * r
-                    if t not in seen:
+                for s in gens[: k + 1]:
+                    t = form.mul(r, s)
+                    if form.element(t) not in seen:
                         reps.append(t)
-                        seen.update(map(form.left(t), sub))
+                        seen.update(coset(t))
         if len(seen) != self._order:
             raise RuntimeError(
                 f"stabilizer chain order {self._order} != closure size {len(seen)}"
@@ -358,8 +379,7 @@ class Group:
     def elements(self):
         """All elements, sorted by image tuple; requires order <= element cap."""
         self._materialize()
-        unpack = self._form.unpack
-        return tuple(Permutation._from0(unpack(t)) for t in self._elts0)
+        return tuple(map(Permutation._from0, map(self._form.unpack, self._elts0)))
 
     @property
     def identity_idx(self):
@@ -373,7 +393,7 @@ class Group:
         t = perm._t
         if len(t) == self.degree:
             idx = self._by_bimg.get(self._read_base(t))
-            if idx is not None and self._elts0[idx] == self._form.pack(t):
+            if idx is not None and self._form.unpack(self._elts0[idx]) == t:
                 return idx
         raise ValueError(f"{perm} is not a member")
 
@@ -406,35 +426,16 @@ class Group:
         return result
 
     def inv_idx(self, i):
-        """Index of x_i^-1, from ``_order_list``."""
+        """Index of x_i^-1, carried by ``conjugacy_classes_idx``."""
         if self._invs is None:
-            self._order_list()
+            self.conjugacy_classes_idx()
         return self._invs[i]
 
     def _order_list(self):
-        """The element orders by index, computed once with the inverses: for
-        each x whose order is not known yet, walk x, x^2, ..., x^m = 1, one
-        key read per step; then x^k has order m / gcd(k, m) and inverse
-        x^(m-k)."""
+        """The element orders by index, carried by ``conjugacy_classes_idx``:
+        an element's order is a class function."""
         if self._orders is None:
-            self._materialize()
-            elts, keys, by = self._elts0, self._keys, self._by_bimg
-            identity = self._identity_idx
-            orders = [0] * self._order
-            invs = [0] * self._order
-            for x in range(self._order):
-                if orders[x]:
-                    continue
-                key, powers, y = keys[x], [x], x
-                while y != identity:
-                    y = by[key(elts[y])]  # x * y
-                    powers.append(y)
-                m = len(powers)
-                for k, y in enumerate(powers, 1):
-                    orders[y] = m // gcd(k, m)
-                    invs[y] = powers[m - k - 1]  # x^(m-k), and x^0 = x^m
-            self._orders = tuple(orders)
-            self._invs = invs
+            self.conjugacy_classes_idx()
         return self._orders
 
     def order_of_idx(self, i):
@@ -469,31 +470,47 @@ class Group:
         return self._conj_maps
 
     def conjugacy_classes_idx(self):
-        """Element conjugacy classes as sorted tuples of indices."""
+        """Element conjugacy classes as sorted tuples of indices, with the
+        element orders and inverses.
+
+        Each class is a breadth-first orbit along the generators'
+        ``conj_maps()``, from its least index x.  Only x walks its powers x,
+        x^2, ..., x^m = 1, one key read per step, for its order m and its
+        inverse x^(m-1).  Conjugation keeps the order and commutes with
+        inversion, (x^g)^-1 = (x^-1)^g, so the step to y = x^g gives y the
+        order of x and the inverse m[inv(x)] along the same map.
+        """
         if self._classes is None:
             self._materialize()
             maps = self.conj_maps()
+            elts, keys, by = self._elts0, self._keys, self._by_bimg
+            identity = self._identity_idx
             n = self._order
             class_of = [-1] * n
+            orders = [0] * n
+            invs = [0] * n
             classes = []
             for i in range(n):
                 if class_of[i] >= 0:
                     continue
+                key, y, prev, order = keys[i], i, i, 1
+                while y != identity:
+                    prev, y = y, by[key(elts[y])]  # x * y
+                    order += 1
                 cid = len(classes)
                 orbit = [i]
-                class_of[i] = cid
-                k = 0
-                while k < len(orbit):
-                    x = orbit[k]
-                    k += 1
+                class_of[i], orders[i], invs[i] = cid, order, prev
+                for x in orbit:
                     for m in maps:
                         y = m[x]
                         if class_of[y] < 0:
-                            class_of[y] = cid
+                            class_of[y], orders[y], invs[y] = cid, order, m[invs[x]]
                             orbit.append(y)
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
             self._class_of = class_of
+            self._orders = tuple(orders)
+            self._invs = invs
         return self._classes
 
     def rational_classes(self):
@@ -715,8 +732,15 @@ class Subgroup:
         return self._abelian
 
     def is_cyclic(self):
-        orders = self.parent.order_of_idx
-        return any(orders(i) == self.order for i in self.indices)
+        """Holding an element of the subgroup's order, in one C-level scan;
+        a subgroup already known to be non-abelian is not cyclic without it.
+        The abelian test is not run for this: it costs products, and
+        closures for a subgroup without generators, where the scan costs
+        neither."""
+        if self._abelian is False:
+            return False
+        orders = self.parent._order_list()
+        return self.order in map(orders.__getitem__, self.indices)
 
     def element_order_counter(self):
         return Counter(map(self.parent._order_list().__getitem__, self.indices))

@@ -10,7 +10,6 @@ mathematical discovery; failures therefore carry re-verifiable witnesses.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from math import gcd
@@ -411,6 +410,10 @@ def analyze_corpus(manifest, jobs=1):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         return [analyze_entry(e) for e in manifest.entries]
+    # imported here: the pool loads multiprocessing, which a serial run
+    # never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     args = [(e.name, e.full_cap) for e in manifest.entries]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_worker, args))

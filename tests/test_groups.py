@@ -799,19 +799,59 @@ def _assert_rejects_base_twins(g):
             g.index_of(y)
 
 
+def _cycle(n):
+    return Group([Permutation._from0((*range(1, n), 0))], degree=n)
+
+
 _ORDER_BUILDS = {
     "E32x(C31xC5)-relabelled": lambda: relabelled(construct("E32x(C31xC5)")),
     "SL2(3)-redundant": lambda: _redundant("SL2(3)"),
+    "Cyclic(1)": lambda: construct("Cyclic(1)"),
+    "cycle-256": lambda: _cycle(256),
+    "cycle-257": lambda: _cycle(257),
 }
 
 
 @pytest.mark.parametrize("name", (*KEY_GROUPS, "M11", "SL2(13)", *_ORDER_BUILDS))
 def test_order_of_idx_matches_permutation_order(name):
-    # the cyclic-power walk against Permutation.order, element by element
-    g = _ORDER_BUILDS.get(name, lambda: construct(name))()
-    assert [g.order_of_idx(i) for i in range(g.order())] == [
-        x.order() for x in g.elements()
-    ]
+    # the orders and inverses the class walk carries, asked for first,
+    # against Permutation.order and Permutation.inverse
+    _assert_orders_and_inverses(_ORDER_BUILDS.get(name, lambda: construct(name))())
+
+
+@pytest.mark.parametrize("name", ["SL2(3)-redundant", "E32x(C31xC5)-relabelled"])
+def test_tuple_form_orders_and_inverses(monkeypatch, name):
+    _assert_orders_and_inverses(_in_tuples(monkeypatch, _ORDER_BUILDS[name]()))
+
+
+def _assert_orders_and_inverses(g):
+    assert g._classes is None
+    orders = [g.order_of_idx(i) for i in range(g.order())]
+    elts = g.elements()
+    assert orders == [x.order() for x in elts]
+    index = {x: i for i, x in enumerate(elts)}
+    assert [g.inv_idx(i) for i in range(g.order())] == [index[x.inverse()] for x in elts]
+
+
+@pytest.mark.parametrize("name", ["Cyclic(1)", "Symmetric(4)", "M11", "E32x(C31xC5)"])
+def test_listed_elements_take_degree_bytes(name):
+    # only generators, the chain and coset representatives are 256-byte tables
+    g = construct(name)
+    assert g.degree < 256
+    g._materialize()
+    assert all(type(x) is bytes and len(x) == g.degree for x in g._elts0)
+    assert all(len(t) == 256 for t in g._gens)
+
+
+@pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)", "Q8xC3"])
+def test_is_cyclic_matches_brute_force(name):
+    g = construct(name)
+    for cls in all_subgroup_classes(g):
+        sub = cls.representative
+        brute = any(x.order() == sub.order for x in sub.elements())
+        assert sub.is_cyclic() == brute
+        sub.is_abelian()  # known from here on
+        assert sub.is_cyclic() == brute
 
 
 def _redundant(name):

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass, replace
 
@@ -373,6 +376,26 @@ def test_parallel_analysis_matches_serial(records):
     serial_doc = report_document(records, run_checks(records))
     parallel_doc = report_document(parallel, run_checks(parallel))
     assert serial_doc == parallel_doc
+
+
+_COLD_START = """
+import sys
+from subconj import harness
+assert "concurrent.futures.process" not in sys.modules
+manifest = harness.CorpusManifest([harness.CorpusEntry("Symmetric(4)"), harness.CorpusEntry("SL2(3)")])
+serial = harness.analyze_corpus(manifest)
+assert "concurrent.futures.process" not in sys.modules
+assert harness.analyze_corpus(manifest, jobs=2) == serial
+"""
+
+
+def test_a_serial_process_never_loads_the_pool():
+    # importing the pool loads multiprocessing, a cost a serial run skips
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cap_error_names_the_entry_and_pickles():
