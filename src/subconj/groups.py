@@ -28,8 +28,13 @@ group's empty base; ``_getter`` makes every key of a group, so all share one
 shape.  The group keeps one getter per element, over x_i's base image: the
 key of x_i * x_j is x_j read at those k points, so every product is one C
 call and one dict read, where a whole image tuple costs one lookup per point
-of the degree.  ``mul_idx``, ``right_coset`` and ``closure_idx`` all read
-products this way.
+of the degree.  ``mul_idx``, ``left_coset`` and ``closure_idx`` all read
+products this way; ``left_coset`` reads x_j * x_h for a whole index list in
+one C-level map chain.  A conjugate x^g is keyed by g(x(g^-1(b))) over the
+base points b: ``conj_maps`` reads the points x(g^-1(b)) of every element at
+once, as strided columns of one flat buffer of the listed elements, and
+passes each column through g's table; ``conjugator`` does the same one
+element at a time, x * g read at the points g^-1(b).
 
 Subgroups are closed coset by coset (Dimino), both the element list of the
 group and every ``closure_idx``: adjoining x to a closed subgroup K walks one
@@ -69,7 +74,7 @@ afterwards, so sharing across threads or analyses is safe.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from math import gcd
 from operator import itemgetter
 
@@ -127,6 +132,7 @@ class _Tables:
 
     unpack = tuple
     mul = staticmethod(bytes.translate)
+    flat = b"".join
 
     @staticmethod
     def inv(a):
@@ -153,6 +159,10 @@ class _Tuples:
     element = unpack = pack
     mul = staticmethod(_mult)
     inv = staticmethod(_inv)
+
+    @staticmethod
+    def flat(elts):
+        return tuple(chain.from_iterable(elts))
 
     @staticmethod
     def right(sub):
@@ -370,8 +380,13 @@ class Group:
             raise RuntimeError(
                 f"base images separate {len(by_bimg)} of {self._order} elements"
             )
-        # a one-point base keys by the bare point, which itemgetter takes as is
-        self._keys = list(map(itemgetter if len(self._base) == 1 else _getter, bimgs))
+        # a one-point base keys by the bare point, which itemgetter takes as
+        # is; a longer one by a tuple, unpacked by starmap in the same C loop
+        k = len(self._base)
+        if k > 1:
+            self._keys = list(starmap(itemgetter, bimgs))
+        else:
+            self._keys = list(map(itemgetter if k else _getter, bimgs))
         self._by_bimg = by_bimg
         self._identity_idx = by_bimg[read_base(identity)]
         self._elts0 = elts
@@ -409,11 +424,12 @@ class Group:
             keys = self._keys
         return self._by_bimg[keys[i](self._elts0[j])]
 
-    def right_coset(self, indices, j):
-        """The indices of x_h * x_j for h in ``indices``, in that order."""
+    def left_coset(self, j, indices):
+        """The indices of x_j * x_h for h in ``indices``, in that order: each
+        x_h read at x_j's base image, in one C-level map chain."""
         self._materialize()
-        by, keys, t = self._by_bimg, self._keys, self._elts0[j]
-        return [by[keys[h](t)] for h in indices]
+        elts = map(self._elts0.__getitem__, indices)
+        return list(map(self._by_bimg.__getitem__, map(self._keys[j], elts)))
 
     def pow_idx(self, i, k):
         """Index of x_i ** k for k >= 0, by square-and-multiply."""
@@ -455,19 +471,35 @@ class Group:
     def conj_maps(self):
         """Per generator g, the index map i -> index of g^-1 * x_i * g.
 
-        g^-1 * x sends a base point b to x(g^-1(b)), so its key reads x at the
-        k points g^-1(b) only; the key of (g^-1 * x) * g is then g read at the
-        base image of g^-1 * x, through that element's product getter.
+        x^g = g^-1 * x * g sends a base point b to g(x(g^-1(b))).  The
+        listed elements are joined into one flat buffer, n * degree points,
+        so x_i(q) for every i is the strided column flat[q::degree]; that
+        column at q = g^-1(b), passed through g in one C call, is the b part
+        of every key at once.  The parts zipped over the base points are the
+        keys, one dict read per element.
         """
         if self._conj_maps is None:
             self._materialize()
-            by, keys = self._by_bimg, self._keys
+            form, d = self._form, self.degree
+            flat = form.flat(self._elts0)
             maps = []
             for gt in self._gens:
-                pre = _getter(tuple(map(gt.index, self._base)))  # g^-1(b) per b
-                maps.append([by[keys[by[pre(t)]](gt)] for t in self._elts0])
+                cols = [form.mul(flat[gt.index(b) :: d], gt) for b in self._base]
+                keys = cols[0] if len(cols) == 1 else zip(*cols)
+                maps.append(list(map(self._by_bimg.__getitem__, keys)))
             self._conj_maps = maps
         return self._conj_maps
+
+    def conjugator(self, g):
+        """The index map x -> index of x_g^-1 * x * x_g, one element at a
+        time: x * x_g is one product with g's table, and the key of x^g is
+        that read at the points g^-1(b), b in the base (see ``conj_maps``)."""
+        self._materialize()
+        form, elts, by = self._form, self._elts0, self._by_bimg
+        gt = form.pack(elts[g])
+        pre = _getter(tuple(map(gt.index, self._base)))
+        mul = form.mul
+        return lambda x: by[pre(mul(elts[x], gt))]
 
     def conjugacy_classes_idx(self):
         """Element conjugacy classes as sorted tuples of indices, with the
@@ -902,7 +934,7 @@ def _coset_images(group, normal_sub):
             c = label[t]
             if c < 0:
                 c = len(reps)
-                for x in group.right_coset(nset, t):
+                for x in group.left_coset(t, nset):  # N normal: Nt = tN
                     label[x] = c
                 reps.append(t)
             images[gpos].append(c)

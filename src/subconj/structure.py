@@ -11,7 +11,7 @@ from itertools import compress
 
 from .caps import CapExceeded
 from .fields import is_prime
-from .groups import center, extend_homomorphism, is_normal, normalizer
+from .groups import Subgroup, center, extend_homomorphism, is_normal, normalizer
 
 
 def prime_factors(n):
@@ -38,15 +38,17 @@ def p_part(n, p):
 
 
 def derived_subgroup(group, sub=None):
-    """[H, H] for a normal subgroup handle (the whole group when omitted).
+    """[H, H] for a normal subgroup handle; G', read off the kept
+    ``derived_series``, when it is omitted.
 
     H must be normal in G, as every term of the derived series is: then
     [H, H] is normal in G too, so it is the normal closure in G of the
     commutators of H's generators.
     """
     if sub is None:
-        sub = group.full_subgroup()
-    elif not is_normal(group, sub):
+        series = derived_series(group)
+        return series[1] if len(series) > 1 else series[0]
+    if not is_normal(group, sub):
         raise ValueError("derived_subgroup needs a normal subgroup")
     gens = sub.gens_idx()
     mul = group.mul_idx
@@ -56,15 +58,23 @@ def derived_subgroup(group, sub=None):
 
 
 def derived_series(group):
-    """G >= G' >= G'' >= ... until the series stabilizes."""
-    series = [group.full_subgroup()]
-    while True:
-        nxt = derived_subgroup(group, series[-1])
-        if nxt.order == series[-1].order:
-            return series
-        series.append(nxt)
-        if nxt.order == 1:
-            return series
+    """G >= G' >= G'' >= ... until the series stabilizes, as a tuple.
+
+    It is computed once per group and kept in ``group.analysis_cache`` as
+    (indices, generators) pairs, which do not refer back to the group, so a
+    group built for one comparison is freed without the cyclic collector.
+    """
+    kept = group.analysis_cache.get("derived series")
+    if kept is None:
+        series = [group.full_subgroup()]
+        while series[-1].order > 1:
+            nxt = derived_subgroup(group, series[-1])
+            if nxt.order == series[-1].order:
+                break
+            series.append(nxt)
+        kept = tuple((s.indices, s.gens_idx()) for s in series)
+        group.analysis_cache["derived series"] = kept
+    return tuple(Subgroup(group, indices, gens) for indices, gens in kept)
 
 
 def is_solvable(group):
@@ -152,7 +162,8 @@ def normal_subgroups(group):
     one normal closure, so it is computed once per rational class (see
     ``Group.rational_classes``), from its least element, with a generating
     set, and the lattice is grown from the trivial subgroup by joining N
-    with M's generators: a plain closure, with no normality check.
+    with M's generators: a plain closure, with no normality check, and none
+    at all when N lies inside M, where NM = M.
     """
     closures = {}  # normal closure's indices -> the closure
     for x in _rational_reps(group):
@@ -166,7 +177,10 @@ def normal_subgroups(group):
         for m in closures.values():
             if m.indices <= current.indices:
                 continue
-            bigger = current.join(m.gens_idx())
+            if current.indices < m.indices:
+                bigger = m
+            else:
+                bigger = current.join(m.gens_idx())
             if bigger.indices not in found:
                 found[bigger.indices] = bigger
                 queue.append(bigger)

@@ -9,7 +9,7 @@ which makes reports reproducible.
 Both enumerators share one cyclic-extension walk (Neubueser 1960; Cannon, Cox
 & Holt, JSC 2001).  Starting from the trivial class, each representative H is
 extended to <H, x> by single elements x, one per orbit of N_G(H) acting by
-conjugation on the right cosets Hx: every element of a coset gives the same
+conjugation on the left cosets xH: every element of a coset gives the same
 extension, and conjugate cosets give conjugate extensions.  The cosets of
 the powers x^k with k prime to |x| give <H, x> again and are marked with x's
 orbit, so each cyclic subgroup <x> is tried once, not once per generator.
@@ -109,23 +109,19 @@ class _OrbitRegistry:
         return cid, True
 
 
-def _conjugator(group, g):
-    """The index map x -> g^-1 * x * g, evaluated on demand."""
-    gi, mul = group.inv_idx(g), group.mul_idx
-    return lambda x: mul(mul(gi, x), g)
-
-
 def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
-    """One x per orbit of N = N_G(H) on the right cosets Hx of H, in index
+    """One x per orbit of N = N_G(H) on the left cosets xH of H, in index
     order, skipping x with ``wanted(H, x)`` false; x runs over G, or over N
     alone when ``in_normalizer``.  The walks call it for H > 1 only: for the
     trivial H these orbits are the rational classes of the elements, which
     the group keeps (``Group.rational_classes``).
 
-    For g in N, (Hx)^g = H x^g and <H, x^g> = <H, x>^g, and <H, h x^k> =
+    For g in N, (xH)^g = x^g H and <H, x^g> = <H, x>^g, and <H, x^k h> =
     <H, x> for h in H and k prime to |x|, since x^k generates <x>; so once x
-    is yielded, the N-orbits of the cosets H x^k add only conjugates of
-    <H, x> and are marked as a whole.  |N| = |G| / ``orbit_size``
+    is yielded, the N-orbits of the cosets x^k H add only conjugates of
+    <H, x> and are marked as a whole, each coset by one ``left_coset`` call
+    and each conjugation by the generator's map or ``Group.conjugator``.
+    |N| = |G| / ``orbit_size``
     (the number of conjugates of H): N = G when that is |G|, N = H when it is
     |H|, and only otherwise is N computed.
     """
@@ -137,12 +133,12 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
     elif n == orbit_size * len(hset):
         if in_normalizer:
             return
-        conj = [_conjugator(group, g) for g in rep.gens_idx()]
+        conj = list(map(group.conjugator, rep.gens_idx()))
     else:
         nz = normalizer(group, rep)
         if nz.order * orbit_size != n:  # pragma: no cover - internal check
             raise RuntimeError("normaliser order disagrees with the orbit size")
-        conj = [_conjugator(group, g) for g in nz.gens_idx()]
+        conj = list(map(group.conjugator, nz.gens_idx()))
         if in_normalizer:
             domain = sorted(nz.indices)
     covered = bytearray(n)
@@ -153,7 +149,7 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
         if covered[x] or not wanted(hset, x):
             continue
         yield x
-        # H x^k depends on k mod j, the least j with x^j in H (j divides |x|),
+        # x^k H depends on k mod j, the least j with x^j in H (j divides |x|),
         # and k prime to |x| meets exactly the residues prime to j (CRT)
         powers = [x]
         for _ in range(2, group.order_of_idx(x)):
@@ -168,7 +164,7 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
                 covered[y] = 1
                 orbit.append(y)
         for y in orbit:
-            for h in group.right_coset(hset, y):
+            for h in group.left_coset(y, hset):
                 covered[h] = 1
             for c in conj:
                 z = c(y)
@@ -215,7 +211,7 @@ class _GradedWalk:
                 self.extended += 1
                 rep = c.representative
                 if rep.order == 1:
-                    # for H = 1 the orbit of the cosets H x^k is x's rational
+                    # for H = 1 the orbit of the cosets x^k H is x's rational
                     # class, and both walks want an x by its order alone
                     hset = rep.indices
                     xs = [x for x in _rational_reps(group) if self.wanted(hset, x)]
@@ -275,7 +271,7 @@ def p_subgroup_classes(group, p, max_order=None):
     p^k extended by a p-element x of N_G(H) with x^p in H; completeness rests
     on maximal subgroups of p-groups being normal.  The walk starts at the
     trivial class, whose extensions are the subgroups of order p, and takes
-    one x per N_G(H)-orbit of the cosets Hx inside N_G(H) (see
+    one x per N_G(H)-orbit of the cosets xH inside N_G(H) (see
     ``_coset_orbit_reps``).  The trivial class is not returned.
 
     The walk is graded and resumable like that of ``all_subgroup_classes``:
@@ -311,7 +307,7 @@ def all_subgroup_classes(group, max_order=None):
     prime-power element at a time through conjugates of known classes, the
     walk is complete.  Representatives are extended by all such elements, not
     only those of N_G(H), so perfect subgroups are found too (a pure
-    normalizer-driven cyclic extension would miss them).  Of the cosets Hx,
+    normalizer-driven cyclic extension would miss them).  Of the cosets xH,
     one per N_G(H)-orbit is tried: a coset and its conjugates under N_G(H)
     give conjugate extensions (see ``_coset_orbit_reps``).
 

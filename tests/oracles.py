@@ -103,7 +103,7 @@ def min_key_quotient_images(group, normal_sub):
     for r in reps:
         for gpos, g in enumerate(gen_idx):
             t = group.mul_idx(r, g)
-            key = min(group.right_coset(nset, t))
+            key = min(group.mul_idx(h, t) for h in nset)
             if key not in coset_id:
                 coset_id[key] = len(reps)
                 reps.append(t)
@@ -360,7 +360,7 @@ def unpruned_all_subgroup_classes(group):
             new_cid, new = registry.classify(key)
             if new:
                 queue.append(new_cid)
-            covered.update(group.right_coset(rep.indices, x))
+            covered.update(group.mul_idx(h, x) for h in rep.indices)
     return _registered_classes(registry)
 
 

@@ -5,6 +5,7 @@ see them live).  Group-theoretic assertions are exact; the only tolerances are
 the wall-clock budgets stated inline.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,18 +231,26 @@ def test_criterion_10_m11():
     )
 
 
+# sha256 of the default ``corpus run --json`` report; a deliberate change to
+# the report updates it and says so
+REPORT_SHA256 = "0ad935c2f8496f22fd6d64f735df52c03a987e356638f6470628dd346d34e575"
+
+
 def test_criterion_11_determinism(tmp_path):
     out1 = tmp_path / "run1.json"
     out2 = tmp_path / "run2.json"
-    for out in (out1, out2):
+    for out, jobs in ((out1, []), (out2, ["--jobs", "2"])):
         proc = subprocess.run(
-            [sys.executable, "-m", "subconj.cli", "corpus", "run", "--json", str(out)],
+            [sys.executable, "-m", "subconj.cli", "corpus", "run", "--json", str(out)]
+            + jobs,
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
     b1 = out1.read_bytes()
     b2 = out2.read_bytes()
+    assert hashlib.sha256(b1).hexdigest() == REPORT_SHA256
+    assert hashlib.sha256(b2).hexdigest() == REPORT_SHA256
     ok = b1 == b2 and len(b1) > 0
     doc = json.loads(b1)
     ok = ok and {c["id"]: c["status"] for c in doc["checks"]} and all(

@@ -463,7 +463,7 @@ def test_products_match_permutation_products(key_groups, name, a, b):
     g = key_groups[name]
     i, j = a % g.order(), b % g.order()
     product = g.index_of(g.perm_at(i) * g.perm_at(j))
-    assert g.mul_idx(i, j) == g.right_coset([i], j)[0] == product
+    assert g.mul_idx(i, j) == g.left_coset(i, [j])[0] == product
 
 
 @pytest.mark.parametrize("name", KEY_GROUPS)
@@ -767,8 +767,11 @@ def test_base_image_keys_match_full_image_tuples(name, reverse, relabel):
         assert g.mul_idx(i, j) == full[product]
         assert g.index_of(product) == full[product]
     for j in sorted({j for _, j in pairs[:: max(1, len(pairs) // 8)]}):
-        coset = [full[x * elts[j]] for x in elts]
-        assert g.right_coset(range(n), j) == coset
+        coset = [full[elts[j] * x] for x in elts]
+        assert g.left_coset(j, range(n)) == coset
+        conj = g.conjugator(j)
+        ji = elts[j].inverse()
+        assert [conj(y) for y in range(n)] == [full[ji * y * elts[j]] for y in elts]
     maps = g.conj_maps()
     for k, x in enumerate(g.generators):
         xi = x.inverse()
@@ -893,6 +896,11 @@ def test_byte_tables_and_tuples_list_the_same_group(monkeypatch, name):
     tuples = _in_tuples(monkeypatch, tables)
     assert tuples._base == tables._base
     assert tuples.elements() == tables.elements()
+    assert tuples.conj_maps() == tables.conj_maps()
+    for j in (1, tables.order() // 2):
+        assert list(map(tuples.conjugator(j), range(tables.order()))) == list(
+            map(tables.conjugator(j), range(tables.order()))
+        )
     assert tuples.conjugacy_classes_idx() == tables.conjugacy_classes_idx()
     assert tuples.rational_classes() == tables.rational_classes()
 

@@ -259,6 +259,28 @@ def test_e32_entry_builds_its_group_once(monkeypatch):
     assert record.facts["o2prime_quotient"]["level"] == "fingerprint"
 
 
+def test_e32_entry_computes_its_derived_series_once(monkeypatch):
+    # is_solvable, derived_subgroup(group) and structural_fingerprint read
+    # the series off the group's analysis_cache, so each step of the series
+    # is one commutator closure
+    computed = []
+    derived = structure.derived_subgroup
+
+    def recording(group, sub=None):
+        if sub is not None:
+            computed.append(group)
+        return derived(group, sub)
+
+    monkeypatch.setattr(structure, "derived_subgroup", recording)
+    monkeypatch.setattr(harness, "derived_subgroup", recording)
+    record = analyze_entry(CorpusEntry("E32x(C31xC5)"))
+    assert record.solvable
+    group = computed[0]
+    series = structure.derived_series(group)
+    assert [s.order for s in series] == [4960, 992, 32, 1]
+    assert computed == [group] * (len(series) - 1)
+
+
 @pytest.mark.parametrize(
     "name",
     ["Dihedral(15)", "Cyclic(30)", "E25xSL(2,3)", "Alternating(4)*Cyclic(5)"],
