@@ -30,6 +30,24 @@ def is_prime(n):
     return True
 
 
+def prime_powers(n):
+    """{p: e} for the prime powers p^e exactly dividing n, primes ascending,
+    by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def gf_tables(q):
     """``(add, mul)`` of GF(q): ``add[a][b]`` is a+b and ``mul[a][b]`` is a*b.

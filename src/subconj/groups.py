@@ -59,10 +59,18 @@ number over all of Nt.
 One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
 the conjugacy test and the subgroup-class registry all read it.
 
-Exact shortcuts replace whole-group scans.  By Lagrange's theorem, that the
-order of a subgroup divides the order of the group, a subgroup with more than
-half the elements is the whole group, so a closure stops as soon as it passes
-n/2.  And the normaliser comes from orbit-stabiliser: the walk over the
+Exact shortcuts replace whole-group scans.  A closure stops as soon as its
+members pass the largest order a proper subgroup can have, and returns the
+group's one kept set of all n indices.  By Lagrange's theorem, that the order
+of a subgroup divides the order of the group, that order is at most n/2, and
+the closures read n/2 until the conjugacy classes are built.  The classes
+give a smaller bound: a proper subgroup K of index m acts on its cosets, so
+G/core_G(K) embeds in S_m, and the core is a proper normal subgroup, a union
+of classes whose order d divides n and exceeds by one a sum of non-identity
+class sizes.  So n/d divides m!, m is at least the least mu(n/d) with
+n/d | mu(n/d)!, and |K| is at most the largest divisor of n not above n/m
+(Holt, Eick & O'Brien 2005): 60 for PSL2(11), where n/2 = 330.  And the
+normaliser comes from orbit-stabiliser: the walk over the
 conjugates of H gives |N_G(H)| = |G| / their number, and Schreier
 generators are added until that order is reached, without a scan of G.
 
@@ -79,6 +87,7 @@ from math import gcd
 from operator import itemgetter
 
 from .caps import CapExceeded, default_caps
+from .fields import prime_powers
 from .perms import Permutation
 
 
@@ -94,6 +103,62 @@ def _inv(a):
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
+
+
+def _least_factorial_multiple(k):
+    """mu(k), the least m with k | m!: over the p^e exactly dividing k, the
+    largest of the least multiples m of p whose m! holds p at least e times.
+    The exponent of p in m! is the sum of its exponents in 1..m (Legendre),
+    so m steps through p, 2p, ... adding each step's; no factorial is
+    formed."""
+    mu = 1
+    for p, e in prime_powers(k).items():
+        m = v = 0
+        while v < e:
+            m += p
+            q = m
+            while q % p == 0:
+                q //= p
+                v += 1
+        mu = max(mu, m)
+    return mu
+
+
+def _proper_subgroup_bound(n, sizes):
+    """The largest order a proper subgroup of a group of order n can have,
+    given the sizes of its non-identity conjugacy classes (0 for n = 1).
+
+    A normal subgroup is the identity and a union of classes, so its order d
+    is one more than a sum of some of ``sizes``; those sums are the bits of
+    one int, each run of c equal sizes added in chunks 1, 2, 4, ... of it.
+    The core of a proper subgroup K of index m is a proper normal subgroup of
+    some such order d, and G/core embeds in S_m, so m >= mu(n/d).  Each
+    mu(n/d) is at least the least prime p of n, so where an order n/p is
+    reachable the bound is n/p with no mu to compute."""
+    if n == 1:
+        return 0
+    mask = (1 << n) - 1
+    reach = 1  # bit s: some classes hold s elements together
+    for size, count in Counter(sizes).items():
+        chunk = 1
+        while count:
+            take = min(chunk, count)
+            reach = (reach | reach << size * take) & mask
+            count -= take
+            chunk *= 2
+    powers = prime_powers(n)
+    least = min(powers)
+    if reach >> (n // least - 1) & 1:
+        return n // least
+    divisors = [1]
+    for p, e in powers.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    m = min(
+        _least_factorial_multiple(n // d)
+        for d in divisors
+        if d < n and reach >> (d - 1) & 1
+    )
+    return max(d for d in divisors if d * m <= n)
 
 
 def _no_points(t):
@@ -313,6 +378,8 @@ class Group:
         self._classes = None
         self._class_of = None
         self._rational = None
+        self._proper_max = None
+        self._whole = None
         # subgroup-class enumerations, the resumable subgroup walk, Sylow
         # subgroups, the witness pairs proved non-conjugate and the quotients
         # G/N, so each lives as long as the group
@@ -540,6 +607,9 @@ class Group:
                             orbit.append(y)
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
+            self._proper_max = _proper_subgroup_bound(
+                n, [len(c) for c in classes if c[0] != identity]
+            )
             self._class_of = class_of
             self._orders = tuple(orders)
             self._invs = invs
@@ -616,10 +686,13 @@ class Group:
         through t's getter in one C-level pass.  That is |H : K| reads per
         generator, not |H|.
 
-        By Lagrange a subgroup with more than n/2 elements is the whole group,
-        so the walk stops once the members pass that size.  The test is
-        strict: an index-2 subgroup has exactly n/2 elements and closes
-        normally.
+        A subgroup with more elements than the largest proper subgroup can
+        have is the whole group, so the walk stops once the members pass that
+        order: the bound read off the conjugacy classes once they are built,
+        n/2 (Lagrange) until then; a closure never builds them.  The test is
+        strict: a subgroup of exactly that order, such as one of index 2,
+        closes normally.  A closure that reaches the whole group returns the
+        group's one kept set of all indices.
         """
         self._materialize()
         elts, keys, by = self._elts0, self._keys, self._by_bimg
@@ -628,7 +701,9 @@ class Group:
             members, gens = {identity}, []
         else:
             members, gens = set(base.indices), list(base.gens_idx())
-        half = self._order // 2
+        bound = self._proper_max
+        if bound is None:
+            bound = self._order // 2
         for x in dict.fromkeys(seed):
             if x in members:
                 continue
@@ -648,9 +723,16 @@ class Group:
                         if t not in members:
                             reps.append(elts[t])
                             members.update(map(by.__getitem__, map(keys[t], sub)))
-                            if len(members) > half:
-                                return frozenset(range(self._order))
-        return frozenset(members)
+                            if len(members) > bound:
+                                return self._whole_set()
+        return self._whole_set() if len(members) > bound else frozenset(members)
+
+    def _whole_set(self):
+        """The index set of the whole group, one kept frozenset, so lookups
+        of it hash once and compare by identity."""
+        if self._whole is None:
+            self._whole = frozenset(range(self._order))
+        return self._whole
 
     def normal_closure_idx(self, seed):
         """Smallest normal subgroup of this group containing the seed indices.
@@ -699,7 +781,7 @@ class Group:
     def full_subgroup(self):
         gi = self.gen_indices()
         self._materialize()
-        return self.subgroup_from_indices(range(self._order), gi)
+        return self.subgroup_from_indices(self._whole_set(), gi)
 
     def __repr__(self):
         return f"Group(degree={self.degree}, order={self._order})"

@@ -10,23 +10,13 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .caps import CapExceeded
-from .fields import is_prime
+from .fields import is_prime, prime_powers
 from .groups import Subgroup, center, extend_homomorphism, is_normal, normalizer
 
 
 def prime_factors(n):
     """Ascending list of distinct primes dividing n."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return list(prime_powers(n))
 
 
 def p_part(n, p):

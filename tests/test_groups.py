@@ -1,4 +1,9 @@
 import random
+import sys
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +26,7 @@ from subconj import (
 )
 from subconj import groups as groups_module
 from subconj.caps import Caps
+from subconj.fields import is_prime
 from subconj.groups import _coset_images
 from subconj.harness import CorpusManifest, analyze_group
 from subconj.subgroups import all_subgroup_classes
@@ -639,6 +645,124 @@ def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
     monkeypatch.setattr(g, "_by_bimg", counted)
     assert g.closure_idx(gens) == frozenset(range(g.order()))
     assert 0 < counted.reads <= (g.order() // 2) * len(gens)
+
+
+def test_closure_idx_stops_past_the_largest_proper_subgroup_order():
+    # PSL2(11) has no proper subgroup above order 60 (n/2 = 330): a closure
+    # reads n/2 and builds no classes, and once they are built, closing the
+    # whole group stops just past 60 members, one read per product as above
+    g = _build("PSL2(11)")
+    gens = g.gen_indices()
+    whole = g.closure_idx(gens)
+    assert whole == frozenset(range(g.order()))
+    assert g._classes is None and g._proper_max is None
+    g.conjugacy_classes_idx()
+    assert g._proper_max == 60
+    counted = _CountingDict(g._by_bimg)
+    g._by_bimg = counted
+    assert g.closure_idx(gens) is whole
+    # 11 reads close <x> of order 11, and each new coset of it costs 11 more
+    # plus one per generator: 6 cosets pass 60, where n/2 takes 31 (382 reads)
+    assert 60 < counted.reads < 2 * 60
+    # every closure that reaches the group returns the one kept set
+    assert g.closure_idx(gens[::-1]) is whole is g.full_subgroup().indices
+
+
+@pytest.mark.parametrize("name", ["PSL2(11)", "SL2(7)"])
+def test_closure_idx_under_the_class_bound_matches_naive_closure(
+    monkeypatch, name
+):
+    # relabelled, every subgroup class grown by sampled outside elements:
+    # the same sets as the naive closure and as the walk that stops at n/2
+    g = relabelled(construct(name))
+    reps = [c.representative for c in all_subgroup_classes(g)]
+    n, bound = g.order(), g._proper_max
+    assert bound == {"PSL2(11)": 60, "SL2(7)": 48}[name] < n // 2
+    rng = random.Random(name)
+
+    def naive(seed):
+        perms = [g.perm_at(i) for i in seed]
+        return frozenset(map(g.index_of, naive_closure(perms, g.degree)))
+
+    grown = []
+    for rep in reps:
+        outside = [x for x in range(n) if x not in rep.indices]
+        for x in rng.sample(outside, min(4, len(outside))):
+            got = g.closure_idx([x], base=rep)
+            assert got == naive([*rep.gens_idx(), x])
+            grown.append((rep, x, got))
+    assert sum(len(got) == n for _, _, got in grown) > len(grown) // 2
+    monkeypatch.setattr(g, "_proper_max", n // 2)
+    for rep, x, got in grown:
+        assert g.closure_idx([x], base=rep) == got
+
+
+def _largest_proper_order(g):
+    return max(c.order for c in all_subgroup_classes(g) if c.order < g.order())
+
+
+def test_proper_subgroup_bound_is_sound_on_the_corpus():
+    # a divisor of n, at most n/2 and never below a proper subgroup order;
+    # 0 for the trivial group, which has no proper subgroup
+    for entry in CorpusManifest.default().entries:
+        g = construct(entry.name)
+        n = g.order()
+        if n > 2000:
+            continue
+        g.conjugacy_classes_idx()
+        bound = g._proper_max
+        if n == 1:
+            assert bound == 0
+            continue
+        assert n % bound == 0 and 2 * bound <= n, entry.name
+        assert bound >= _largest_proper_order(g), entry.name
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    # M10 is the largest proper subgroup of M11; M11 is above the full
+    # subgroup cap, so only the bound is checked there
+    [("PSL2(11)", 60), ("SL2(7)", 48), ("Alternating(6)", 60), ("M11", 720)],
+)
+def test_proper_subgroup_bound_examples(name, bound):
+    g = construct(name)
+    assert g._proper_max is None
+    g.conjugacy_classes_idx()
+    assert g._proper_max == bound
+    if g.order() <= 2000:
+        assert _largest_proper_order(g) == bound
+
+
+def test_least_factorial_multiple_matches_the_definition():
+    # mu(k), the least m >= 1 with k | m!, against the factorials themselves;
+    # k | m! holds for every m from mu(k) on, so a bisection finds it
+    factorials = list(accumulate(range(1, 2001), mul, initial=1))
+    for k in range(1, 2001):
+        at = bisect_left(range(1, k + 1), True, key=lambda m: factorials[m] % k == 0)
+        assert groups_module._least_factorial_multiple(k) == at + 1, k
+
+
+def test_proper_subgroup_bound_of_a_prime_order_near_the_element_cap():
+    # a cyclic group of prime order p has p - 1 classes of size 1 and no
+    # proper subgroup but the trivial one; the bound takes a few hundred
+    # trial divisions and one chunk per bit of p, not a loop over p or p!
+    p = next(q for q in range(Caps().element_cap, 1, -1) if is_prime(q))
+    lines = Counter()
+
+    def trace(frame, event, arg):
+        if frame.f_globals["__name__"].startswith("subconj."):
+            lines[frame.f_code.co_name] += event == "line"
+            return trace
+        return None
+
+    sizes = [1] * (p - 1)
+    sys.settrace(trace)
+    try:
+        bound = groups_module._proper_subgroup_bound(p, sizes)
+    finally:
+        sys.settrace(None)
+    assert bound == 1
+    assert lines["prime_powers"] > 0 and sum(lines.values()) < 5000, lines
 
 
 @pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)

@@ -339,6 +339,35 @@ def test_emit_report_is_deterministic(records):
     assert emit_report(records, results) == emit_report(records, results)
 
 
+_CLASS_BOUND_ENTRIES = [
+    CorpusEntry(name)
+    for name in (
+        "Symmetric(6)",
+        "SL2(8)",
+        "PSL2(11)",
+        "SL2(7)",
+        "PSL2(8)",
+        "Alternating(6)",
+        "PSL2(9)",
+        "M11",
+    )
+]
+
+
+def test_records_do_not_depend_on_the_proper_subgroup_bound(monkeypatch):
+    # closures that stop at the bound read off the classes against closures
+    # that stop at n/2 (Lagrange), on the groups where the two differ most
+    def analyse():
+        records = [analyze_entry(entry) for entry in _CLASS_BOUND_ENTRIES]
+        return records, emit_report(records, run_checks(records))
+
+    records, text = analyse()
+    monkeypatch.setattr(groups, "_proper_subgroup_bound", lambda n, sizes: n // 2)
+    half_records, half_text = analyse()
+    assert half_records == records
+    assert half_text == text
+
+
 def test_markdown_report_renders(records):
     results = run_checks(records)
     text = emit_report(records, results, fmt="markdown")
