@@ -130,35 +130,34 @@ def _proper_subgroup_bound(n, sizes):
 
     A normal subgroup is the identity and a union of classes, so its order d
     is one more than a sum of some of ``sizes``; those sums are the bits of
-    one int, each run of c equal sizes added in chunks 1, 2, 4, ... of it.
-    The core of a proper subgroup K of index m is a proper normal subgroup of
-    some such order d, and G/core embeds in S_m, so m >= mu(n/d).  Each
-    mu(n/d) is at least the least prime p of n, so where an order n/p is
-    reachable the bound is n/p with no mu to compute."""
+    one int, each run of c equal sizes added in chunks 1, 2, 4, ... of it
+    (all of them sum to n - 1, so no bit passes n - 1).  The core of a
+    proper subgroup K of index m is a proper normal subgroup of some such
+    order d, and G/core embeds in S_m, so m >= mu(n/d).  Every mu(n/d) is at
+    least the least prime p of n, as some prime of n divides n/d, so the
+    walk down the divisors d stops at the first that gives p."""
     if n == 1:
         return 0
-    mask = (1 << n) - 1
     reach = 1  # bit s: some classes hold s elements together
-    for size, count in Counter(sizes).items():
-        chunk = 1
+    for size in set(sizes):
+        count, chunk = sizes.count(size), 1
         while count:
             take = min(chunk, count)
-            reach = (reach | reach << size * take) & mask
+            reach |= reach << size * take
             count -= take
             chunk *= 2
     powers = prime_powers(n)
-    least = min(powers)
-    if reach >> (n // least - 1) & 1:
-        return n // least
     divisors = [1]
     for p, e in powers.items():
         divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    m = min(
-        _least_factorial_multiple(n // d)
-        for d in divisors
-        if d < n and reach >> (d - 1) & 1
-    )
-    return max(d for d in divisors if d * m <= n)
+    divisors.sort(reverse=True)
+    least, m = min(powers), n
+    for d in divisors[1:]:
+        if reach >> (d - 1) & 1:
+            m = min(m, _least_factorial_multiple(n // d))
+            if m == least:
+                break
+    return next(d for d in divisors if d * m <= n)
 
 
 def _no_points(t):
@@ -607,9 +606,6 @@ class Group:
                             orbit.append(y)
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
-            self._proper_max = _proper_subgroup_bound(
-                n, [len(c) for c in classes if c[0] != identity]
-            )
             self._class_of = class_of
             self._orders = tuple(orders)
             self._invs = invs
@@ -688,11 +684,11 @@ class Group:
 
         A subgroup with more elements than the largest proper subgroup can
         have is the whole group, so the walk stops once the members pass that
-        order: the bound read off the conjugacy classes once they are built,
-        n/2 (Lagrange) until then; a closure never builds them.  The test is
-        strict: a subgroup of exactly that order, such as one of index 2,
-        closes normally.  A closure that reaches the whole group returns the
-        group's one kept set of all indices.
+        order: the bound read off the conjugacy classes at the first closure
+        after they are built, n/2 (Lagrange) until then; a closure never
+        builds them.  The test is strict: a subgroup of exactly that order,
+        such as one of index 2, closes normally.  A closure that reaches the
+        whole group returns the group's one kept set of all indices.
         """
         self._materialize()
         elts, keys, by = self._elts0, self._keys, self._by_bimg
@@ -701,9 +697,7 @@ class Group:
             members, gens = {identity}, []
         else:
             members, gens = set(base.indices), list(base.gens_idx())
-        bound = self._proper_max
-        if bound is None:
-            bound = self._order // 2
+        bound = self._closure_bound()
         for x in dict.fromkeys(seed):
             if x in members:
                 continue
@@ -726,6 +720,20 @@ class Group:
                             if len(members) > bound:
                                 return self._whole_set()
         return self._whole_set() if len(members) > bound else frozenset(members)
+
+    def _closure_bound(self):
+        """The order past which a closure is the whole group: the largest
+        order a proper subgroup can have, computed from the class sizes at
+        the first closure after the classes are built and kept, n // 2 until
+        then."""
+        if self._proper_max is None:
+            if self._classes is None:
+                return self._order // 2
+            identity = self._identity_idx
+            self._proper_max = _proper_subgroup_bound(
+                self._order, [len(c) for c in self._classes if c[0] != identity]
+            )
+        return self._proper_max
 
     def _whole_set(self):
         """The index set of the whole group, one kept frozenset, so lookups

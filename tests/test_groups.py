@@ -649,18 +649,20 @@ def test_closure_idx_stops_once_past_half_the_group(monkeypatch):
 
 def test_closure_idx_stops_past_the_largest_proper_subgroup_order():
     # PSL2(11) has no proper subgroup above order 60 (n/2 = 330): a closure
-    # reads n/2 and builds no classes, and once they are built, closing the
-    # whole group stops just past 60 members, one read per product as above
+    # reads n/2 and builds no classes; building them computes no bound, and
+    # the next closure computes it and stops the whole group just past 60
+    # members, one read per product as above
     g = _build("PSL2(11)")
     gens = g.gen_indices()
     whole = g.closure_idx(gens)
     assert whole == frozenset(range(g.order()))
     assert g._classes is None and g._proper_max is None
     g.conjugacy_classes_idx()
-    assert g._proper_max == 60
+    assert g._proper_max is None
     counted = _CountingDict(g._by_bimg)
     g._by_bimg = counted
     assert g.closure_idx(gens) is whole
+    assert g._proper_max == 60
     # 11 reads close <x> of order 11, and each new coset of it costs 11 more
     # plus one per generator: 6 cosets pass 60, where n/2 takes 31 (382 reads)
     assert 60 < counted.reads < 2 * 60
@@ -676,7 +678,7 @@ def test_closure_idx_under_the_class_bound_matches_naive_closure(
     # the same sets as the naive closure and as the walk that stops at n/2
     g = relabelled(construct(name))
     reps = [c.representative for c in all_subgroup_classes(g)]
-    n, bound = g.order(), g._proper_max
+    n, bound = g.order(), g._closure_bound()
     assert bound == {"PSL2(11)": 60, "SL2(7)": 48}[name] < n // 2
     rng = random.Random(name)
 
@@ -710,7 +712,7 @@ def test_proper_subgroup_bound_is_sound_on_the_corpus():
         if n > 2000:
             continue
         g.conjugacy_classes_idx()
-        bound = g._proper_max
+        bound = g._closure_bound()
         if n == 1:
             assert bound == 0
             continue
@@ -726,9 +728,9 @@ def test_proper_subgroup_bound_is_sound_on_the_corpus():
 )
 def test_proper_subgroup_bound_examples(name, bound):
     g = construct(name)
-    assert g._proper_max is None
+    assert g._closure_bound() == g.order() // 2
     g.conjugacy_classes_idx()
-    assert g._proper_max == bound
+    assert g._closure_bound() == bound
     if g.order() <= 2000:
         assert _largest_proper_order(g) == bound
 
@@ -756,11 +758,12 @@ def test_proper_subgroup_bound_of_a_prime_order_near_the_element_cap():
         return None
 
     sizes = [1] * (p - 1)
+    old = sys.gettrace()
     sys.settrace(trace)
     try:
         bound = groups_module._proper_subgroup_bound(p, sizes)
     finally:
-        sys.settrace(None)
+        sys.settrace(old)
     assert bound == 1
     assert lines["prime_powers"] > 0 and sum(lines.values()) < 5000, lines
 
