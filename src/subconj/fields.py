@@ -48,6 +48,17 @@ def prime_powers(n):
     return out
 
 
+def divisors(n):
+    """The divisors of n in ascending order, built from ``prime_powers(n)``:
+    for each p^e, the k divisors found so far are followed by k * e more,
+    each one p times the entry k places before it."""
+    out = [1]
+    for p, e in prime_powers(n).items():
+        for i in range(len(out) * e):
+            out.append(out[i] * p)
+    return sorted(out)
+
+
 @lru_cache(maxsize=None)
 def gf_tables(q):
     """``(add, mul)`` of GF(q): ``add[a][b]`` is a+b and ``mul[a][b]`` is a*b.

@@ -87,8 +87,8 @@ from math import gcd
 from operator import itemgetter
 
 from .caps import CapExceeded, default_caps
-from .fields import prime_powers
-from .perms import Permutation
+from .fields import divisors, prime_powers
+from .perms import Permutation, invert
 
 
 def _mult(a, b):
@@ -96,13 +96,6 @@ def _mult(a, b):
     # a, one C call; a group of degree 1 has no product to take, so a holds
     # two or more points and the getter returns a tuple
     return itemgetter(*a)(b)
-
-
-def _inv(a):
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 def _least_factorial_multiple(k):
@@ -146,18 +139,14 @@ def _proper_subgroup_bound(n, sizes):
             reach |= reach << size * take
             count -= take
             chunk *= 2
-    powers = prime_powers(n)
-    divisors = [1]
-    for p, e in powers.items():
-        divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    divisors.sort(reverse=True)
-    least, m = min(powers), n
-    for d in divisors[1:]:
+    orders = divisors(n)[::-1]
+    least, m = orders[-2], n  # the least prime of n
+    for d in orders[1:]:
         if reach >> (d - 1) & 1:
             m = min(m, _least_factorial_multiple(n // d))
             if m == least:
                 break
-    return next(d for d in divisors if d * m <= n)
+    return next(d for d in orders if d * m <= n)
 
 
 def _no_points(t):
@@ -222,7 +211,7 @@ class _Tuples:
 
     element = unpack = pack
     mul = staticmethod(_mult)
-    inv = staticmethod(_inv)
+    inv = staticmethod(invert)
 
     @staticmethod
     def flat(elts):
@@ -877,12 +866,6 @@ class Subgroup:
     def key(self):
         """Sorted index tuple; the deterministic identity of the subgroup."""
         return tuple(sorted(self.indices))
-
-    def conjugate_by_idx(self, g):
-        p = self.parent
-        gi = p.inv_idx(g)
-        mul = p.mul_idx
-        return Subgroup(p, frozenset(mul(mul(gi, x), g) for x in self.indices))
 
     def __eq__(self, other):
         return (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import compress
 from math import gcd
 
@@ -338,19 +339,13 @@ def _collect_facts(group, record):
 
     # A_pi verdicts of the quotients by proper normal subgroups: the
     # odd-order ones for every group (T5), all of them for solvable ones (T16)
-    odd, proper = [], []
-    for n in normals:
-        odd_order = n.order % 2 == 1
-        if 1 < n.order < group.order() and (odd_order or solvable):
-            v, _ = decide(quotient(group, n), ClassId.A_PI)
-            proper.append([n.order, v])
-            if odd_order:
-                odd.append([n.order, v])
-    facts["odd_normal_quotients"] = odd
+    facts["normal_quotients"] = [
+        [n.order, decide(quotient(group, n), ClassId.A_PI)[0]]
+        for n in normals
+        if 1 < n.order < group.order() and (n.order % 2 or solvable)
+    ]
 
     if solvable:
-        facts["proper_quotients"] = proper
-
         q = quotient(group, o_pprime(group, 2))
         matched = _match_t12_target(q)
         facts["o2prime_quotient"] = {
@@ -444,6 +439,18 @@ def _resolve(check_id, failures, instances, skipped, notes=()):
     return CheckResult(check_id, "pass", "; ".join(parts))
 
 
+def _tally(check_id, claims, failures=(), notes=()):
+    """Resolve a check from its instances' claims, one list per instance.
+
+    A claim (verdict, failure) says that the theorem puts the verdict at
+    ``member``: a decided ``non-member`` is that failure, and an
+    ``undecided`` one, left by a cap, skips the instance and fails nothing.
+    ``failures`` are those found without a verdict."""
+    failures = [f for c in claims for v, f in c if v == NON_MEMBER] + list(failures)
+    skipped = sum(any(v == UNDECIDED for v, _ in c) for c in claims)
+    return _resolve(check_id, failures, len(claims), skipped, notes)
+
+
 def _capped_witness(check_id, what, notes):
     """A check whose required corpus witness is missing, where an undecided
     verdict may hide it: the check is skipped, as a capped instance."""
@@ -477,61 +484,48 @@ def _check_t1_t4(records):
         "SL2(5)": (ClassId.B,),
         "Alternating(5)": (ClassId.B,),
     }
-    failures, notes, instances = [], [], 0
     by_name = {r.name: r for r in records}
-    for name, classes in wanted.items():
+    claims, notes = [], []
+    for name, cids in wanted.items():
         r = by_name.get(name)
-        if r is None:
-            continue
-        instances += 1
-        for cid in classes:
-            v = r.verdict(cid)
-            if v == NON_MEMBER:
-                failures.append(f"{name} not in {cid.value}")
-            elif v == UNDECIDED:
-                notes.append(f"{name} {cid.value} capped")
-            else:
-                notes.append(f"{name} in {cid.value}")
-    return _resolve("T1-T4", failures, instances, 0, notes)
+        if r is not None:
+            claims.append([(r.verdict(c), f"{name} not in {c.value}") for c in cids])
+            notes += [f"{name} in {c.value}" for c in cids if r.verdict(c) == MEMBER]
+    return _tally("T1-T4", claims, notes=notes)
 
 
-def _check_t5(records):
-    failures, instances, skipped = [], 0, 0
-    for r in _members(records, ClassId.A_PI):
-        for n_order, verdict in r.facts.get("odd_normal_quotients", []):
-            instances += 1
-            if verdict == NON_MEMBER:
-                failures.append(f"{r.name}/N(order {n_order}) left A_pi")
-            elif verdict == UNDECIDED:
-                skipped += 1
-    return _resolve("T5", failures, instances, skipped)
+def _check_t5(records, check_id="T5", solvable=None, odd_only=True):
+    """T5, and with ``solvable=True, odd_only=False`` T16: the quotients of
+    A_pi members by proper normal subgroups stay in A_pi."""
+    return _tally(
+        check_id,
+        [
+            [(v, f"{r.name}/N(order {n}) left A_pi")]
+            for r in _members(records, ClassId.A_PI, solvable)
+            for n, v in r.facts.get("normal_quotients", [])
+            if n % 2 or not odd_only
+        ],
+    )
 
 
 def _check_t5_remark(records):
-    by_name = {r.name: r for r in records}
-    r = by_name.get(_T5_REMARK_GROUP)
+    r = next((r for r in records if r.name == _T5_REMARK_GROUP), None)
     if r is None:
         return CheckResult("T5-remark", "vacuous", "SL2(7) not in corpus")
-    failures = []
     a_pi = r.verdict(ClassId.A_PI)
     v, w_order = r.facts["center_quotient_a_pi"]
-    # a capped verdict on either side leaves the instance undecided
-    skipped = int(UNDECIDED in (a_pi, v))
-    if a_pi == NON_MEMBER:
-        failures.append("SL2(7) should be in A_pi")
-    if v == MEMBER:
-        failures.append("SL2(7)/Z should not be in A_pi")
-    elif v == NON_MEMBER and w_order != 4:
+    # the remark says SL2(7)/Z is not in A_pi: a member is the failure
+    outside = {MEMBER: NON_MEMBER, NON_MEMBER: MEMBER}.get(v, v)
+    claims = [
+        (a_pi, "SL2(7) should be in A_pi"),
+        (outside, "SL2(7)/Z should not be in A_pi"),
+    ]
+    failures, notes = [], []
+    if v == NON_MEMBER and w_order != 4:
         failures.append(f"expected an order-4 witness, got order {w_order}")
-    return _resolve(
-        "T5-remark",
-        failures,
-        1,
-        skipped,
-        ["quotient by the center drops out of A_pi at order 4"]
-        if not failures and not skipped
-        else [],
-    )
+    elif (a_pi, v) == (MEMBER, NON_MEMBER):
+        notes.append("quotient by the center drops out of A_pi at order 4")
+    return _tally("T5-remark", [claims], failures, notes)
 
 
 def _check_t9(records):
@@ -631,108 +625,77 @@ def _check_c13(records):
 
 
 def _check_c14(records):
-    by_name = {r.name: r for r in records}
-    r = by_name.get("E25xSL(2,3)")
+    r = next((r for r in records if r.name == "E25xSL(2,3)"), None)
     if r is None:
         return CheckResult("C14", "vacuous", "E25xSL(2,3) not in corpus")
-    failures, skipped = [], 0
-    v = r.verdict(ClassId.B)
-    if v == UNDECIDED:
-        skipped = 1
-    elif v != MEMBER:
-        failures.append("E25xSL(2,3) should be in B")
+    failures, notes = [], []
     s2 = next(s for s in r.sylow_shapes if s["p"] == 2)
     if s2["tag"] != "QuaternionQ8":
         failures.append(f"Syl_2 shape is {s2['tag']}, expected QuaternionQ8")
     if r.facts.get("sylow2_normal"):
         failures.append("Syl_2 unexpectedly normal")
-    return _resolve(
-        "C14",
-        failures,
-        1,
-        skipped,
-        ["quaternion Sylow-2 exists non-normally in a B-group"]
-        if not failures and not skipped
-        else [],
-    )
+    v = r.verdict(ClassId.B)
+    if v == MEMBER and not failures:
+        notes.append("quaternion Sylow-2 exists non-normally in a B-group")
+    return _tally("C14", [[(v, "E25xSL(2,3) should be in B")]], failures, notes)
 
 
 def _check_t15(records):
-    failures, instances, skipped = [], 0, 0
-    for r in _members(records, ClassId.A_PI, solvable=True):
-        instances += 1
-        v = r.verdict(ClassId.B_PI)
-        if v == NON_MEMBER:
-            failures.append(f"{r.name}: solvable A_pi member outside B_pi")
-        elif v == UNDECIDED:
-            skipped += 1
-    return _resolve("T15", failures, instances, skipped)
-
-
-def _check_t16(records):
-    failures, instances, skipped = [], 0, 0
-    for r in _members(records, ClassId.A_PI, solvable=True):
-        for n_order, verdict in r.facts.get("proper_quotients", []):
-            instances += 1
-            if verdict == NON_MEMBER:
-                failures.append(f"{r.name}/N(order {n_order}) left A_pi")
-            elif verdict == UNDECIDED:
-                skipped += 1
-    return _resolve("T16", failures, instances, skipped)
+    return _tally(
+        "T15",
+        [
+            [(r.verdict(ClassId.B_PI), f"{r.name}: solvable A_pi member outside B_pi")]
+            for r in _members(records, ClassId.A_PI, solvable=True)
+        ],
+    )
 
 
 def _check_t17(records):
-    failures, instances, notes = [], 0, []
+    claims, notes = [], []
     for r in records:
         fq = r.facts.get("factor_quotients")
         if not fq:
             continue
-        hyp = all(v == MEMBER for _, v in fq)
-        if not hyp:
+        hypothesis = [v for _, v in fq]
+        if NON_MEMBER in hypothesis:
             notes.append(f"{r.name}: hypothesis fails (vacuous instance)")
-            continue
-        instances += 1
-        if r.verdict(ClassId.A_PI) != MEMBER:
-            failures.append(f"{r.name}: coprime quotients in A_pi but product is not")
-    return _resolve("T17", failures, instances, 0, notes)
+        elif all(v == MEMBER for v in hypothesis):
+            failure = f"{r.name}: coprime quotients in A_pi but product is not"
+            claims.append([(r.verdict(ClassId.A_PI), failure)])
+        else:  # a capped hypothesis: the product's verdict proves nothing
+            claims.append([(v, None) for v in hypothesis])
+    return _tally("T17", claims, notes=notes)
 
 
 def _check_t20_case1(records):
-    failures, instances, skipped = [], 0, 0
+    claims, failures = [], []
     for r in _members(records, ClassId.A_PI, solvable=True):
         if not r.facts.get("all_sylow_cyclic"):
             continue
-        instances += 1
         if r.facts.get("metacyclic_or_cyclic") is False:
             failures.append(f"{r.name}: not metacyclic or cyclic")
         if r.facts.get("derived_coprime") is False:
             failures.append(f"{r.name}: derived subgroup order not coprime to index")
-        b = r.verdict(ClassId.B)
-        if b == NON_MEMBER:
-            failures.append(f"{r.name}: all-Sylow-cyclic member outside B")
-        elif b == UNDECIDED:
-            skipped += 1
-    return _resolve("T20-case1", failures, instances, skipped)
+        failure = f"{r.name}: all-Sylow-cyclic member outside B"
+        claims.append([(r.verdict(ClassId.B), failure)])
+    return _tally("T20-case1", claims, failures)
 
 
 def _check_t20_case5(records):
-    failures, instances, notes = [], 0, []
+    claims, notes = [], []
     for r in _members(records, ClassId.A_PI, solvable=True):
         s2 = next((s for s in r.sylow_shapes if s["p"] == 2), None)
         if s2 is None or s2["tag"] != "QuaternionQ8":
             continue
-        instances += 1
         if r.facts.get("sylow2_normal"):
             notes.append(f"{r.name}: Q8 Sylow normal")
+            claims.append([])
             continue
-        v = r.facts.get("gfg_b_verdict")
+        v = r.facts["gfg_b_verdict"]
         if v == MEMBER:
             notes.append(f"{r.name}: Q8 not normal, G/F(G) in B")
-        elif v == NON_MEMBER:
-            failures.append(f"{r.name}: Q8 not normal and G/F(G) outside B")
-        else:
-            notes.append(f"{r.name}: G/F(G) membership capped")
-    return _resolve("T20-case5", failures, instances, 0, notes)
+        claims.append([(v, f"{r.name}: Q8 not normal and G/F(G) outside B")])
+    return _tally("T20-case5", claims, notes=notes)
 
 
 def _check_t20_case6(records):
@@ -788,7 +751,11 @@ CHECKS = (
     ("C13", "non-cyclic Sylows of solvable members are normal or Q8", _check_c13),
     ("C14", "a B-group with non-normal quaternion Sylow-2 exists", _check_c14),
     ("T15", "solvable A_pi members lie in B_pi", _check_t15),
-    ("T16", "solvable members: every quotient stays in A_pi", _check_t16),
+    (
+        "T16",
+        "solvable members: every quotient stays in A_pi",
+        partial(_check_t5, check_id="T16", solvable=True, odd_only=False),
+    ),
     ("T17", "coprime quotient membership lifts to the product", _check_t17),
     ("T20-case1", "all-Sylow-cyclic members: metacyclic B-groups", _check_t20_case1),
     ("T20-case5", "quaternion Sylow: normal or G/F(G) in B", _check_t20_case5),

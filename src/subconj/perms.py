@@ -43,15 +43,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree):
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+        check_degree(degree)
         return cls._from0(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, cycles, degree):
         """Build from disjoint (or not) 1-based cycles, applied left to right."""
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+        check_degree(degree)
         images = list(range(degree))
         for cycle in cycles:
             c = [x - 1 for x in cycle]
@@ -89,11 +87,7 @@ class Permutation:
         return Permutation._from0(tuple(map(b.__getitem__, a)))
 
     def inverse(self):
-        t = self._t
-        inv = [0] * len(t)
-        for i, j in enumerate(t):
-            inv[j] = i
-        return Permutation._from0(tuple(inv))
+        return Permutation._from0(invert(self._t))
 
     def __pow__(self, n):
         if n < 0:
@@ -158,10 +152,27 @@ class Permutation:
         return self._t < other._t
 
 
+def invert(t):
+    """The inverse of a 0-based image tuple."""
+    out = [0] * len(t)
+    for i, j in enumerate(t):
+        out[j] = i
+    return tuple(out)
+
+
+def check_degree(degree, line=None):
+    """Refuse a degree outside 1..MAX_DEGREE: a ValueError, or the
+    ParseError of a group file's degree entry at ``line``."""
+    if 1 <= degree <= MAX_DEGREE:
+        return
+    if line is None:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
+    raise ParseError(f"degree {degree} outside 1..{MAX_DEGREE}", line)
+
+
 def _check_images(t):
     n = len(t)
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
+    check_degree(n)
     if sorted(t) != list(range(n)):
         raise ValueError("images are not a bijection on 1..degree")
 

@@ -42,6 +42,7 @@ from itertools import islice
 from operator import attrgetter
 
 from .caps import CapExceeded
+from .fields import divisors
 from .structure import is_nilpotent, is_supersolvable, prime_factors
 from .subgroups import (
     WALK_KEY,
@@ -166,12 +167,6 @@ def _first_split_bucket(buckets, keep):
     return None
 
 
-def _divisors(n):
-    """The divisors of n in ascending order, found as they are read: a walk
-    refused by a cap, or split early, reads only the first few."""
-    return (d for d in range(1, n + 1) if n % d == 0)
-
-
 def _read_buckets(group, name, walk, orders):
     """The classes of each order d in ``orders`` (ascending), cut from
     ``walk(d)``, a graded walk that runs no further than the last bucket
@@ -197,7 +192,7 @@ def _p_buckets(group, p):
     """The p-subgroup classes of each order p, p^2, ..., refused above
     ``sylow_order_cap``: read off the graded walk once a plain verdict has
     started it (B is decided before B_pi), else off the graded p-walk."""
-    orders = islice(_divisors(_capped_sylow_order(group, p)), 1, None)
+    orders = divisors(_capped_sylow_order(group, p))[1:]
     if WALK_KEY in group.analysis_cache:
         return _walk_buckets(group, orders)
     return _read_buckets(
@@ -258,7 +253,7 @@ def _decide_pi(group, class_id):
             if sylow_order in group.rational_classes():
                 continue  # a cyclic Sylow subgroup: one class per p-power order
             if class_id.kind == "cyclic":
-                orders = islice(_divisors(sylow_order), 1, None)
+                orders = divisors(sylow_order)[1:]
                 split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
             else:
                 split = _first_split_bucket(_p_buckets(group, p), keep)
@@ -279,7 +274,7 @@ def _decide_pi(group, class_id):
 def _decide_plain(group, class_id):
     read = _cyclic_buckets if class_id.kind == "cyclic" else _walk_buckets
     try:
-        buckets = read(group, _divisors(group.order()))
+        buckets = read(group, divisors(group.order()))
         split = _first_split_bucket(buckets, _kind_filter(class_id.kind))
     except CapExceeded:
         verdict, witness = _decide_pi(group, class_id.pi_counterpart)

@@ -357,7 +357,8 @@ def are_conjugate(group, sub_a, sub_b):
             raise CapExceeded("orbit keys", f"conjugation orbit beyond {cap}")
         carrier = mul(carriers[i], gen_idx[j])
         if t == target:
-            if sub_a.conjugate_by_idx(carrier).indices != target:  # pragma: no cover
+            conjugate = map(group.conjugator(carrier), sub_a.indices)
+            if frozenset(conjugate) != target:  # pragma: no cover
                 raise RuntimeError("conjugator failed re-verification")
             return group.perm_at(carrier)
         carriers.append(carrier)

@@ -16,7 +16,7 @@ from itertools import product
 
 from .fields import gf_tables, is_prime
 from .groups import Group, direct_product, semidirect_product
-from .perms import ParseError, Permutation, parse_permutation
+from .perms import ParseError, Permutation, check_degree, parse_permutation
 
 
 def cyclic(n):
@@ -291,8 +291,7 @@ def parse_group_file(text, source="<string>"):
             if not m:
                 raise ParseError("expected 'degree N' as the first entry", lineno)
             degree = int(m.group(1))
-            if degree < 1 or degree > 256:
-                raise ParseError(f"degree {degree} outside 1..256", lineno)
+            check_degree(degree, lineno)
             continue
         m = re.fullmatch(r"order\s+(\d+)", line)
         if m:

@@ -1,6 +1,6 @@
 import pytest
 
-from subconj.fields import gf_tables
+from subconj.fields import divisors, gf_tables
 from subconj.zoo import SUPPORTED_Q, _matrix_group
 
 
@@ -75,3 +75,13 @@ def test_row_action_composes():
         g = _matrix_group(9, [((1, 1), (0, 1)), m, n, mn], order, projective)
         pm, pn, pmn = g.generators[1:]
         assert pm * pn == pmn
+
+
+def test_divisors_match_the_definition():
+    # every d lands in the list of each of its multiples, in ascending order
+    multiples = [[] for _ in range(5001)]
+    for d in range(1, 5001):
+        for n in range(d, 5001, d):
+            multiples[n].append(d)
+    for n in range(1, 5001):
+        assert divisors(n) == multiples[n], n

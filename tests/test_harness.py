@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -303,7 +304,11 @@ def test_facts_pass_builds_each_quotient_once(monkeypatch, name):
 def test_record_facts_cover_quotient_suites(records):
     by_name = {r.name: r for r in records}
     e25 = by_name["E25xSL(2,3)"]
-    assert e25.facts["odd_normal_quotients"] == [[25, MEMBER]]
+    # T5 reads the odd-order entries, T16 all of them
+    assert e25.facts["normal_quotients"] == [[25, MEMBER], [50, MEMBER], [200, MEMBER]]
+    for r in records:
+        if not r.solvable:
+            assert all(n % 2 for n, _ in r.facts.get("normal_quotients", [])), r.name
     assert e25.facts["o2prime_quotient"]["matched"] == "Q8xC3"
     assert e25.facts["o2prime_quotient"]["level"] == "exact"
     assert e25.facts["sylow2_normal"] is False
@@ -486,6 +491,85 @@ def test_t5_remark_skips_a_capped_verdict(records, capped):
         r = replace(r, facts={**r.facts, capped: [UNDECIDED, None]})
     (result,) = run_checks([r], only=["T5-remark"])
     assert (result.status, result.details) == ("skipped", "all instances capped")
+
+
+def _capped(value):
+    """``value`` with every verdict in it, at any depth, undecided."""
+    if isinstance(value, dict):
+        return {k: _capped(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_capped(v) for v in value]
+    return UNDECIDED if value in (MEMBER, NON_MEMBER) else value
+
+
+def _capped_classes(r, *classes):
+    return replace(r, verdicts={**r.verdicts, **{c.value: UNDECIDED for c in classes}})
+
+
+def _instance_counts(details):
+    """(instances, capped instances skipped) of a ``pass`` details string."""
+    instances = int(re.match(r"(\d+) instance\(s\)", details)[1])
+    skipped = re.search(r"(\d+) capped instance\(s\) skipped", details)
+    return instances, int(skipped[1]) if skipped else 0
+
+
+def test_t1_t4_skips_its_capped_verdicts(records):
+    capped = [_capped_classes(r, ClassId.B, ClassId.B_PI) for r in records]
+    (result,) = run_checks(capped, only=["T1-T4"])
+    assert (result.status, result.details) == ("skipped", "all instances capped")
+    one = [_capped_classes(r, ClassId.B) if r.name == "SL2(5)" else r for r in records]
+    (result,) = run_checks(one, only=["T1-T4"])
+    assert (result.status, result.details) == (
+        "pass",
+        "3 instance(s); PSL2(8) in B_pi; PSL2(8) in B; Alternating(5) in B; "
+        "1 capped instance(s) skipped",
+    )
+
+
+def test_t17_skips_capped_factor_quotients(records):
+    # an undecided hypothesis is a capped instance, not a failed hypothesis
+    capped = [
+        replace(r, facts=_capped(r.facts)) if "factor_quotients" in r.facts else r
+        for r in records
+    ]
+    (result,) = run_checks(capped, only=["T17"])
+    assert (result.status, result.details) == ("skipped", "all instances capped")
+
+
+def test_t20_case5_skips_a_capped_quotient_verdict(records):
+    # E25xSL(2,3) is the one instance whose quaternion Sylow is not normal
+    capped = [
+        replace(r, facts={**r.facts, "gfg_b_verdict": UNDECIDED})
+        if "gfg_b_verdict" in r.facts
+        else r
+        for r in records
+    ]
+    (result,) = run_checks(capped, only=["T20-case5"])
+    assert result.status == "pass"
+    assert "E25xSL(2,3)" not in result.details
+    assert result.details.endswith("; 1 capped instance(s) skipped")
+
+
+def test_a_capped_verdict_never_fails_a_check(records):
+    # each record in turn with its class verdicts, then its facts, capped
+    for i, r in enumerate(records):
+        for capped in (
+            replace(r, verdicts=_capped(r.verdicts)),
+            replace(r, facts=_capped(r.facts)),
+        ):
+            for result in run_checks([*records[:i], capped, *records[i + 1 :]]):
+                assert result.status != "fail", (r.name, result)
+                if result.status == "pass":
+                    instances, skipped = _instance_counts(result.details)
+                    assert instances > skipped, (r.name, result)
+
+
+def test_capped_verdicts_alone_pass_no_check(records):
+    # a pass needs a decided instance
+    capped = [replace(r, verdicts=_capped(r.verdicts)) for r in records]
+    capped = [replace(r, facts=_capped(r.facts)) for r in capped]
+    statuses = {c.check_id: c.status for c in run_checks(capped)}
+    assert set(statuses.values()) <= {"skipped", "vacuous"}, statuses
 
 
 def _q8xc3_match(r):

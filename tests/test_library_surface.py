@@ -2,6 +2,8 @@ import importlib
 import re
 from pathlib import Path
 
+from subconj.harness import CHECK_IDS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -15,3 +17,11 @@ def test_readme_library_surface_imports():
     subconj = importlib.import_module("subconj")
     missing = [name for name in names if not hasattr(subconj, name)]
     assert missing == []
+
+
+def test_readme_check_table_lists_the_registry():
+    # the table under "The corpus and the check registry", one row per check
+    text = README.read_text("utf-8").split("## The corpus and the check registry")[1]
+    section = text.split("\n## ")[0]
+    ids = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert ids == list(CHECK_IDS)

@@ -67,6 +67,15 @@ def test_non_bijection_rejected():
 def test_degree_cap():
     with pytest.raises(ValueError, match="256"):
         Permutation.identity(257)
+    # every constructor refuses a degree with the same message
+    for build, degree in [
+        (Permutation.identity, 0),
+        (lambda d: Permutation.from_cycles([], d), 257),
+        (lambda d: Permutation(range(1, d + 1)), 257),
+    ]:
+        with pytest.raises(ValueError) as info:
+            build(degree)
+        assert str(info.value) == f"degree must be in 1..256, got {degree}"
 
 
 def test_order_and_cycle_type():

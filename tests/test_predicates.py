@@ -21,10 +21,10 @@ from subconj import (
     quotient,
     verify_witness,
 )
+from subconj.fields import divisors
 from subconj.harness import CorpusManifest
 from subconj.predicates import (
     _cyclic_buckets,
-    _divisors,
     _first_split_bucket,
     _kind_filter,
     _p_buckets,
@@ -268,7 +268,7 @@ def test_graded_walk_lists_a_prefix_of_the_full_walk(corpus_walks):
     # classes of order <= d of the full list, in its order
     for name, g, walk in corpus_walks:
         fresh = _fresh(g)
-        for d in _divisors(g.order()):
+        for d in divisors(g.order()):
             prefix = [c for c in walk if c.order <= d]
             assert _keyed(all_subgroup_classes(fresh, d)) == _keyed(prefix), (name, d)
         assert _keyed(all_subgroup_classes(fresh, 1)) == _keyed(walk[:1])
@@ -282,7 +282,7 @@ def test_lazy_split_bucket_matches_the_eager_one(corpus_walks):
         fresh = _fresh(g)
         for kind in ("any", "supersolvable", "nilpotent", "abelian", "cyclic"):
             keep = _kind_filter(kind)
-            lazy = _first_split_bucket(_walk_buckets(fresh, _divisors(g.order())), keep)
+            lazy = _first_split_bucket(_walk_buckets(fresh, divisors(g.order())), keep)
             eager = eager_first_split_bucket(walk, keep)
             assert _split_keys(lazy) == _split_keys(eager), (name, kind)
             for p in prime_factors(g.order()):
@@ -307,9 +307,9 @@ def test_cyclic_buckets_match_the_walk(corpus_walks_2000):
     # built from the rational classes of a fresh copy, with no subgroup walk
     for name, g, walk in corpus_walks_2000:
         fresh = _fresh(g)
-        _assert_cyclic_buckets(fresh, list(_divisors(g.order()))[1:], walk)
+        _assert_cyclic_buckets(fresh, divisors(g.order())[1:], walk)
         for p in prime_factors(g.order()):
-            orders = list(_divisors(p_part(g.order(), p)))[1:]
+            orders = divisors(p_part(g.order(), p))[1:]
             _assert_cyclic_buckets(fresh, orders, p_classes_of(walk, p))
         assert WALK_KEY not in fresh.analysis_cache and not _p_walks(fresh), name
 
@@ -322,7 +322,7 @@ def test_graded_p_walk_lists_a_prefix_of_the_p_classes(corpus_walks):
             whole = p_classes_of(walk, p)
             assert _keyed(p_subgroup_classes(_fresh(g), p)) == _keyed(whole), (name, p)
             fresh = _fresh(g)
-            for d in _divisors(p_part(g.order(), p)):
+            for d in divisors(p_part(g.order(), p)):
                 prefix = [c for c in whole if c.order <= d]
                 assert _keyed(p_subgroup_classes(fresh, p, d)) == _keyed(prefix)
             assert fresh.analysis_cache["p walk", p].registry is None
@@ -337,7 +337,7 @@ def test_a_cyclic_sylow_subgroup_has_one_class_per_order():
             sylow_order = p_part(g.order(), p)
             if sylow_order in g.rational_classes():
                 orders = [c.order for c in p_subgroup_classes(g, p)]
-                assert orders == list(_divisors(sylow_order))[1:], (entry.name, p)
+                assert orders == divisors(sylow_order)[1:], (entry.name, p)
                 skipped += 1
     assert skipped > 100
 

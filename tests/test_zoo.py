@@ -177,6 +177,9 @@ def test_declared_order_mismatch_rejected():
 def test_degree_out_of_range_rejected():
     with pytest.raises(ParseError, match="outside"):
         parse_group_file("degree 300\n(1,2)\n")
+    with pytest.raises(ParseError) as info:
+        parse_group_file("# no points\ndegree 0\n")
+    assert str(info.value) == "line 2: degree 0 outside 1..256"
 
 
 def test_round_trip_through_group_file(tmp_path):
