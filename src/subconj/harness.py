@@ -467,15 +467,27 @@ def _may_witness(records, class_in, class_out):
     )
 
 
+# the claims of an instance whose hypothesis a cap left undecided
+_CAPPED = [(UNDECIDED, None)]
+
+
 def _members(records, class_id, solvable=None):
-    out = []
+    """(members, capped): the records in ``class_id``, and those a cap left
+    undecided there, of the given solvability.  The theorem's hypothesis is
+    open for a capped record, so nothing of it is checked: each check counts
+    it by the claims ``_CAPPED``, a skipped instance, once per instance it
+    would be where the Sylow shapes tell, else once.  The facts that only
+    members gather say nothing of it."""
+    members, capped = [], []
     for r in records:
-        if r.verdict(class_id) != MEMBER:
-            continue
         if solvable is not None and r.solvable != solvable:
             continue
-        out.append(r)
-    return out
+        v = r.verdict(class_id)
+        if v == MEMBER:
+            members.append(r)
+        elif v == UNDECIDED:
+            capped.append(r)
+    return members, capped
 
 
 def _check_t1_t4(records):
@@ -497,15 +509,14 @@ def _check_t1_t4(records):
 def _check_t5(records, check_id="T5", solvable=None, odd_only=True):
     """T5, and with ``solvable=True, odd_only=False`` T16: the quotients of
     A_pi members by proper normal subgroups stay in A_pi."""
-    return _tally(
-        check_id,
-        [
-            [(v, f"{r.name}/N(order {n}) left A_pi")]
-            for r in _members(records, ClassId.A_PI, solvable)
-            for n, v in r.facts.get("normal_quotients", [])
-            if n % 2 or not odd_only
-        ],
-    )
+    members, capped = _members(records, ClassId.A_PI, solvable)
+    claims = [
+        [(v, f"{r.name}/N(order {n}) left A_pi")]
+        for r in members
+        for n, v in r.facts.get("normal_quotients", [])
+        if n % 2 or not odd_only
+    ]
+    return _tally(check_id, claims + [_CAPPED] * len(capped))
 
 
 def _check_t5_remark(records):
@@ -529,22 +540,22 @@ def _check_t5_remark(records):
 
 
 def _check_t9(records):
-    failures, instances = [], 0
-    for r in _members(records, ClassId.A_PI, solvable=False):
-        instances += 1
+    members, capped = _members(records, ClassId.A_PI, solvable=False)
+    failures = []
+    for r in members:
         for s in r.sylow_shapes:
             if s["p"] == 2:
                 continue
             if s["tag"] not in ("Cyclic", "ElementaryAbelian"):
                 failures.append(f"{r.name}: Syl_{s['p']} has shape {s['tag']}")
-    return _resolve("T9", failures, instances, 0)
+    return _tally("T9", [[]] * len(members) + [_CAPPED] * len(capped), failures)
 
 
 def _check_t10(records):
     allowed_ea_ranks = (2, 3, 5)
-    failures, instances = [], 0
-    for r in _members(records, ClassId.A_PI, solvable=False):
-        instances += 1
+    members, capped = _members(records, ClassId.A_PI, solvable=False)
+    failures = []
+    for r in members:
         s = next((x for x in r.sylow_shapes if x["p"] == 2), None)
         if s is None:
             failures.append(f"{r.name}: non-solvable but odd order")
@@ -554,13 +565,13 @@ def _check_t10(records):
         )
         if not ok:
             failures.append(f"{r.name}: Syl_2 has shape {s['tag']}({s['order']})")
-    return _resolve("T10", failures, instances, 0)
+    return _tally("T10", [[]] * len(members) + [_CAPPED] * len(capped), failures)
 
 
 def _check_t11(records):
-    failures, instances, notes = [], 0, []
-    for r in _members(records, ClassId.C_PI, solvable=True):
-        instances += 1
+    members, capped = _members(records, ClassId.C_PI, solvable=True)
+    failures, notes = [], []
+    for r in members:
         for s in r.sylow_shapes:
             if s["tag"] in ("Cyclic", "ElementaryAbelian", "QuaternionQ8"):
                 continue
@@ -570,14 +581,15 @@ def _check_t11(records):
                 )
                 continue
             failures.append(f"{r.name}: Syl_{s['p']} has shape {s['tag']}")
-    return _resolve("T11", failures, instances, 0, notes)
+    claims = [[]] * len(members) + [_CAPPED] * len(capped)
+    return _tally("T11", claims, failures, notes)
 
 
 def _check_t12(records):
-    failures, instances, notes = [], 0, []
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    failures, notes = [], []
     exact_hits, fingerprint_hits = [], []
-    for r in _members(records, ClassId.A_PI, solvable=True):
-        instances += 1
+    for r in members:
         for s in r.sylow_shapes:
             if not any(ok(s) for ok in _T12_SHAPES_OK):
                 failures.append(f"{r.name}: Syl_{s['p']} shape {s['tag']} not allowed")
@@ -601,27 +613,28 @@ def _check_t12(records):
     if not failures and not any("Q8xC3" in h for h in exact_hits):
         # the witness may be a fingerprint match that iso_cap kept from the
         # exact test, or a solvable group with a capped A_pi verdict
-        if "Q8xC3" in fingerprint_hits or any(
-            r.solvable and r.verdict(ClassId.A_PI) == UNDECIDED for r in records
-        ):
+        if "Q8xC3" in fingerprint_hits or capped:
             return _capped_witness("T12", "SL(2,3)-type target", notes)
         failures.append("no corpus witness matched the SL(2,3)-type target exactly")
-    return _resolve("T12", failures, instances, 0, notes)
+    claims = [[]] * len(members) + [_CAPPED] * len(capped)
+    return _tally("T12", claims, failures, notes)
 
 
 def _check_c13(records):
-    failures, instances = [], 0
-    for r in _members(records, ClassId.A_PI, solvable=True):
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    failures, claims = [], []
+    for r in members:
         normal_map = r.facts.get("noncyclic_sylow_normal", {})
         for s in r.sylow_shapes:
             if s["tag"] == "Cyclic":
                 continue
-            instances += 1
+            claims.append([])
             if s["tag"] == "QuaternionQ8":
                 continue
             if not normal_map.get(str(s["p"])):
                 failures.append(f"{r.name}: non-cyclic Syl_{s['p']} not normal")
-    return _resolve("C13", failures, instances, 0)
+    claims += [_CAPPED for r in capped for s in r.sylow_shapes if s["tag"] != "Cyclic"]
+    return _tally("C13", claims, failures)
 
 
 def _check_c14(records):
@@ -641,13 +654,12 @@ def _check_c14(records):
 
 
 def _check_t15(records):
-    return _tally(
-        "T15",
-        [
-            [(r.verdict(ClassId.B_PI), f"{r.name}: solvable A_pi member outside B_pi")]
-            for r in _members(records, ClassId.A_PI, solvable=True)
-        ],
-    )
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    claims = [
+        [(r.verdict(ClassId.B_PI), f"{r.name}: solvable A_pi member outside B_pi")]
+        for r in members
+    ]
+    return _tally("T15", claims + [_CAPPED] * len(capped))
 
 
 def _check_t17(records):
@@ -668,8 +680,10 @@ def _check_t17(records):
 
 
 def _check_t20_case1(records):
-    claims, failures = [], []
-    for r in _members(records, ClassId.A_PI, solvable=True):
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    claims = [_CAPPED for r in capped if r.facts.get("all_sylow_cyclic")]
+    failures = []
+    for r in members:
         if not r.facts.get("all_sylow_cyclic"):
             continue
         if r.facts.get("metacyclic_or_cyclic") is False:
@@ -681,11 +695,16 @@ def _check_t20_case1(records):
     return _tally("T20-case1", claims, failures)
 
 
+def _has_q8_sylow(r):
+    return any(s["p"] == 2 and s["tag"] == "QuaternionQ8" for s in r.sylow_shapes)
+
+
 def _check_t20_case5(records):
-    claims, notes = [], []
-    for r in _members(records, ClassId.A_PI, solvable=True):
-        s2 = next((s for s in r.sylow_shapes if s["p"] == 2), None)
-        if s2 is None or s2["tag"] != "QuaternionQ8":
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    claims = [_CAPPED for r in capped if _has_q8_sylow(r)]
+    notes = []
+    for r in members:
+        if not _has_q8_sylow(r):
             continue
         if r.facts.get("sylow2_normal"):
             notes.append(f"{r.name}: Q8 Sylow normal")
@@ -699,11 +718,12 @@ def _check_t20_case5(records):
 
 
 def _check_t20_case6(records):
-    failures, instances = [], 0
-    for r in _members(records, ClassId.A_PI, solvable=True):
+    members, capped = _members(records, ClassId.A_PI, solvable=True)
+    claims, failures = [_CAPPED] * len(capped), []
+    for r in members:
         if not r.facts.get("normal_c2"):
             continue
-        instances += 1
+        claims.append([])
         s2 = next(s for s in r.sylow_shapes if s["p"] == 2)
         if s2["tag"] == "Cyclic":
             if not r.facts.get("g_over_o2prime_cyclic2"):
@@ -713,7 +733,7 @@ def _check_t20_case6(records):
                 failures.append(f"{r.name}: quaternion Sylow-2 not normal")
         else:
             failures.append(f"{r.name}: normal C2 with Syl_2 shape {s2['tag']}")
-    return _resolve("T20-case6", failures, instances, 0)
+    return _tally("T20-case6", claims, failures)
 
 
 def _check_hierarchy(records):

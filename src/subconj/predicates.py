@@ -15,9 +15,14 @@ report still carries all three verdicts and asserts their equality.
 
 Each verdict reads its subgroup classes one order at a time, smallest first,
 and stops at the first order holding two non-conjugate quantified subgroups.
-B, H, N and A read the order-graded walk of ``all_subgroup_classes``; B_pi,
-H_pi, N_pi and A_pi read one graded ``p_subgroup_classes`` walk per prime,
-or the full walk once a plain verdict has started it.  C and C_pi walk no
+B, H, N and A read the one order-graded walk that ``all_subgroup_classes``
+keeps.  B reads its complete list.  H, N and A read the classes it reaches
+by taking x from N_G(H) only, which are every solvable class: supersolvable,
+nilpotent and abelian subgroups are all solvable, so their kind filters keep
+the same classes from either list, and that walk never builds the
+non-solvable classes that none of them reads.  B_pi, H_pi, N_pi and A_pi
+read one graded ``p_subgroup_classes`` walk per prime, or the solvable list
+of the plain walk once a plain verdict has started it.  C and C_pi walk no
 subgroups: <x> and <y> are conjugate exactly when x is conjugate to y^k for
 some k prime to |y|, so the cyclic classes of each order come from the
 rational classes of the elements, which ``Group.rational_classes`` merges
@@ -49,6 +54,7 @@ from .subgroups import (
     SubgroupClass,
     _capped_sylow_order,
     _OrbitRegistry,
+    _walk_classes,
     all_subgroup_classes,
     are_conjugate,
     p_subgroup_classes,
@@ -180,21 +186,27 @@ def _read_buckets(group, name, walk, orders):
         yield read[d]
 
 
-def _walk_buckets(group, orders):
+def _walk_buckets(group, orders, complete=True):
     """The classes of each order in ``orders``, read off the graded walk of
-    ``all_subgroup_classes``."""
+    ``all_subgroup_classes``: all of them when ``complete``, else those its
+    walk inside normalisers reaches, which hold every solvable class."""
+    if complete:
+        return _read_buckets(
+            group, "order buckets", lambda d: all_subgroup_classes(group, d), orders
+        )
     return _read_buckets(
-        group, "order buckets", lambda d: all_subgroup_classes(group, d), orders
+        group, "solvable buckets", lambda d: _walk_classes(group, d), orders
     )
 
 
 def _p_buckets(group, p):
     """The p-subgroup classes of each order p, p^2, ..., refused above
-    ``sylow_order_cap``: read off the graded walk once a plain verdict has
-    started it (B is decided before B_pi), else off the graded p-walk."""
+    ``sylow_order_cap``: read off the graded walk's solvable list once a
+    plain verdict has started it (B is decided before B_pi), else off the
+    graded p-walk."""
     orders = divisors(_capped_sylow_order(group, p))[1:]
     if WALK_KEY in group.analysis_cache:
-        return _walk_buckets(group, orders)
+        return _walk_buckets(group, orders, complete=False)
     return _read_buckets(
         group, ("p buckets", p), lambda d: p_subgroup_classes(group, p, d), orders
     )
@@ -272,9 +284,12 @@ def _decide_pi(group, class_id):
 
 
 def _decide_plain(group, class_id):
-    read = _cyclic_buckets if class_id.kind == "cyclic" else _walk_buckets
+    orders = divisors(group.order())
     try:
-        buckets = read(group, divisors(group.order()))
+        if class_id.kind == "cyclic":
+            buckets = _cyclic_buckets(group, orders)
+        else:
+            buckets = _walk_buckets(group, orders, class_id.kind == "any")
         split = _first_split_bucket(buckets, _kind_filter(class_id.kind))
     except CapExceeded:
         verdict, witness = _decide_pi(group, class_id.pi_counterpart)

@@ -23,20 +23,33 @@ subgroup K > 1 is <H, x> for a proper subgroup H of smaller order (a maximal
 one, and x any element of K outside it that the walk may take), so once every
 class of order < d is extended, every class of order <= d is registered.  A
 verdict that splits at order d therefore never builds the larger classes.
+
+The kept walk of ``all_subgroup_classes`` first takes x from N_G(H) only.
+<H, x> is then H extended by a cyclic group, so that walk reaches exactly the
+solvable classes: a solvable K has a normal subgroup of prime index (Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005).  It reaches
+outside N_G(H) only when a caller asks for the complete list up to an order
+d >= ``low``, the least order a non-solvable subgroup of G can have; below
+it every subgroup is solvable, so the walk inside normalisers is complete
+there.  Each class it extended before then gets only the cosets outside
+N_G(H), so no extension is tried twice.  In a solvable G it never reaches
+outside.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
 
 from .caps import CapExceeded
+from .fields import divisors
 from .groups import normalizer
 from .structure import (
     _rational_reps,
     is_nilpotent,
+    is_solvable,
     is_supersolvable,
     p_part,
     prime_factors,
@@ -53,6 +66,9 @@ class SubgroupClass:
     representative: object  # Subgroup
     orbit_size: int
     _props: dict = field(default_factory=dict, repr=False)
+    # N_G(H), kept by a walk that extended H inside it and may still reach
+    # outside it (see ``_GradedWalk``)
+    _normalizer: object = field(default=None, repr=False, compare=False)
 
     @property
     def order(self):
@@ -109,10 +125,30 @@ class _OrbitRegistry:
         return cid, True
 
 
-def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
+def _class_normalizer(group, rep, orbit_size):
+    """N_G(H) for a representative H with ``orbit_size`` conjugates.
+    |N_G(H)| = |G| / ``orbit_size``, so N = G when that is 1 and N = H when
+    it is |G:H|; only otherwise is N computed."""
+    n = group.order()
+    if orbit_size == 1:
+        return group.full_subgroup()
+    if n == orbit_size * rep.order:
+        return rep
+    nz = normalizer(group, rep)
+    if nz.order * orbit_size != n:  # pragma: no cover - internal check
+        raise RuntimeError("normaliser order disagrees with the orbit size")
+    return nz
+
+
+def _coset_orbit_reps(
+    group, rep, orbit_size, in_normalizer, wanted, nz=None, outside=False
+):
     """One x per orbit of N = N_G(H) on the left cosets xH of H, in index
-    order, skipping x with ``wanted(H, x)`` false; x runs over G, or over N
-    alone when ``in_normalizer``.  The walks call it for H > 1 only: for the
+    order, skipping x with ``wanted(H, x)`` false.  x runs over G, over N
+    alone when ``in_normalizer``, or over G outside N when ``outside``: N is
+    then marked as covered, as after a pass inside it.  N is ``nz`` when the
+    caller keeps it, G when H is normal (``orbit_size`` 1), else computed by
+    ``_class_normalizer``.  The walks call it for H > 1 only: for the
     trivial H these orbits are the rational classes of the elements, which
     the group keeps (``Group.rational_classes``).
 
@@ -121,28 +157,25 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
     is yielded, the N-orbits of the cosets x^k H add only conjugates of
     <H, x> and are marked as a whole, each coset by one ``left_coset`` call
     and each conjugation by the generator's map or ``Group.conjugator``.
-    |N| = |G| / ``orbit_size``
-    (the number of conjugates of H): N = G when that is |G|, N = H when it is
-    |H|, and only otherwise is N computed.
+    Those cosets lie in N exactly when x does, so a pass inside N and a pass
+    outside it together yield what one pass over G yields.
     """
     n = group.order()
     hset = rep.indices
-    domain = range(n)
-    if orbit_size == 1:
-        conj = [m.__getitem__ for m in group.conj_maps()]
-    elif n == orbit_size * len(hset):
-        if in_normalizer:
+    if nz is None and orbit_size > 1:
+        nz = _class_normalizer(group, rep, orbit_size)
+    if nz is None or nz.order == n:
+        if outside:
             return
-        conj = list(map(group.conjugator, rep.gens_idx()))
+        conj = [m.__getitem__ for m in group.conj_maps()]
+        domain = range(n)
     else:
-        nz = normalizer(group, rep)
-        if nz.order * orbit_size != n:  # pragma: no cover - internal check
-            raise RuntimeError("normaliser order disagrees with the orbit size")
+        if in_normalizer and nz.order == len(hset):
+            return
         conj = list(map(group.conjugator, nz.gens_idx()))
-        if in_normalizer:
-            domain = sorted(nz.indices)
+        domain = sorted(nz.indices) if in_normalizer else range(n)
     covered = bytearray(n)
-    for h in hset:
+    for h in nz.indices if outside else hset:
         covered[h] = 1
     mul = group.mul_idx
     for x in domain:
@@ -173,6 +206,23 @@ def _coset_orbit_reps(group, rep, orbit_size, in_normalizer, wanted):
                     orbit.append(z)
 
 
+def _nonsolvable_floor(group):
+    """``low``: the least order a non-solvable subgroup of G can have, or
+    None when G is solvable.  A group of order d is solvable when d < 60 (A5
+    is the least non-solvable group), when 4 does not divide d (a cyclic
+    Sylow 2-subgroup gives a normal 2-complement by Burnside's transfer
+    theorem, solvable by Feit-Thompson) and when d has at most two prime
+    divisors (Burnside's p^a q^b theorem).  |G| itself passes all three
+    tests when G is not solvable."""
+    if is_solvable(group):
+        return None
+    return next(
+        d
+        for d in divisors(group.order())
+        if d >= 60 and d % 4 == 0 and len(prime_factors(d)) >= 3
+    )
+
+
 class _GradedWalk:
     """The cyclic-extension walk from the trivial class, in order of subgroup
     order, resumable: ``through(d)`` extends every class of order below d
@@ -180,15 +230,24 @@ class _GradedWalk:
     the trivial class by the wanted rational-class representatives and every
     other by the x of ``_coset_orbit_reps``, and lists the classes of order
     up to d.  Pending classes wait in a heap keyed by (order, representative
-    key), so they are listed in the order of the final class list."""
+    key), so they are listed in the order of the final class list.
 
-    def __init__(self, group, top, in_normalizer, wanted):
+    A walk ``in_normalizer`` takes x from N_G(H) only.  Given ``low``, it
+    reaches outside at the first ``through(d, complete=True)`` with d >=
+    ``low``: listed classes of order >= ``low`` go back to the heap, as
+    classes it had not reached may fall between them, and every class it
+    has extended is extended again by the orbits outside N_G(H) alone, which
+    it kept on the class.  From then on it takes x from all of G.  Until
+    then its registry is kept, since a complete read may still need it."""
+
+    def __init__(self, group, top, in_normalizer, wanted, low=None):
         self.group = group
         self.top = top
         self.in_normalizer = in_normalizer
         self.wanted = wanted
+        self.low = low
         self.registry = _OrbitRegistry(group)
-        self.pending = []  # (order, key, class id) of registered, unlisted classes
+        self.pending = []  # (order, key, class) of registered, unlisted classes
         self.classes = []  # listed classes, in (order, key) order
         self.orders = []  # their orders
         self.extended = 0  # classes[:extended] are extended
@@ -197,38 +256,56 @@ class _GradedWalk:
     def _register(self, key):
         cid, new = self.registry.classify(key)
         if new:
-            rep = self.registry.reps[cid]
-            heappush(self.pending, (rep.order, rep.key(), cid))
+            c = SubgroupClass(self.registry.reps[cid], self.registry.sizes[cid])
+            heappush(self.pending, (c.order, c.representative.key(), c))
 
-    def through(self, d):
-        """The classes of order at most d, in (order, key) order."""
+    def _reach_outside(self):
+        cut = bisect_left(self.orders, self.low)
+        for c in self.classes[cut:]:
+            heappush(self.pending, (c.order, c.representative.key(), c))
+        del self.classes[cut:], self.orders[cut:]
+        # the rational classes extend H = 1 by all of G = N_G(1) already
+        self.extended = min(self.extended, 1)
+        self.in_normalizer, self.low = False, None
+
+    def _extensions(self, c):
+        group, rep = self.group, c.representative
+        if rep.order == 1:
+            # for H = 1 the orbit of the cosets x^k H is x's rational class,
+            # and both walks want an x by its order alone
+            hset = rep.indices
+            return [x for x in _rational_reps(group) if self.wanted(hset, x)]
+        size = c.orbit_size
+        nz, c._normalizer = c._normalizer, None
+        if nz is not None:
+            return _coset_orbit_reps(group, rep, size, False, self.wanted, nz, True)
+        if self.low is not None:
+            nz = c._normalizer = _class_normalizer(group, rep, size)
+        return _coset_orbit_reps(group, rep, size, self.in_normalizer, self.wanted, nz)
+
+    def through(self, d, complete=False):
+        """The classes of order at most d, in (order, key) order: all of
+        them when ``complete``, else those the walk has reached (for the
+        walk inside normalisers, the solvable ones until a complete read
+        reaches ``low``)."""
         d = min(d, self.top)
+        if complete and self.low is not None and d >= self.low:
+            self._reach_outside()
         group, pending = self.group, self.pending
         classes, orders = self.classes, self.orders
         while True:
             if self.extended < len(orders) and orders[self.extended] < d:
                 c = classes[self.extended]
                 self.extended += 1
-                rep = c.representative
-                if rep.order == 1:
-                    # for H = 1 the orbit of the cosets x^k H is x's rational
-                    # class, and both walks want an x by its order alone
-                    hset = rep.indices
-                    xs = [x for x in _rational_reps(group) if self.wanted(hset, x)]
-                else:
-                    xs = _coset_orbit_reps(
-                        group, rep, c.orbit_size, self.in_normalizer, self.wanted
-                    )
-                for x in xs:
-                    self._register(group.closure_idx([x], base=rep))
+                for x in self._extensions(c):
+                    self._register(group.closure_idx([x], base=c.representative))
             elif pending and pending[0][0] <= d:
-                order, _, cid = heappop(pending)
-                reps, sizes = self.registry.reps, self.registry.sizes
-                classes.append(SubgroupClass(reps[cid], sizes[cid]))
-                orders.append(order)
+                c = heappop(pending)[2]
+                classes.append(c)
+                orders.append(c.order)
             else:
                 break
-        if d == self.top:
+        if d == self.top and self.low is None:
             self.registry = None  # it holds every subgroup's key; only classes are read
         return classes[: bisect_right(orders, d)]
 
@@ -246,8 +323,8 @@ def _capped_sylow_order(group, p):
     return sylow_order
 
 
-def _resumed(group, key, start, d):
-    """The classes of order at most d off the walk kept in
+def _resumed(group, key, start, d, complete=False):
+    """``through(d, complete)`` of the walk kept in
     ``group.analysis_cache[key]``, begun by ``start()`` when none is kept.
     A walk that hits a cap is dropped, so the next call starts afresh and
     stops at the same cap."""
@@ -256,7 +333,7 @@ def _resumed(group, key, start, d):
     if walk is None:
         walk = cache[key] = start()
     try:
-        return walk.through(d)
+        return walk.through(d, complete)
     except CapExceeded:
         del cache[key]
         raise
@@ -305,11 +382,12 @@ def all_subgroup_classes(group, max_order=None):
     Starts from the trivial class and extends each representative H by single
     elements of prime-power order; since every subgroup is generated one
     prime-power element at a time through conjugates of known classes, the
-    walk is complete.  Representatives are extended by all such elements, not
-    only those of N_G(H), so perfect subgroups are found too (a pure
-    normalizer-driven cyclic extension would miss them).  Of the cosets xH,
-    one per N_G(H)-orbit is tried: a coset and its conjugates under N_G(H)
-    give conjugate extensions (see ``_coset_orbit_reps``).
+    walk is complete.  Of the cosets xH, one per N_G(H)-orbit is tried: a
+    coset and its conjugates under N_G(H) give conjugate extensions (see
+    ``_coset_orbit_reps``).  The walk takes x from N_G(H) alone up to
+    ``low`` (see ``_nonsolvable_floor``), which finds every solvable class,
+    and from all of G from there on, so perfect subgroups are found too (a
+    pure normalizer-driven cyclic extension would miss them).
 
     The walk runs in order of subgroup order and stops once every class of
     order < d is extended: a subgroup K of order d has a maximal subgroup H,
@@ -321,15 +399,26 @@ def all_subgroup_classes(group, max_order=None):
     dropped, so the next call starts afresh and stops at the same cap.
     """
     n = group.order()
+    return _walk_classes(group, n if max_order is None else max_order, True)
+
+
+def _walk_classes(group, d, complete=False):
+    """The classes of order at most d off the walk kept under ``WALK_KEY``:
+    all of them when ``complete``, as ``all_subgroup_classes`` lists them;
+    else those its walk inside normalisers has reached, a superset of the
+    solvable classes (exactly those until a complete read reaches ``low``).
+    Both reads are refused above ``full_subgroup_cap``."""
+    n = group.order()
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
 
     def start():
         pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
-        return _GradedWalk(group, n, False, lambda hset, x: pp_element[x])
+        low = _nonsolvable_floor(group)
+        return _GradedWalk(group, n, True, lambda hset, x: pp_element[x], low)
 
-    return _resumed(group, WALK_KEY, start, n if max_order is None else max_order)
+    return _resumed(group, WALK_KEY, start, d, complete)
 
 
 def are_conjugate(group, sub_a, sub_b):

@@ -652,3 +652,30 @@ def test_non_cap_failure_names_the_entry_and_stage(monkeypatch, stage, target):
     exc = pickle.loads(pickle.dumps(info.value))
     assert exc.args == ("defect",)
     assert exc.__notes__ == [f"in corpus entry Cyclic(6), stage {stage}"]
+
+
+_CAPPED_CORPUS = """
+from subconj import harness
+records = harness.analyze_corpus(harness.CorpusManifest.default())
+for result in harness.run_checks(records):
+    print(result.check_id, result.status)
+"""
+
+
+def test_capped_hypotheses_skip_their_checks():
+    # under these caps almost every A_pi verdict is undecided: the checks
+    # whose every instance is then capped are skipped, not vacuous
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        SUBCONJ_FULL_SUBGROUP_CAP="10",
+        SUBCONJ_SYLOW_ORDER_CAP="2",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CORPUS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses = dict(line.split() for line in proc.stdout.splitlines())
+    for check_id in ("T5", "T9", "T10", "C13", "T16", "T20-case5"):
+        assert statuses[check_id] == "skipped", (check_id, statuses)
+    assert "vacuous" not in statuses.values()
