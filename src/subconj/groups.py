@@ -792,13 +792,12 @@ class Subgroup:
     conjugation-invariant summaries used to prune conjugacy searches.
     """
 
-    __slots__ = ("parent", "indices", "_gens_idx", "_fingerprint", "_abelian")
+    __slots__ = ("parent", "indices", "_gens_idx", "_abelian")
 
     def __init__(self, parent, indices, gens_idx=None):
         self.parent = parent
         self.indices = frozenset(indices)
         self._gens_idx = tuple(gens_idx) if gens_idx is not None else None
-        self._fingerprint = None
         self._abelian = None
 
     @property
@@ -858,10 +857,8 @@ class Subgroup:
 
     def fingerprint(self):
         """(order, element-order multiset, abelian flag); conjugation-invariant."""
-        if self._fingerprint is None:
-            counts = tuple(sorted(self.element_order_counter().items()))
-            self._fingerprint = (self.order, counts, self.is_abelian())
-        return self._fingerprint
+        counts = tuple(sorted(self.element_order_counter().items()))
+        return (self.order, counts, self.is_abelian())
 
     def key(self):
         """Sorted index tuple; the deterministic identity of the subgroup."""

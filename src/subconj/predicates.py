@@ -44,14 +44,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 from .caps import CapExceeded
 from .fields import divisors
-from .structure import is_nilpotent, is_supersolvable, prime_factors
+from .structure import is_nilpotent, is_supersolvable, p_part, prime_factors
 from .subgroups import (
     WALK_KEY,
-    SubgroupClass,
     _capped_sylow_order,
     _OrbitRegistry,
     _walk_classes,
@@ -137,25 +136,14 @@ class ClassReport:
         return self.verdicts[class_id]
 
 
-def _kind_filter(kind):
-    if kind == "any":
+def _kind_filter(kind, pi=False):
+    """Which subgroup classes a verdict of ``kind`` quantifies over: every
+    class for "any", and for a pi verdict also for "nilpotent" and
+    "supersolvable", since groups of prime-power order are both; else those
+    whose ``is_<kind>`` test holds."""
+    if kind == "any" or pi and kind in ("nilpotent", "supersolvable"):
         return lambda c: True
-    if kind == "abelian":
-        return lambda c: c.is_abelian()
-    if kind == "cyclic":
-        return lambda c: c.is_cyclic()
-    if kind == "nilpotent":
-        return lambda c: c.is_nilpotent()
-    if kind == "supersolvable":
-        return lambda c: c.is_supersolvable()
-    raise ValueError(f"unknown kind {kind}")
-
-
-def _pi_kind_filter(kind):
-    # prime-power-order groups are nilpotent and supersolvable
-    if kind in ("any", "nilpotent", "supersolvable"):
-        return lambda c: True
-    return _kind_filter(kind)
+    return methodcaller(f"is_{kind}")
 
 
 def _first_split_bucket(buckets, keep):
@@ -234,8 +222,7 @@ def _cyclic_buckets(group, orders):
             registry = _OrbitRegistry(group)
             for x in xs:
                 registry.classify(group.closure_idx([x]))
-            classes = map(SubgroupClass, registry.reps, registry.sizes)
-            read[d] = sorted(classes, key=lambda c: c.representative.key())
+            read[d] = sorted(registry.classes, key=lambda c: c.representative.key())
         yield read.get(d, xs)
 
 
@@ -257,15 +244,17 @@ def decide(group, class_id):
 
 
 def _decide_pi(group, class_id):
-    keep = _pi_kind_filter(class_id.kind)
+    keep = _kind_filter(class_id.kind, pi=True)
+    n = group.order()
     capped = False
-    for p in prime_factors(group.order()):
+    for p in prime_factors(n):
         try:
-            sylow_order = _capped_sylow_order(group, p)
-            if sylow_order in group.rational_classes():
-                continue  # a cyclic Sylow subgroup: one class per p-power order
+            # a cyclic Sylow subgroup: one class per p-power order, whatever
+            # the Sylow order cap
+            if p_part(n, p) in group.rational_classes():
+                continue
             if class_id.kind == "cyclic":
-                orders = divisors(sylow_order)[1:]
+                orders = divisors(_capped_sylow_order(group, p))[1:]
                 split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
             else:
                 split = _first_split_bucket(_p_buckets(group, p), keep)

@@ -4,7 +4,8 @@ Subgroups are keyed by their sorted element-index sets; their conjugation
 orbits come from the one walk, ``Group.conjugates``, over per-generator index
 maps, so the registry work is pure integer manipulation.  Class
 representatives are the lexicographically least element-sets of their orbits,
-which makes reports reproducible.
+which makes reports reproducible.  The registry makes one ``SubgroupClass``
+per class, and the walks list and return that object, not copies.
 
 Both enumerators share one cyclic-extension walk (Neubueser 1960; Cannon, Cox
 & Holt, JSC 2001).  Starting from the trivial class, each representative H is
@@ -42,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
+from operator import attrgetter
 
 from .caps import CapExceeded
 from .fields import divisors
@@ -57,15 +59,20 @@ from .structure import (
 
 # where ``all_subgroup_classes`` keeps its walk in ``group.analysis_cache``
 WALK_KEY = "subgroup walk"
+_ORDER = attrgetter("order")
 
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups: representative plus orbit size."""
+    """A conjugacy class of subgroups: representative plus orbit size.
+
+    ``_OrbitRegistry.classify`` makes one per class, and the walks and every
+    list they return hand out that object.  It keeps no test results: the
+    nilpotent and supersolvable tests run each time they are asked, and
+    only the representative keeps its abelian flag."""
 
     representative: object  # Subgroup
     orbit_size: int
-    _props: dict = field(default_factory=dict, repr=False)
     # N_G(H), kept by a walk that extended H inside it and may still reach
     # outside it (see ``_GradedWalk``)
     _normalizer: object = field(default=None, repr=False, compare=False)
@@ -81,16 +88,12 @@ class SubgroupClass:
         return self.representative.is_cyclic()
 
     def is_nilpotent(self):
-        if "nilpotent" not in self._props:
-            rep = self.representative
-            self._props["nilpotent"] = is_nilpotent(rep.parent, rep)
-        return self._props["nilpotent"]
+        rep = self.representative
+        return is_nilpotent(rep.parent, rep)
 
     def is_supersolvable(self):
-        if "supersolvable" not in self._props:
-            rep = self.representative
-            self._props["supersolvable"] = is_supersolvable(rep.parent, rep)
-        return self._props["supersolvable"]
+        rep = self.representative
+        return is_supersolvable(rep.parent, rep)
 
 
 class _OrbitRegistry:
@@ -100,16 +103,17 @@ class _OrbitRegistry:
         self.group = group
         self.cap = group.caps.orbit_key_cap
         self.class_of = {}
-        self.reps = []  # class id -> Subgroup on the lexicographically least key
-        self.sizes = []
+        self.classes = []  # class id -> SubgroupClass, on the least key
 
     def classify(self, key):
         """Register a subgroup index-set; returns (class id, newly seen).
-        Each new class's keys but the first count against ``orbit_key_cap``."""
+        A new class gets its ``SubgroupClass``, on the lexicographically
+        least key of its orbit, in ``classes``.  Each new class's keys but
+        the first count against ``orbit_key_cap``."""
         cid = self.class_of.get(key)
         if cid is not None:
             return cid, False
-        cid = len(self.reps)
+        cid = len(self.classes)
         self.class_of[key] = cid
         best, size = (tuple(sorted(key)), key), 1
         for t, _, _, m in self.group.conjugates(key):
@@ -120,8 +124,8 @@ class _OrbitRegistry:
             self.class_of[t] = cid
             size += 1
             best = min(best, (tuple(sorted(t)), t))
-        self.reps.append(self.group.subgroup_from_indices(best[1]))
-        self.sizes.append(size)
+        rep = self.group.subgroup_from_indices(best[1])
+        self.classes.append(SubgroupClass(rep, size))
         return cid, True
 
 
@@ -249,21 +253,20 @@ class _GradedWalk:
         self.registry = _OrbitRegistry(group)
         self.pending = []  # (order, key, class) of registered, unlisted classes
         self.classes = []  # listed classes, in (order, key) order
-        self.orders = []  # their orders
         self.extended = 0  # classes[:extended] are extended
         self._register(frozenset({group.identity_idx}))
 
     def _register(self, key):
         cid, new = self.registry.classify(key)
         if new:
-            c = SubgroupClass(self.registry.reps[cid], self.registry.sizes[cid])
+            c = self.registry.classes[cid]
             heappush(self.pending, (c.order, c.representative.key(), c))
 
     def _reach_outside(self):
-        cut = bisect_left(self.orders, self.low)
+        cut = bisect_left(self.classes, self.low, key=_ORDER)
         for c in self.classes[cut:]:
             heappush(self.pending, (c.order, c.representative.key(), c))
-        del self.classes[cut:], self.orders[cut:]
+        del self.classes[cut:]
         # the rational classes extend H = 1 by all of G = N_G(1) already
         self.extended = min(self.extended, 1)
         self.in_normalizer, self.low = False, None
@@ -291,23 +294,20 @@ class _GradedWalk:
         d = min(d, self.top)
         if complete and self.low is not None and d >= self.low:
             self._reach_outside()
-        group, pending = self.group, self.pending
-        classes, orders = self.classes, self.orders
+        group, pending, classes = self.group, self.pending, self.classes
         while True:
-            if self.extended < len(orders) and orders[self.extended] < d:
+            if self.extended < len(classes) and classes[self.extended].order < d:
                 c = classes[self.extended]
                 self.extended += 1
                 for x in self._extensions(c):
                     self._register(group.closure_idx([x], base=c.representative))
             elif pending and pending[0][0] <= d:
-                c = heappop(pending)[2]
-                classes.append(c)
-                orders.append(c.order)
+                classes.append(heappop(pending)[2])
             else:
                 break
         if d == self.top and self.low is None:
             self.registry = None  # it holds every subgroup's key; only classes are read
-        return classes[: bisect_right(orders, d)]
+        return classes[: bisect_right(classes, d, key=_ORDER)]
 
 
 def _capped_sylow_order(group, p):

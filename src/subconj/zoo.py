@@ -317,6 +317,10 @@ def ingest(path):
 
 
 def format_group_file(group, comment=None):
+    """The group file of ``group``, one that ``parse_group_file`` reads: a
+    ValueError for a degree above ``MAX_DEGREE``, which products and
+    quotients can reach but no group file holds."""
+    check_degree(group.degree)
     lines = []
     if comment:
         lines.append(f"# {comment}")

@@ -18,7 +18,7 @@ from math import gcd
 from subconj import Group, Permutation
 from subconj.groups import normalizer
 from subconj.structure import p_part, prime_factors
-from subconj.subgroups import SubgroupClass, _coset_orbit_reps, _OrbitRegistry
+from subconj.subgroups import _coset_orbit_reps, _OrbitRegistry
 
 
 def hand_compose(f, g):
@@ -303,9 +303,7 @@ def _is_prime(n):
 
 def _registered_classes(registry):
     """A registry's classes in (order, representative key) order."""
-    out = [SubgroupClass(rep, size) for rep, size in zip(registry.reps, registry.sizes)]
-    out.sort(key=lambda c: (c.order, c.representative.key()))
-    return out
+    return sorted(registry.classes, key=lambda c: (c.order, c.representative.key()))
 
 
 def unpruned_p_subgroup_classes(group, p):
@@ -325,7 +323,7 @@ def unpruned_p_subgroup_classes(group, p):
     while size < sylow_order:
         grown = []
         for cid in level:
-            rep = registry.reps[cid]
+            rep = registry.classes[cid].representative
             for x in sorted(normalizer(group, rep).indices):
                 o = group.order_of_idx(x)
                 if x in rep.indices or o != p_part(o, p):
@@ -348,7 +346,7 @@ def unpruned_all_subgroup_classes(group):
     registry = _OrbitRegistry(group)
     queue = [registry.classify(frozenset({group.identity_idx}))[0]]
     for cid in queue:
-        rep = registry.reps[cid]
+        rep = registry.classes[cid].representative
         if rep.order == n:
             continue
         covered = set(rep.indices)

@@ -81,6 +81,15 @@ def test_construct_round_trips(tmp_path):
     assert "order   12" in result.stdout
 
 
+def test_construct_refuses_a_degree_no_group_file_holds(tmp_path):
+    # a product can reach degree 300, which the group file parser refuses
+    out = tmp_path / "big.grp"
+    result = run_cli("construct", "Cyclic(200)*Cyclic(100)", "--emit", str(out))
+    assert result.returncode == 2
+    assert result.stderr == "error: degree must be in 1..256, got 300\n"
+    assert not out.exists()
+
+
 def test_construct_prints_without_emit():
     result = run_cli("construct", "Cyclic(4)")
     assert result.returncode == 0

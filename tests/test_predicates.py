@@ -191,6 +191,22 @@ def test_capped_plain_class_still_detects_non_membership():
     assert w.prime == 2 and w.order == 4
 
 
+def test_cyclic_sylow_subgroups_need_no_sylow_order_cap():
+    # every Sylow subgroup of Cyclic(4) is cyclic, so no pi verdict walks
+    # p-subgroups, and the Sylow order cap refuses none of them
+    g0 = construct("Cyclic(4)")
+    g = Group(g0.generators, degree=g0.degree, caps=Caps(sylow_order_cap=2))
+    assert set(hierarchy_report(g).verdicts.values()) == {MEMBER}
+
+
+def test_cyclic_sylow_test_keeps_the_element_cap():
+    # telling a cyclic Sylow subgroup lists the elements: an element cap
+    # below the order leaves the pi verdict undecided, not raised
+    g0 = construct("Cyclic(12)")
+    g = Group(g0.generators, degree=g0.degree, caps=Caps(element_cap=5))
+    assert decide(g, ClassId.A_PI) == (UNDECIDED, None)
+
+
 def test_undecided_never_blocks_pi_verdicts():
     report = hierarchy_report(construct("M11"))
     for cid in PI_IDS:
@@ -379,7 +395,7 @@ def test_above_cap_groups_walk_only_their_2_subgroups(name, top):
     walks = _p_walks(g)
     assert list(walks) == [("p walk", 2)]
     walk = walks["p walk", 2]
-    assert max(walk.orders) == top
+    assert max(c.order for c in walk.classes) == top
     assert all(order <= top for order, _, _ in walk.pending)
     assert (walk.registry is None) == (top == p_part(g.order(), 2))
 
@@ -396,7 +412,7 @@ def _run_counting_classes(monkeypatch, run):
     monkeypatch.setattr(_OrbitRegistry, "__init__", recording_init)
     result = run()
     monkeypatch.undo()
-    return result, [len(r.reps) for r in registries]
+    return result, [len(r.classes) for r in registries]
 
 
 def test_symmetric6_stops_its_walk_at_the_first_split(monkeypatch):

@@ -22,7 +22,13 @@ from subconj.subgroups import (
     all_subgroup_classes,
 )
 
-from oracles import relabelled, unpruned_all_subgroup_classes
+from oracles import (
+    brute_force_subgroups,
+    conjugacy_partition,
+    rational_class_verdicts,
+    relabelled,
+    unpruned_all_subgroup_classes,
+)
 
 
 def _keyed(classes):
@@ -137,12 +143,19 @@ def _random_groups(count, seed=29):
     return out
 
 
-def test_random_groups_keep_the_full_walk_verdicts():
+@pytest.fixture(scope="module")
+def random_groups():
+    """The 60 seeded random groups and two products of order 360 with
+    three prime divisors, where non-solvable subgroups appear."""
     groups = _random_groups(60)
     groups += [construct("Alternating(5)*Symmetric(3)")]
     groups += [construct("Symmetric(5)*Cyclic(3)")]
     assert not all(map(is_solvable, groups))
-    for i, g in enumerate(groups):
+    return groups
+
+
+def test_random_groups_keep_the_full_walk_verdicts(random_groups):
+    for i, g in enumerate(random_groups):
         old = _fresh(g)
         old.analysis_cache[WALK_KEY] = _full_walk(old)
         expected = analyze_group(old, f"random {i}")
@@ -151,6 +164,29 @@ def test_random_groups_keep_the_full_walk_verdicts():
             expected.verdicts,
             expected.witnesses,
         ), (i, g.order())
+
+
+def test_random_groups_keep_the_rational_class_cyclic_verdicts(random_groups):
+    for i, g in enumerate(random_groups):
+        fresh = _fresh(g)
+        got = [decide(fresh, cid)[0] == MEMBER for cid in (ClassId.C, ClassId.C_PI)]
+        assert tuple(got) == rational_class_verdicts(g), (i, g.order())
+
+
+# subset closure grows slowly past this order: A5 takes 2.4 s
+BRUTE_FORCE_ORDER = 24
+
+
+def test_small_random_groups_match_the_brute_force_classes(random_groups):
+    # per order, the orbit sizes of the full walk's classes against those of
+    # every subgroup found by subset closure, partitioned by full scans
+    small = [g for g in random_groups if g.order() <= BRUTE_FORCE_ORDER]
+    assert len(small) == 22
+    for i, g in enumerate(small):
+        orbits = conjugacy_partition(g, brute_force_subgroups(g))
+        expected = sorted((len(next(iter(o))), len(o)) for o in orbits)
+        got = [(c.order, c.orbit_size) for c in all_subgroup_classes(_fresh(g))]
+        assert sorted(got) == expected, (i, g.order())
 
 
 # closure_idx calls of analyze_entry on the full-enum benchmark entries: 801

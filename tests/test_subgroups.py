@@ -24,7 +24,7 @@ from subconj.predicates import (
 )
 from subconj.structure import prime_factors
 from subconj import subgroups
-from subconj.subgroups import _OrbitRegistry
+from subconj.subgroups import WALK_KEY, SubgroupClass, _OrbitRegistry
 
 from oracles import (
     brute_force_subgroups,
@@ -167,6 +167,32 @@ def test_p_enumeration_matches_oracle(name):
     classes = p_subgroup_classes(group, 2)
     assert len(classes) == len(orbits)
     assert sorted(c.orbit_size for c in classes) == sorted(len(o) for o in orbits)
+
+
+def test_class_tests_leave_the_class_as_built():
+    # nothing is cached on a class, so asking it anything leaves it equal to
+    # the class built from its representative and orbit size
+    for c in all_subgroup_classes(S(4)):
+        for test in ("is_abelian", "is_cyclic", "is_nilpotent", "is_supersolvable"):
+            getattr(c, test)()
+            assert c == SubgroupClass(c.representative, c.orbit_size), (c, test)
+
+
+def test_walks_list_the_registry_objects():
+    # while a walk keeps its registry, each class it lists is the registry's
+    # own object, not a copy
+    g = S(5)
+    lists = {
+        # S5 is not solvable, so its walk inside normalisers keeps the registry
+        WALK_KEY: subgroups._walk_classes(g, g.order()),
+        # below |Syl_2| = 8 the p-walk is unfinished
+        ("p walk", 2): p_subgroup_classes(g, 2, 4),
+    }
+    for key, classes in lists.items():
+        registry = g.analysis_cache[key].registry
+        assert registry is not None and classes, key
+        for c in classes:
+            assert any(c is own for own in registry.classes), (key, c)
 
 
 def test_orbit_sizes_divide_group_order():
@@ -374,7 +400,7 @@ def _closures_from_trivial(monkeypatch, g, run):
         registries.append(self)
 
     def counted(seed, base=None):
-        if any(r.reps and base is r.reps[0] for r in registries):
+        if any(r.classes and base is r.classes[0].representative for r in registries):
             seeds.append(tuple(seed))
         return closure(seed, base=base)
 

@@ -12,6 +12,8 @@ from subconj import (
     quotient,
     structural_fingerprint,
 )
+from subconj.harness import analyze_group
+from subconj.predicates import MEMBER
 from subconj.zoo import (
     SEMIDIRECT_DATASETS,
     SUPPORTED_Q,
@@ -189,6 +191,16 @@ def test_round_trip_through_group_file(tmp_path):
     again = ingest(path)
     assert again.order() == 24
     assert again.generators == g.generators
+
+
+def test_a_product_past_the_file_degree_builds_and_analyses():
+    # Cyclic(255)*Cyclic(2) acts on 257 points: the library builds and
+    # analyses it, and only its group file is refused
+    g = construct("Cyclic(255)*Cyclic(2)")
+    assert (g.degree, g.order()) == (257, 510)
+    assert set(analyze_group(g, "C510").verdicts.values()) == {MEMBER}
+    with pytest.raises(ValueError, match="degree must be in 1..256, got 257"):
+        format_group_file(g)
 
 
 def test_product_ids():
