@@ -56,8 +56,12 @@ Theory, 2005).  A quotient G/N labels every element with its coset number
 in one pass: the first time its BFS reaches a coset Nt, it writes the
 number over all of Nt.
 
-One walk, ``Group.conjugates``, lists a subgroup's conjugates; the normaliser,
-the conjugacy test and the subgroup-class registry all read it.
+One walk, ``Group.conjugates``, lists a subgroup's conjugates and the edges
+between them, the step of each generator from each conjugate; no other loop
+walks a conjugation orbit, and only it counts the orbit-key cap.  The
+subgroup-class registry, the conjugacy test and the normaliser all read that
+one walk, and the registry keeps the edges of a class that a subgroup walk
+will extend, so its normaliser needs no second walk.
 
 Exact shortcuts replace whole-group scans.  A closure stops as soon as its
 members pass the largest order a proper subgroup can have, and returns the
@@ -70,9 +74,9 @@ of classes whose order d divides n and exceeds by one a sum of non-identity
 class sizes.  So n/d divides m!, m is at least the least mu(n/d) with
 n/d | mu(n/d)!, and |K| is at most the largest divisor of n not above n/m
 (Holt, Eick & O'Brien 2005): 60 for PSL2(11), where n/2 = 330.  And the
-normaliser comes from orbit-stabiliser: the walk over the
-conjugates of H gives |N_G(H)| = |G| / their number, and Schreier
-generators are added until that order is reached, without a scan of G.
+normaliser comes from orbit-stabiliser: the walk over the conjugates of H
+gives |N_G(H)| = |G| / their number, and the Schreier generators its edges
+give are added until that order is reached, without a scan of G.
 
 Groups and subgroups are immutable after construction.  The lazy caches
 (element list, conjugation maps, ...) are populated once and only read
@@ -81,6 +85,7 @@ afterwards, so sharing across threads or analyses is safe.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from itertools import chain, repeat, starmap
 from math import gcd
@@ -630,26 +635,32 @@ class Group:
             self._rational = by_order
         return self._rational
 
-    def conjugates(self, hset):
+    def conjugates(self, hset, cap=None):
         """The one orbit walk on subgroups: the conjugates of the index set
-        ``hset``, breadth-first along the generators' ``conj_maps()``.
+        ``hset``, breadth-first along the generators' ``conj_maps()``, as
+        (orbit, edges).
 
-        Conjugates are numbered as found, K_0 = ``hset``.  Each step yields
-        (K, i, j, m): K = K_i^g_j, for the j-th generator, is conjugate m.  A
-        step that finds K has m = the number found before it; later steps to
-        K repeat its number.
+        Conjugates are numbered as found, orbit[0] = ``hset``, and with r
+        generators, ``edges[i * r + j]`` is m when orbit[i]^g_j = orbit[m].
+        A walk that would find more than ``cap`` conjugates (uncapped when
+        None) raises CapExceeded("orbit keys") when it meets the next one.
         """
         maps = self.conj_maps()
+        cap = self._order if cap is None else cap
         number = {hset: 0}
         orbit = [hset]
-        for i, k in enumerate(orbit):
-            for j, cmap in enumerate(maps):
+        edges = array("I")
+        for k in orbit:
+            for cmap in maps:
                 kg = frozenset(map(cmap.__getitem__, k))
                 m = number.get(kg)
                 if m is None:
+                    if len(orbit) >= cap:
+                        raise CapExceeded("orbit keys", f"more than {cap} conjugates")
                     m = number[kg] = len(orbit)
                     orbit.append(kg)
-                yield kg, i, j, m
+                edges.append(m)
+        return orbit, edges
 
     # ------------------------------------------------------------------
     # closures on index sets
@@ -913,37 +924,59 @@ def centralizer(group, sub):
     return group.subgroup_from_indices(members)
 
 
-def normalizer(group, sub):
-    """N_G(H) = elements g with g^-1 H g = H, by orbit-stabiliser.
+def _carriers(group, edges):
+    """c_m with orbit[0]^c_m = orbit[m] for every conjugate m of a walk
+    (``Group.conjugates``), as element indices: c_0 = 1, and the first edge
+    into m, orbit[i]^g_j = orbit[m], gives c_m = c_i g_j."""
+    mul, gens = group.mul_idx, group.gen_indices()
+    found = [group.identity_idx]
+    for e, m in enumerate(edges):
+        if m == len(found):
+            i, j = divmod(e, len(gens))
+            found.append(mul(found[i], gens[j]))
+    return found
 
-    ``Group.conjugates`` walks the conjugates of H (with no ``orbit_key_cap``),
-    and the step that finds K gives it a carrier c with H^c = K; |N_G(H)| =
-    |G| / the number of conjugates.  Every other step K -> K^g, carriers c and
-    c', gives a Schreier generator c g c'^-1 of N_G(H).  Those outside the
-    subgroup built so far are joined to H, each at least doubling it, until
-    the order is reached; the returned subgroup carries H's generators and
-    the ones joined.
+
+def _walk_normalizer(group, sub, size, edges, root=0):
+    """N_G(H) for H = orbit[root], one of the ``size`` conjugates of a walk
+    with these ``edges``, by orbit-stabiliser: |N_G(H)| = |G| / size, so N
+    is G when size is 1 and H when size is |G:H|.
+
+    Otherwise every edge orbit[i]^g_j = orbit[m] but the one that gave c_m
+    (carriers c as in ``_carriers``) gives a Schreier generator c_i g_j
+    c_m^-1 of N_G(orbit[0]), and c_root conjugates it into N_G(H).  Those
+    outside the subgroup built so far are joined to H, each at least
+    doubling it, until the order is reached; the result carries H's
+    generators and the ones joined.
     """
-    mul, inv = group.mul_idx, group.inv_idx
-    gens_g = group.gen_indices()
-    carriers = [group.identity_idx]
-    steps = []  # (i, j, m): a later step from conjugate i by g_j to conjugate m
-    for _, i, j, m in group.conjugates(sub.indices):
-        if m == len(carriers):
-            carriers.append(mul(carriers[i], gens_g[j]))
-        else:
-            steps.append((i, j, m))
-    target = group.order() // len(carriers)
+    target = group.order() // size
+    if size == 1:
+        return group.full_subgroup()
+    if target == sub.order:
+        return sub
+    mul, inv, gens = group.mul_idx, group.inv_idx, group.gen_indices()
+    c = _carriers(group, edges)
+    conj = group.conjugator(c[root])
     current = sub
-    for i, j, m in steps:
+    for e, m in enumerate(edges):
         if current.order == target:
             break
-        s = mul(mul(carriers[i], gens_g[j]), inv(carriers[m]))
-        if s not in current.indices:
-            current = current.join([s])
+        i, j = divmod(e, len(gens))
+        t = mul(c[i], gens[j])
+        if t != c[m]:
+            s = conj(mul(t, inv(c[m])))
+            if s not in current.indices:
+                current = current.join([s])
     if current.order != target:  # pragma: no cover - contradicts Schreier's lemma
         raise RuntimeError("Schreier generators do not reach |G| / orbit size")
     return current
+
+
+def normalizer(group, sub):
+    """N_G(H) = elements g with g^-1 H g = H: ``_walk_normalizer`` on a
+    fresh walk of H's conjugates, which ignores ``orbit_key_cap``."""
+    orbit, edges = group.conjugates(sub.indices)
+    return _walk_normalizer(group, sub, len(orbit), edges)
 
 
 def center(group):

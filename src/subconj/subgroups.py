@@ -14,9 +14,10 @@ conjugation on the left cosets xH: every element of a coset gives the same
 extension, and conjugate cosets give conjugate extensions.  The cosets of
 the powers x^k with k prime to |x| give <H, x> again and are marked with x's
 orbit, so each cyclic subgroup <x> is tried once, not once per generator.
-The registry already knows the number of conjugates of H, so |N_G(H)| =
-|G| / orbit size comes free, and the normaliser is computed only when it is
-neither G nor H.
+The registry's one walk of H's conjugates gives |N_G(H)| = |G| / orbit
+size, so N_G(H) is G or H when the orbit size says so; otherwise it is built
+from the edges of that walk, which the class keeps until it is extended, by
+Schreier's lemma and with no second walk.
 
 The walk runs in order of subgroup order: it always extends the listed class
 of least order, and it can stop after any order and resume later.  Every
@@ -47,7 +48,8 @@ from operator import attrgetter
 
 from .caps import CapExceeded
 from .fields import divisors
-from .groups import normalizer
+# normalizer is not called here, but bench/tracing.py wraps it by this name
+from .groups import _carriers, _walk_normalizer, normalizer  # noqa: F401
 from .structure import (
     _rational_reps,
     is_nilpotent,
@@ -69,10 +71,15 @@ class SubgroupClass:
     ``_OrbitRegistry.classify`` makes one per class, and the walks and every
     list they return hand out that object.  It keeps no test results: the
     nilpotent and supersolvable tests run each time they are asked, and
-    only the representative keeps its abelian flag."""
+    only the representative keeps its abelian flag.  A class that a
+    subgroup walk may still extend keeps its orbit walk until N_G(H) is
+    built from it."""
 
     representative: object  # Subgroup
     orbit_size: int
+    # (edges, root) of the registry's walk, H = orbit[root], kept until a
+    # subgroup walk builds N_G(H) from it (see ``_OrbitRegistry.classify``)
+    _walk: object = field(default=None, repr=False, compare=False)
     # N_G(H), kept by a walk that extended H inside it and may still reach
     # outside it (see ``_GradedWalk``)
     _normalizer: object = field(default=None, repr=False, compare=False)
@@ -104,57 +111,39 @@ class _OrbitRegistry:
         self.cap = group.caps.orbit_key_cap
         self.class_of = {}
         self.classes = []  # class id -> SubgroupClass, on the least key
+        self.top = 0  # a new class of smaller order keeps its walk
 
     def classify(self, key):
         """Register a subgroup index-set; returns (class id, newly seen).
-        A new class gets its ``SubgroupClass``, on the lexicographically
-        least key of its orbit, in ``classes``.  Each new class's keys but
-        the first count against ``orbit_key_cap``."""
+        A new class is one walk of its conjugates (``Group.conjugates``),
+        whose keys but the first count against ``orbit_key_cap``; it gets
+        its ``SubgroupClass``, on the lexicographically least key of its
+        orbit, in ``classes``.  Below order ``top``, the class a subgroup
+        walk may still extend, it keeps that walk's edges and the least
+        key's place, from which the walk builds N_G(H)."""
         cid = self.class_of.get(key)
         if cid is not None:
             return cid, False
         cid = len(self.classes)
-        self.class_of[key] = cid
-        best, size = (tuple(sorted(key)), key), 1
-        for t, _, _, m in self.group.conjugates(key):
-            if m < size:
-                continue
-            if len(self.class_of) >= self.cap:
-                raise CapExceeded("orbit keys", f"more than {self.cap} subgroup sets")
-            self.class_of[t] = cid
-            size += 1
-            best = min(best, (tuple(sorted(t)), t))
-        rep = self.group.subgroup_from_indices(best[1])
-        self.classes.append(SubgroupClass(rep, size))
+        orbit, edges = self.group.conjugates(key, self.cap - len(self.class_of))
+        self.class_of.update(dict.fromkeys(orbit, cid))
+        keys = list(map(sorted, orbit))
+        root = keys.index(min(keys))
+        c = SubgroupClass(self.group.subgroup_from_indices(orbit[root]), len(orbit))
+        if c.order < self.top:
+            c._walk = edges, root
+        self.classes.append(c)
         return cid, True
 
 
-def _class_normalizer(group, rep, orbit_size):
-    """N_G(H) for a representative H with ``orbit_size`` conjugates.
-    |N_G(H)| = |G| / ``orbit_size``, so N = G when that is 1 and N = H when
-    it is |G:H|; only otherwise is N computed."""
-    n = group.order()
-    if orbit_size == 1:
-        return group.full_subgroup()
-    if n == orbit_size * rep.order:
-        return rep
-    nz = normalizer(group, rep)
-    if nz.order * orbit_size != n:  # pragma: no cover - internal check
-        raise RuntimeError("normaliser order disagrees with the orbit size")
-    return nz
-
-
-def _coset_orbit_reps(
-    group, rep, orbit_size, in_normalizer, wanted, nz=None, outside=False
-):
-    """One x per orbit of N = N_G(H) on the left cosets xH of H, in index
-    order, skipping x with ``wanted(H, x)`` false.  x runs over G, over N
-    alone when ``in_normalizer``, or over G outside N when ``outside``: N is
-    then marked as covered, as after a pass inside it.  N is ``nz`` when the
-    caller keeps it, G when H is normal (``orbit_size`` 1), else computed by
-    ``_class_normalizer``.  The walks call it for H > 1 only: for the
-    trivial H these orbits are the rational classes of the elements, which
-    the group keeps (``Group.rational_classes``).
+def _coset_orbit_reps(group, rep, nz, in_normalizer, wanted, outside=False):
+    """One x per orbit of N = ``nz`` = N_G(H) on the left cosets xH of H, in
+    index order, skipping x with ``wanted(H, x)`` false.  x runs over G,
+    over N alone when ``in_normalizer``, or over G outside N when
+    ``outside``: N is then marked as covered, as after a pass inside it.
+    The walks call it for H > 1 only: for the trivial H these orbits are the
+    rational classes of the elements, which the group keeps
+    (``Group.rational_classes``).
 
     For g in N, (xH)^g = x^g H and <H, x^g> = <H, x>^g, and <H, x^k h> =
     <H, x> for h in H and k prime to |x|, since x^k generates <x>; so once x
@@ -166,9 +155,7 @@ def _coset_orbit_reps(
     """
     n = group.order()
     hset = rep.indices
-    if nz is None and orbit_size > 1:
-        nz = _class_normalizer(group, rep, orbit_size)
-    if nz is None or nz.order == n:
+    if nz.order == n:
         if outside:
             return
         conj = [m.__getitem__ for m in group.conj_maps()]
@@ -251,6 +238,7 @@ class _GradedWalk:
         self.wanted = wanted
         self.low = low
         self.registry = _OrbitRegistry(group)
+        self.registry.top = top
         self.pending = []  # (order, key, class) of registered, unlisted classes
         self.classes = []  # listed classes, in (order, key) order
         self.extended = 0  # classes[:extended] are extended
@@ -278,13 +266,14 @@ class _GradedWalk:
             # and both walks want an x by its order alone
             hset = rep.indices
             return [x for x in _rational_reps(group) if self.wanted(hset, x)]
-        size = c.orbit_size
         nz, c._normalizer = c._normalizer, None
         if nz is not None:
-            return _coset_orbit_reps(group, rep, size, False, self.wanted, nz, True)
+            return _coset_orbit_reps(group, rep, nz, False, self.wanted, True)
+        nz = _walk_normalizer(group, rep, c.orbit_size, *c._walk)
+        c._walk = None
         if self.low is not None:
-            nz = c._normalizer = _class_normalizer(group, rep, size)
-        return _coset_orbit_reps(group, rep, size, self.in_normalizer, self.wanted, nz)
+            c._normalizer = nz
+        return _coset_orbit_reps(group, rep, nz, self.in_normalizer, self.wanted)
 
     def through(self, d, complete=False):
         """The classes of order at most d, in (order, key) order: all of
@@ -424,9 +413,10 @@ def _walk_classes(group, d, complete=False):
 def are_conjugate(group, sub_a, sub_b):
     """A conjugator g with g^-1 * A * g = B, or None.
 
-    Rejects on fingerprint mismatch, then walks at most ``orbit_key_cap``
-    conjugates A^c of A (``Group.conjugates``) until B; the carrier c found
-    is re-verified before it is handed out.
+    Rejects on fingerprint mismatch, then walks the conjugates of A
+    (``Group.conjugates``, at most ``orbit_key_cap`` of them) and looks B up
+    among them; the carrier c of B, A^c = B, is re-verified before it is
+    handed out.
     """
     if sub_a.parent is not group or sub_b.parent is not group:
         raise ValueError("subgroups must belong to the given group")
@@ -434,21 +424,11 @@ def are_conjugate(group, sub_a, sub_b):
         return group.identity()
     if sub_a.fingerprint() != sub_b.fingerprint():
         return None
-    gen_idx = group.gen_indices()
-    mul = group.mul_idx
-    cap = group.caps.orbit_key_cap
     target = sub_b.indices
-    carriers = [group.identity_idx]
-    for t, i, j, m in group.conjugates(sub_a.indices):
-        if m < len(carriers):
-            continue
-        if len(carriers) >= cap:
-            raise CapExceeded("orbit keys", f"conjugation orbit beyond {cap}")
-        carrier = mul(carriers[i], gen_idx[j])
-        if t == target:
-            conjugate = map(group.conjugator(carrier), sub_a.indices)
-            if frozenset(conjugate) != target:  # pragma: no cover
-                raise RuntimeError("conjugator failed re-verification")
-            return group.perm_at(carrier)
-        carriers.append(carrier)
-    return None
+    orbit, edges = group.conjugates(sub_a.indices, group.caps.orbit_key_cap)
+    if target not in orbit:
+        return None
+    carrier = _carriers(group, edges)[orbit.index(target)]
+    if frozenset(map(group.conjugator(carrier), sub_a.indices)) != target:
+        raise RuntimeError("conjugator failed re-verification")  # pragma: no cover
+    return group.perm_at(carrier)

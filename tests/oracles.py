@@ -146,7 +146,8 @@ def coset_walk_rational_classes(group):
     marks the conjugates of x's generating powers."""
     by_order = {}
     trivial = group.trivial_subgroup()
-    for x in _coset_orbit_reps(group, trivial, 1, False, lambda hset, x: True):
+    whole = group.full_subgroup()
+    for x in _coset_orbit_reps(group, trivial, whole, False, lambda hset, x: True):
         by_order.setdefault(group.order_of_idx(x), []).append(x)
     return by_order
 

@@ -25,6 +25,7 @@ from subconj import (
     structural_fingerprint,
 )
 from subconj import groups as groups_module
+from subconj import subgroups as subgroups_module
 from subconj.caps import Caps
 from subconj.fields import is_prime
 from subconj.groups import _coset_images
@@ -769,10 +770,25 @@ def test_proper_subgroup_bound_of_a_prime_order_near_the_element_cap():
 
 
 @pytest.mark.parametrize("name,relabel", LAGRANGE_CASES)
-def test_normalizer_matches_brute_force(subgroup_reps, name, relabel):
+def test_normalizer_matches_brute_force(monkeypatch, subgroup_reps, name, relabel):
+    # normalizer on a fresh walk, and the normaliser the full subgroup walk
+    # builds from the walk its registry kept for each class it extends (all
+    # but the trivial class and G), against a scan of the elements
     g = _build(name, relabel=relabel)
+    built = {}
+    walk_normalizer = subgroups_module._walk_normalizer
+
+    def recording(group, sub, *walk):
+        nz = walk_normalizer(group, sub, *walk)
+        built[sub.indices] = nz.indices
+        return nz
+
+    monkeypatch.setattr(subgroups_module, "_walk_normalizer", recording)
+    all_subgroup_classes(g)
     elements = g.elements()
-    for rep in subgroup_reps[name, relabel]:
+    reps = subgroup_reps[name, relabel]
+    assert set(built) == {rep.indices for rep in reps[1:-1]}
+    for rep in reps:
         sub = g.subgroup_from_indices(rep.indices)
         hset = frozenset(sub.elements())
         hgens = rep.generators
@@ -782,6 +798,7 @@ def test_normalizer_matches_brute_force(subgroup_reps, name, relabel):
             if all(x.inverse() * h * x in hset for h in hgens)
         )
         assert normalizer(g, sub).indices == scan
+        assert built.get(rep.indices, scan) == scan
 
 
 @pytest.mark.parametrize("relabel", (True, False))
@@ -814,9 +831,9 @@ def test_normalizer_is_the_stabiliser_of_the_conjugates(monkeypatch, relabel):
     [(n, relabel) for n in ("Symmetric(4)", "SL2(3)") for relabel in (False, True)],
 )
 def test_conjugates_walk_matches_brute_force(subgroup_reps, name, relabel):
-    # every conjugate g^-1 H g is numbered once, each step K_i -> K_i^g_j
-    # lands on the conjugate it names, and the carrier built along the first
-    # steps conjugates H onto each conjugate
+    # every conjugate g^-1 H g is listed once, each edge K_i -> K_i^g_j lands
+    # on the conjugate it names, and the carrier built along the first edge
+    # into each conjugate conjugates H onto it
     g = _build(name, relabel=relabel)
     elements = g.elements()
     gens = g.generators
@@ -826,17 +843,20 @@ def test_conjugates_walk_matches_brute_force(subgroup_reps, name, relabel):
         brute = {
             frozenset(g.index_of(x.inverse() * y * x) for y in h) for x in elements
         }
-        orbit, carriers = [hset], [g.identity()]
-        for k, i, j, m in g.conjugates(hset):
-            if m == len(orbit):
-                orbit.append(k)
-                carriers.append(carriers[i] * gens[j])
+        orbit, edges = g.conjugates(hset)
+        assert orbit[0] == hset and len(edges) == len(orbit) * len(gens)
+        carriers = [g.identity()]
+        for e, m in enumerate(edges):
+            i, j = divmod(e, len(gens))
             x = gens[j]
             stepped = {g.index_of(x.inverse() * g.perm_at(y) * x) for y in orbit[i]}
-            assert k == stepped == orbit[m]
+            assert stepped == orbit[m]
+            if m == len(carriers):
+                carriers.append(carriers[i] * x)
         assert len(set(orbit)) == len(orbit)
         assert set(orbit) == brute
-        for k, c in zip(orbit, carriers):
+        assert groups_module._carriers(g, edges) == list(map(g.index_of, carriers))
+        for k, c in zip(orbit, carriers, strict=True):
             assert frozenset(g.index_of(c.inverse() * y * c) for y in h) == k
 
 

@@ -470,3 +470,28 @@ def test_one_extension_per_cyclic_subgroup(monkeypatch, name):
             m = g.order_of_idx(x)
             powers = {g.pow_idx(x, k) for k in range(2, m) if gcd(k, m) == 1}
             assert not powers & seen, (x, sorted(powers & seen))
+
+
+@pytest.mark.parametrize("name,p", [("Symmetric(5)", None), ("SL2(7)", None), ("M11", 2)])
+def test_one_orbit_walk_per_class(monkeypatch, name, p):
+    # the walk that registers a class also gives its normaliser, so the
+    # conjugation orbits walked are exactly the classes registered, in the
+    # full walk (on relabelled points) and in a p-walk
+    g = relabelled(construct(name)) if p is None else construct(name)
+    registries, walks = [], []
+    init, conjugates = _OrbitRegistry.__init__, Group.conjugates
+
+    def recording_init(self, group):
+        init(self, group)
+        registries.append(self)
+
+    def counted(self, *args):
+        walks.append(args[0])
+        return conjugates(self, *args)
+
+    monkeypatch.setattr(_OrbitRegistry, "__init__", recording_init)
+    monkeypatch.setattr(Group, "conjugates", counted)
+    all_subgroup_classes(g) if p is None else p_subgroup_classes(g, p)
+    monkeypatch.undo()
+    assert len(registries) == 1
+    assert len(walks) == len(registries[0].classes) > 5
