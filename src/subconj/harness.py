@@ -16,6 +16,7 @@ from itertools import compress
 from math import gcd
 
 from .caps import CapExceeded
+from .fields import prime_powers
 from .groups import Group, center, is_normal, quotient
 from .predicates import (
     MEMBER,
@@ -340,7 +341,7 @@ def _collect_facts(group, record):
     # A_pi verdicts of the quotients by proper normal subgroups: the
     # odd-order ones for every group (T5), all of them for solvable ones (T16)
     facts["normal_quotients"] = [
-        [n.order, decide(quotient(group, n), ClassId.A_PI)[0]]
+        [n.order, _quotient_a_pi(group, n)]
         for n in normals
         if 1 < n.order < group.order() and (n.order % 2 or solvable)
     ]
@@ -356,11 +357,12 @@ def _collect_facts(group, record):
         facts["g_over_o2prime_cyclic2"] = q.full_subgroup().is_cyclic()
 
         if facts["all_sylow_cyclic"]:
-            facts["metacyclic_or_cyclic"] = any(
-                n.is_cyclic() and quotient(group, n).full_subgroup().is_cyclic()
-                for n in normals
-            )
+            # G/N has cyclic Sylow subgroups too, so it is cyclic exactly
+            # when it is abelian, that is when G' <= N
             derived = derived_subgroup(group)
+            facts["metacyclic_or_cyclic"] = any(
+                n.is_cyclic() and derived.indices <= n.indices for n in normals
+            )
             facts["derived_coprime"] = (
                 gcd(derived.order, group.order() // derived.order) == 1
             )
@@ -388,10 +390,19 @@ def _product_quotient_facts(name, group):
     out = []
     for factor_name, k in zip(parts, orders):
         divides = group.order_mask(lambda o: k % o == 0)
-        copy = list(compress(range(group.order()), divides))
-        v, _ = decide(quotient(group, group.subgroup_from_indices(copy)), ClassId.A_PI)
-        out.append([factor_name, v])
+        copy = group.subgroup_from_indices(compress(range(group.order()), divides))
+        out.append([factor_name, _quotient_a_pi(group, copy)])
     return out
+
+
+def _quotient_a_pi(group, n):
+    """The A_pi verdict of G/N.  When |G:N| is squarefree, every Sylow
+    subgroup of G/N has prime order, so its subgroups of each prime-power
+    order are conjugate by Sylow's theorem: that is ``member`` without
+    building G/N."""
+    if all(e == 1 for e in prime_powers(group.order() // n.order).values()):
+        return MEMBER
+    return decide(quotient(group, n), ClassId.A_PI)[0]
 
 
 def _worker(args):

@@ -6,7 +6,8 @@ keep inputs small.  The exceptions work on element indices so that they can
 be compared with the fast paths key for key: the element walk that the coset
 walk of ``Group.closure_idx`` replaced, the min-key coset BFS that the coset
 labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
-verdicts, the coset sweep that ``Group.rational_classes`` replaced, and, in
+verdicts, the coset sweep that ``Group.rational_classes`` replaced, the
+normaliser-driven Sylow growth that element tests replaced, and, in
 the last sections, the unpruned subgroup walks that the
 N_G(H)-orbit walks in ``subconj.subgroups`` replaced and the eager reads of
 a full class list that the order-graded walk replaced.
@@ -296,6 +297,27 @@ def is_supersolvable_oracle(elements):
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, n))
+
+
+def normalizer_sylow_growth(group, p):
+    """The Sylow growth that the element tests of ``structure.sylow_subgroup``
+    replaced, for |G|_p > p: the p-elements when they are |G|_p many, else
+    from the p-part of the first element of order divisible by p, extended by
+    the first p-element of N_G(P) outside P, with N_G(P) from ``normalizer``
+    (a whole orbit walk per step)."""
+    n = group.order()
+    target = p_part(n, p)
+    p_elements = [i for i in range(n) if p_part(o := group.order_of_idx(i), p) == o]
+    if len(p_elements) == target:
+        return group.subgroup_from_indices(p_elements)
+    p_set = set(p_elements)
+    o, i = next((o, i) for i in range(n) if (o := group.order_of_idx(i)) % p == 0)
+    current = group.trivial_subgroup().join([group.pow_idx(i, o // p_part(o, p))])
+    while current.order < target:
+        nz = normalizer(group, current)
+        ext = min((nz.indices & p_set) - current.indices)
+        current = current.join([ext])
+    return current
 
 
 # ----------------------------------------------------------------------

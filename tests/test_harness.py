@@ -26,8 +26,15 @@ from subconj.harness import (
     run_checks,
     witness_search,
 )
-from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED
-from subconj.structure import structural_fingerprint
+from subconj.fields import prime_powers
+from subconj.predicates import ClassId, MEMBER, NON_MEMBER, UNDECIDED, decide
+from subconj.structure import (
+    derived_subgroup,
+    normal_subgroups,
+    prime_factors,
+    structural_fingerprint,
+    sylow_subgroup,
+)
 from subconj.zoo import SEMIDIRECT_DATASETS, construct
 
 from oracles import element_walk_closure, relabelled
@@ -299,6 +306,58 @@ def test_facts_pass_builds_each_quotient_once(monkeypatch, name):
     analyze_entry(CorpusEntry(name))
     assert built
     assert len(built) == len(set(built))
+
+
+def test_e32_entry_builds_no_quotient(monkeypatch):
+    # G/N for N of order 32 and 992 has squarefree order 155 or 5, and
+    # O_2'(G) is trivial, so the facts pass reads every verdict off |G:N|
+    built = []
+    init = groups.Quotient.__init__
+
+    def recording(self, group, normal_sub):
+        built.append(normal_sub.order)
+        init(self, group, normal_sub)
+
+    monkeypatch.setattr(groups.Quotient, "__init__", recording)
+    record = analyze_entry(CorpusEntry("E32x(C31xC5)"))
+    assert built == []
+    assert record.facts["normal_quotients"] == [[32, MEMBER], [992, MEMBER]]
+
+
+@pytest.fixture(scope="module")
+def sweep_groups():
+    # the default entries of order <= 120, and E32x(C31xC5)
+    built = [construct(e.name) for e in CorpusManifest.default().entries]
+    return [g for g in built if g.order() <= 120] + [construct("E32x(C31xC5)")]
+
+
+def test_squarefree_index_quotients_are_a_pi_members(sweep_groups):
+    # the facts pass reads `member` off a squarefree |G:N| without G/N
+    seen = 0
+    for g in sweep_groups:
+        for n in normal_subgroups(g):
+            index = g.order() // n.order
+            if index > 1 and all(e == 1 for e in prime_powers(index).values()):
+                assert decide(groups.quotient(g, n), ClassId.A_PI)[0] == MEMBER
+                seen += 1
+    assert seen > 100
+
+
+def test_z_group_quotients_are_cyclic_exactly_over_the_derived_subgroup(
+    sweep_groups,
+):
+    # with every Sylow subgroup cyclic, G/N is cyclic exactly when G' <= N
+    seen = set()
+    for g in sweep_groups:
+        if not all(sylow_subgroup(g, p).is_cyclic() for p in prime_factors(g.order())):
+            continue
+        derived = derived_subgroup(g)
+        for n in normal_subgroups(g):
+            if n.is_cyclic():
+                cyclic = groups.quotient(g, n).full_subgroup().is_cyclic()
+                assert cyclic == (derived.indices <= n.indices)
+                seen.add(cyclic)
+    assert seen == {True, False}
 
 
 def test_record_facts_cover_quotient_suites(records):

@@ -32,6 +32,7 @@ from subconj import (
     sylow_shape,
     sylow_subgroup,
 )
+from subconj.harness import CorpusManifest
 from subconj.structure import p_part, prime_factors
 
 from oracles import (
@@ -42,6 +43,7 @@ from oracles import (
     is_supersolvable_oracle,
     normal_closure_joins,
     normal_subgroups_oracle,
+    normalizer_sylow_growth,
     o_pprime_oracle,
     relabelled,
 )
@@ -348,6 +350,49 @@ def test_sylow_subgroup_is_the_p_element_set_when_it_is_normal(large_groups, nam
     # normal exactly when the p-elements are |G|_p many: E32's, not M11's
     assert (syl.indices == p_elements) == (len(p_elements) == target)
     assert is_normal(g, syl) == (name == "E32x(C31xC5)")
+
+
+def _assert_sylow_matches_the_normalizer_growth(g):
+    for p in prime_factors(g.order()):
+        syl = sylow_subgroup(g, p)
+        if p_part(g.order(), p) == p:
+            # <x> for one x of order p: another Sylow subgroup, maybe
+            assert syl.order == p and len(syl.gens_idx()) == 1
+            continue
+        old = normalizer_sylow_growth(g, p)
+        assert (syl.indices, syl.gens_idx()) == (old.indices, old.gens_idx()), p
+
+
+def _corpus_groups_up_to(order):
+    built = (construct(e.name) for e in CorpusManifest.default().entries)
+    return [g for g in built if g.order() <= order]
+
+
+def test_sylow_growth_matches_the_normalizer_growth_on_the_corpus():
+    # the first p-element y outside P with P^y = P is the first p-element of
+    # N_G(P) outside P: the same subgroup, with the same generators
+    for g in _corpus_groups_up_to(2000):
+        _assert_sylow_matches_the_normalizer_growth(g)
+
+
+@pytest.mark.parametrize("name", ["M11", "SL2(13)", "E32x(C31xC5)", "Symmetric(6)"])
+def test_sylow_growth_matches_the_normalizer_growth_on_moved_points(name):
+    _assert_sylow_matches_the_normalizer_growth(relabelled(construct(name)))
+
+
+def test_sylow_growth_walks_no_conjugation_orbit(monkeypatch):
+    walks = []
+    conjugates = Group.conjugates
+
+    def counting(self, hset, cap=None):
+        walks.append(len(hset))
+        return conjugates(self, hset, cap)
+
+    monkeypatch.setattr(Group, "conjugates", counting)
+    g = relabelled(construct("M11"))
+    for p in (2, 3):
+        assert sylow_subgroup(g, p).order == p_part(g.order(), p)
+    assert walks == []
 
 
 def test_o_2prime_of_a_2_group_is_trivial():
