@@ -42,26 +42,27 @@ class Caps:
     element_cap: int = 200_000
     # all-subgroup enumeration up to conjugacy
     full_subgroup_cap: int = 2_000
-    # p-subgroup enumeration is allowed while |Syl_p| stays within this bound
-    sylow_order_cap: int = 256
-    # total element-set keys visited by conjugation-orbit walks
-    orbit_key_cap: int = 1_000_000
+    # element indices one subgroup registry, or one conjugacy test, may hold
+    stored_index_cap: int = 250_000
     # exact isomorphism search
     iso_cap: int = 256
 
     _ENV = {
         "element_cap": "SUBCONJ_ELEMENT_CAP",
         "full_subgroup_cap": "SUBCONJ_FULL_SUBGROUP_CAP",
-        "sylow_order_cap": "SUBCONJ_SYLOW_ORDER_CAP",
-        "orbit_key_cap": "SUBCONJ_ORBIT_KEY_CAP",
+        "stored_index_cap": "SUBCONJ_STORED_INDEX_CAP",
         "iso_cap": "SUBCONJ_ISO_CAP",
     }
 
     @classmethod
     def from_env(cls):
         """The defaults, overridden by the set ``SUBCONJ_*`` variables; a
-        value that is not a non-negative integer raises ValueError naming the
-        variable."""
+        value that is not a non-negative integer, or a set variable of a
+        removed cap, raises ValueError naming the variable."""
+        # the caps that the stored-index cap replaced
+        for var in ("SUBCONJ_ORBIT_KEY_CAP", "SUBCONJ_SYLOW_ORDER_CAP"):
+            if var in os.environ:
+                raise ValueError(f"{var} was replaced by SUBCONJ_STORED_INDEX_CAP")
         values = {}
         for field, var in cls._ENV.items():
             raw = os.environ.get(var)

@@ -58,7 +58,7 @@ number over all of Nt.
 
 One walk, ``Group.conjugates``, lists a subgroup's conjugates and the edges
 between them, the step of each generator from each conjugate; no other loop
-walks a conjugation orbit, and only it counts the orbit-key cap.  The
+walks a conjugation orbit, and only it counts the stored-index cap.  The
 subgroup-class registry, the conjugacy test and the normaliser all read that
 one walk, and the registry keeps the edges of a class that a subgroup walk
 will extend, so its normaliser needs no second walk.
@@ -642,11 +642,13 @@ class Group:
 
         Conjugates are numbered as found, orbit[0] = ``hset``, and with r
         generators, ``edges[i * r + j]`` is m when orbit[i]^g_j = orbit[m].
-        A walk that would find more than ``cap`` conjugates (uncapped when
-        None) raises CapExceeded("orbit keys") when it meets the next one.
+        A walk whose conjugates, ``hset`` included, hold more than ``cap``
+        indices (uncapped when None) raises CapExceeded("stored indices")
+        once the steps from one conjugate take it past the cap, having found
+        at most one conjugate per generator beyond it.
         """
         maps = self.conj_maps()
-        cap = self._order if cap is None else cap
+        most = self._order if cap is None else cap // len(hset)
         number = {hset: 0}
         orbit = [hset]
         edges = array("I")
@@ -655,11 +657,12 @@ class Group:
                 kg = frozenset(map(cmap.__getitem__, k))
                 m = number.get(kg)
                 if m is None:
-                    if len(orbit) >= cap:
-                        raise CapExceeded("orbit keys", f"more than {cap} conjugates")
                     m = number[kg] = len(orbit)
                     orbit.append(kg)
                 edges.append(m)
+            if len(orbit) > most:
+                detail = f"conjugates of a {len(hset)}-element set past {cap} indices"
+                raise CapExceeded("stored indices", detail)
         return orbit, edges
 
     # ------------------------------------------------------------------
@@ -974,7 +977,7 @@ def _walk_normalizer(group, sub, size, edges, root=0):
 
 def normalizer(group, sub):
     """N_G(H) = elements g with g^-1 H g = H: ``_walk_normalizer`` on a
-    fresh walk of H's conjugates, which ignores ``orbit_key_cap``."""
+    fresh walk of H's conjugates, which ignores ``stored_index_cap``."""
     orbit, edges = group.conjugates(sub.indices)
     return _walk_normalizer(group, sub, len(orbit), edges)
 

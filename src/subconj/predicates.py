@@ -51,7 +51,6 @@ from .fields import divisors
 from .structure import is_nilpotent, is_supersolvable, p_part, prime_factors
 from .subgroups import (
     WALK_KEY,
-    _capped_sylow_order,
     _OrbitRegistry,
     _walk_classes,
     all_subgroup_classes,
@@ -188,11 +187,10 @@ def _walk_buckets(group, orders, complete=True):
 
 
 def _p_buckets(group, p):
-    """The p-subgroup classes of each order p, p^2, ..., refused above
-    ``sylow_order_cap``: read off the graded walk's solvable list once a
-    plain verdict has started it (B is decided before B_pi), else off the
-    graded p-walk."""
-    orders = divisors(_capped_sylow_order(group, p))[1:]
+    """The p-subgroup classes of each order p, p^2, ..., |G|_p: read off the
+    graded walk's solvable list once a plain verdict has started it (B is
+    decided before B_pi), else off the graded p-walk."""
+    orders = divisors(p_part(group.order(), p))[1:]
     if WALK_KEY in group.analysis_cache:
         return _walk_buckets(group, orders, complete=False)
     return _read_buckets(
@@ -211,7 +209,7 @@ def _cyclic_buckets(group, orders):
     classes cannot split, and is left as its list of generators.  In a
     larger one each <x> is classified through an ``_OrbitRegistry``, which
     gives the walk's least-key representatives and orbit sizes and counts
-    the bucket's subgroup sets against ``orbit_key_cap``; the bucket is kept
+    the bucket's subgroup sets against ``stored_index_cap``; the bucket is kept
     in ``group.analysis_cache``.
     """
     by_order = group.rational_classes()
@@ -249,12 +247,12 @@ def _decide_pi(group, class_id):
     capped = False
     for p in prime_factors(n):
         try:
-            # a cyclic Sylow subgroup: one class per p-power order, whatever
-            # the Sylow order cap
+            # a cyclic Sylow subgroup: one class per p-power order, read
+            # before any walk
             if p_part(n, p) in group.rational_classes():
                 continue
             if class_id.kind == "cyclic":
-                orders = divisors(_capped_sylow_order(group, p))[1:]
+                orders = divisors(p_part(n, p))[1:]
                 split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
             else:
                 split = _first_split_bucket(_p_buckets(group, p), keep)

@@ -29,6 +29,16 @@ def p_part(n, p):
     return m
 
 
+def _sylow_order(group, p, dividing=True):
+    """|G|_p, once p is known to be a prime, and with ``dividing`` one that
+    divides |G|; else ValueError.  ``p_part`` never returns for p = 1."""
+    n, prime = group.order(), is_prime(p)
+    if not prime or dividing and n % p:
+        why = f"does not divide the group order {n}" if prime else "is not a prime"
+        raise ValueError(f"{p} {why}")
+    return p_part(n, p)
+
+
 def derived_subgroup(group, sub=None):
     """[H, H] for a normal subgroup handle; G', read off the kept
     ``derived_series``, when it is omitted.
@@ -103,15 +113,14 @@ def sylow_subgroup(group, p):
     below |G|_p, it is extended by the first p-element y outside P with
     y^-1 x y in P for every generator x of P, which is the first p-element of
     N_G(P) outside P (Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, 2005, 4.7).
+    Theory, 2005, 4.7).  A p that is not a prime dividing |G| raises
+    ValueError.
     """
+    target = _sylow_order(group, p)
     kept = group.analysis_cache.get(("sylow", p))
     if kept is not None:
         return kept
     n = group.order()
-    if n % p != 0:
-        raise ValueError(f"{p} does not divide the group order {n}")
-    target = p_part(n, p)
     if target == p:
         return group.trivial_subgroup().join(group.rational_classes()[p][:1])
     p_elements = list(compress(range(n), group.order_mask(lambda o: p_part(o, p) == o)))
@@ -138,7 +147,7 @@ def sylow_subgroup(group, p):
 
 def core_p(group, p):
     """O_p(G): the largest normal p-subgroup."""
-    return _largest_normal(group, lambda n: p_part(n, p) == n)
+    return _largest_normal(group, p, lambda n: p_part(n, p) == n)
 
 
 def fitting_subgroup(group):
@@ -191,10 +200,10 @@ def _rational_reps(group):
 
 def o_pprime(group, p):
     """O_{p'}(G): the largest normal subgroup of order coprime to p."""
-    return _largest_normal(group, lambda n: n % p != 0)
+    return _largest_normal(group, p, lambda n: n % p != 0)
 
 
-def _largest_normal(group, admits):
+def _largest_normal(group, p, admits):
     """The largest normal subgroup whose order ``admits`` accepts, where the
     accepted orders are those of a p-group or of a p'-group.
 
@@ -203,8 +212,9 @@ def _largest_normal(group, admits):
     normal subgroup of accepted order lies in the one sought, so while K
     does, the normal closure of K and x has accepted order exactly when x
     lies in it; one pass over the classes absorbs them all.  Each normal
-    closure grows from K.
+    closure grows from K.  A p that is not a prime raises ValueError.
     """
+    _sylow_order(group, p, dividing=False)
     current = group.trivial_subgroup()
     for x in _rational_reps(group):
         if x in current.indices or not admits(group.order_of_idx(x)):

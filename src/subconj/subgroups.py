@@ -52,6 +52,7 @@ from .fields import divisors
 from .groups import _carriers, _walk_normalizer, normalizer  # noqa: F401
 from .structure import (
     _rational_reps,
+    _sylow_order,
     is_nilpotent,
     is_solvable,
     is_supersolvable,
@@ -104,11 +105,13 @@ class SubgroupClass:
 
 
 class _OrbitRegistry:
-    """Partition discovered subgroup element-sets into conjugation orbits."""
+    """Partition discovered subgroup element-sets into conjugation orbits,
+    holding at most ``stored_index_cap`` element indices in all."""
 
     def __init__(self, group):
         self.group = group
-        self.cap = group.caps.orbit_key_cap
+        self.cap = group.caps.stored_index_cap
+        self.stored = 0  # indices held: |H| x orbit size over the classes
         self.class_of = {}
         self.classes = []  # class id -> SubgroupClass, on the least key
         self.top = 0  # a new class of smaller order keeps its walk
@@ -116,16 +119,18 @@ class _OrbitRegistry:
     def classify(self, key):
         """Register a subgroup index-set; returns (class id, newly seen).
         A new class is one walk of its conjugates (``Group.conjugates``),
-        whose keys but the first count against ``orbit_key_cap``; it gets
-        its ``SubgroupClass``, on the lexicographically least key of its
-        orbit, in ``classes``.  Below order ``top``, the class a subgroup
+        refused when its |H| x orbit size indices would take the registry
+        past ``stored_index_cap``, normal subgroups included; it gets its
+        ``SubgroupClass``, on the lexicographically least key of its orbit,
+        in ``classes``.  Below order ``top``, the class a subgroup
         walk may still extend, it keeps that walk's edges and the least
         key's place, from which the walk builds N_G(H)."""
         cid = self.class_of.get(key)
         if cid is not None:
             return cid, False
         cid = len(self.classes)
-        orbit, edges = self.group.conjugates(key, self.cap - len(self.class_of))
+        orbit, edges = self.group.conjugates(key, self.cap - self.stored)
+        self.stored += len(key) * len(orbit)
         self.class_of.update(dict.fromkeys(orbit, cid))
         keys = list(map(sorted, orbit))
         root = keys.index(min(keys))
@@ -299,19 +304,6 @@ class _GradedWalk:
         return classes[: bisect_right(classes, d, key=_ORDER)]
 
 
-def _capped_sylow_order(group, p):
-    """|Syl_p(G)|, or CapExceeded when it is above ``sylow_order_cap``."""
-    n = group.order()
-    if n % p != 0:
-        raise ValueError(f"{p} does not divide the group order {n}")
-    sylow_order = p_part(n, p)
-    if sylow_order > group.caps.sylow_order_cap:
-        raise CapExceeded(
-            "sylow order", f"|Syl_{p}| = {sylow_order} > {group.caps.sylow_order_cap}"
-        )
-    return sylow_order
-
-
 def _resumed(group, key, start, d, complete=False):
     """``through(d, complete)`` of the walk kept in
     ``group.analysis_cache[key]``, begun by ``start()`` when none is kept.
@@ -343,9 +335,10 @@ def p_subgroup_classes(group, p, max_order=None):
     The walk is graded and resumable like that of ``all_subgroup_classes``:
     it stops once every class of order < d is extended, is kept in
     ``group.analysis_cache`` for the next call that asks for more, and is
-    dropped when it hits a cap.
+    dropped when it hits a cap.  A p that is not a prime dividing |G| raises
+    ValueError.
     """
-    sylow_order = _capped_sylow_order(group, p)
+    sylow_order = _sylow_order(group, p)
 
     def start():
         p_element = group.order_mask(lambda o: o > 1 and p_part(o, p) == o)
@@ -414,9 +407,9 @@ def are_conjugate(group, sub_a, sub_b):
     """A conjugator g with g^-1 * A * g = B, or None.
 
     Rejects on fingerprint mismatch, then walks the conjugates of A
-    (``Group.conjugates``, at most ``orbit_key_cap`` of them) and looks B up
-    among them; the carrier c of B, A^c = B, is re-verified before it is
-    handed out.
+    (``Group.conjugates``, at most ``stored_index_cap`` // |A| of them) and
+    looks B up among them; the carrier c of B, A^c = B, is re-verified
+    before it is handed out.
     """
     if sub_a.parent is not group or sub_b.parent is not group:
         raise ValueError("subgroups must belong to the given group")
@@ -425,7 +418,7 @@ def are_conjugate(group, sub_a, sub_b):
     if sub_a.fingerprint() != sub_b.fingerprint():
         return None
     target = sub_b.indices
-    orbit, edges = group.conjugates(sub_a.indices, group.caps.orbit_key_cap)
+    orbit, edges = group.conjugates(sub_a.indices, group.caps.stored_index_cap)
     if target not in orbit:
         return None
     carrier = _carriers(group, edges)[orbit.index(target)]

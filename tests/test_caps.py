@@ -32,6 +32,16 @@ def test_from_env_names_a_bad_value(monkeypatch, raw):
     assert str(info.value) == f"SUBCONJ_ISO_CAP={raw!r} is not a non-negative integer"
 
 
+@pytest.mark.parametrize("var", ["SUBCONJ_ORBIT_KEY_CAP", "SUBCONJ_SYLOW_ORDER_CAP"])
+def test_from_env_refuses_a_removed_cap_variable(monkeypatch, var):
+    # the stored-index cap replaced both; a value set for them would
+    # otherwise stop applying without a word
+    monkeypatch.setenv(var, "300")
+    with pytest.raises(ValueError) as info:
+        Caps.from_env()
+    assert str(info.value) == f"{var} was replaced by SUBCONJ_STORED_INDEX_CAP"
+
+
 def test_from_env_reads_zero_and_unset_defaults(monkeypatch):
     monkeypatch.setenv("SUBCONJ_ISO_CAP", "0")
     monkeypatch.delenv("SUBCONJ_ELEMENT_CAP", raising=False)
@@ -54,6 +64,19 @@ def test_cli_start_names_a_bad_cap_variable():
         "error: SUBCONJ_ISO_CAP='abc' is not a non-negative integer\n"
     )
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_start_names_a_removed_cap_variable():
+    proc = subprocess.run(
+        [sys.executable, "-m", "subconj.cli", "analyze", "Cyclic(4)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "SUBCONJ_ORBIT_KEY_CAP": "300"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: SUBCONJ_ORBIT_KEY_CAP was replaced by SUBCONJ_STORED_INDEX_CAP\n"
+    )
 
 
 def test_default_caps_stay_importable():

@@ -861,9 +861,13 @@ def test_conjugates_walk_matches_brute_force(subgroup_reps, name, relabel):
 
 
 def test_normalizer_ignores_the_orbit_key_cap():
+    # the cap on the orbit keys a registry stores, stored_index_cap, does
+    # not bound the normaliser's own walk
     s4 = construct("Symmetric(4)")
-    g = Group(s4.generators, degree=s4.degree, caps=Caps(orbit_key_cap=1))
-    h = g.subgroup([P("(1,2)", 4)])  # six conjugates
+    g = Group(s4.generators, degree=s4.degree, caps=Caps(stored_index_cap=1))
+    h = g.subgroup([P("(1,2)", 4)])  # six conjugates, 12 indices
+    with pytest.raises(CapExceeded, match="stored indices"):
+        g.conjugates(h.indices, g.caps.stored_index_cap)
     nz = normalizer(g, h)
     assert nz.indices == normalizer(s4, s4.subgroup([P("(1,2)", 4)])).indices
     assert nz.indices == g.subgroup([P("(1,2)", 4), P("(3,4)", 4)]).indices

@@ -722,7 +722,8 @@ for result in harness.run_checks(records):
 
 
 def test_capped_hypotheses_skip_their_checks():
-    # under these caps most A_pi verdicts are undecided: the checks whose
+    # a p-walk holding 4 indices at most stops at its second subgroup of
+    # order p, so most A_pi verdicts are undecided: the checks whose
     # every instance is then capped are skipped, not vacuous, while T5 and
     # T16 pass on the groups whose Sylow subgroups are all cyclic, which no
     # cap refuses, and count the capped rest
@@ -730,7 +731,7 @@ def test_capped_hypotheses_skip_their_checks():
         os.environ,
         PYTHONPATH=os.pathsep.join(sys.path),
         SUBCONJ_FULL_SUBGROUP_CAP="10",
-        SUBCONJ_SYLOW_ORDER_CAP="2",
+        SUBCONJ_STORED_INDEX_CAP="4",
     )
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CORPUS], env=env, capture_output=True, text=True

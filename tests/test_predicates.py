@@ -6,7 +6,6 @@ from subconj import (
     MEMBER,
     NON_MEMBER,
     UNDECIDED,
-    CapExceeded,
     Caps,
     ClassId,
     Group,
@@ -193,10 +192,14 @@ def test_capped_plain_class_still_detects_non_membership():
 
 def test_cyclic_sylow_subgroups_need_no_sylow_order_cap():
     # every Sylow subgroup of Cyclic(4) is cyclic, so no pi verdict walks
-    # p-subgroups, and the Sylow order cap refuses none of them
+    # p-subgroups, and a stored-index cap that refuses every walk refuses
+    # none of them; it leaves the plain verdicts but C undecided
     g0 = construct("Cyclic(4)")
-    g = Group(g0.generators, degree=g0.degree, caps=Caps(sylow_order_cap=2))
-    assert set(hierarchy_report(g).verdicts.values()) == {MEMBER}
+    g = Group(g0.generators, degree=g0.degree, caps=Caps(stored_index_cap=0))
+    walked = {ClassId.B, ClassId.H, ClassId.N, ClassId.A}
+    assert hierarchy_report(g).verdicts == {
+        c: UNDECIDED if c in walked else MEMBER for c in ClassId
+    }
 
 
 def test_cyclic_sylow_test_keeps_the_element_cap():
@@ -438,36 +441,6 @@ def test_symmetric6_stops_its_walk_at_the_first_split(monkeypatch):
         assert w.order == 2
         assert w.sub_a.key() == expected.witnesses[cid].sub_a.key()
         assert w.sub_b.key() == expected.witnesses[cid].sub_b.key()
-
-
-def test_p_classes_off_the_walk_keep_the_sylow_cap():
-    # |Syl_2(SL2(7))| = 16 > 4: every pi verdict is refused, as when the
-    # p-classes came from their own walk, while the full walk still decides
-    # the plain classes with the uncapped witnesses
-    g0 = construct("SL2(7)")
-    g = Group(g0.generators, degree=g0.degree, caps=Caps(sylow_order_cap=4))
-    report = hierarchy_report(g)
-    assert {c.value: v for c, v in report.verdicts.items()} == {
-        "B": NON_MEMBER,
-        "H": NON_MEMBER,
-        "N": NON_MEMBER,
-        "A": MEMBER,
-        "C": MEMBER,
-        "B_pi": UNDECIDED,
-        "H_pi": UNDECIDED,
-        "N_pi": UNDECIDED,
-        "A_pi": UNDECIDED,
-        "C_pi": UNDECIDED,
-    }
-    uncapped = hierarchy_report(g0).witnesses
-    assert set(report.witnesses) == {ClassId.B, ClassId.H, ClassId.N}
-    for cid, w in report.witnesses.items():
-        assert w.order == 8 and w.prime is None
-        assert w.sub_a.key() == uncapped[cid].sub_a.key()
-        assert w.sub_b.key() == uncapped[cid].sub_b.key()
-    assert WALK_KEY in g.analysis_cache
-    with pytest.raises(CapExceeded, match="sylow order"):
-        _p_buckets(g, 2)
 
 
 # ----------------------------------------------------------------------

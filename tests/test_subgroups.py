@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from subconj.predicates import (
     decide,
     hierarchy_report,
 )
-from subconj.structure import prime_factors
+from subconj.structure import core_p, o_pprime, prime_factors, sylow_subgroup
 from subconj import subgroups
 from subconj.subgroups import WALK_KEY, SubgroupClass, _OrbitRegistry
 
@@ -258,10 +259,14 @@ def test_full_enumeration_cap():
         all_subgroup_classes(g)
 
 
-# p_subgroup_classes(S4, 2) registers 20 subgroup sets over seven classes (the
-# trivial one included); the first set of a class is not counted against
-# orbit_key_cap, and 20 is the smallest cap the enumeration passes
-S4_TWO_SUBGROUP_ORBIT_KEYS = 20
+# The orbit keys a registry stores are bounded by the indices they hold:
+# stored_index_cap counts |H| x orbit size for every class registered, the
+# first set of a class included.  p_subgroup_classes(S4, 2) registers 20
+# subgroup sets over seven classes (the trivial one included), holding 71
+# indices, and 71 is the smallest cap the enumeration passes
+S4_TWO_SUBGROUP_INDICES = 71
+# bytes a registry takes per stored index on small sets, as the README states
+BYTES_PER_INDEX = 250
 
 
 def _capped(name, **caps):
@@ -274,10 +279,10 @@ def _s4(**caps):
 
 
 def test_orbit_key_cap_bounds_the_registry():
-    g = _s4(orbit_key_cap=S4_TWO_SUBGROUP_ORBIT_KEYS)
+    g = _s4(stored_index_cap=S4_TWO_SUBGROUP_INDICES)
     assert [c.orbit_size for c in p_subgroup_classes(g, 2)] == [6, 3, 3, 1, 3, 3]
-    g = _s4(orbit_key_cap=S4_TWO_SUBGROUP_ORBIT_KEYS - 1)
-    with pytest.raises(CapExceeded, match="orbit keys"):
+    g = _s4(stored_index_cap=S4_TWO_SUBGROUP_INDICES - 1)
+    with pytest.raises(CapExceeded, match="stored indices"):
         p_subgroup_classes(g, 2)
     # B_pi splits at order 2, which the p-walk reaches below the cap, with
     # the uncapped witness; the whole p-walk is still refused after it
@@ -288,29 +293,59 @@ def test_orbit_key_cap_bounds_the_registry():
         expected.sub_a.key(),
         expected.sub_b.key(),
     )
-    with pytest.raises(CapExceeded, match="orbit keys"):
+    with pytest.raises(CapExceeded, match="stored indices"):
         p_subgroup_classes(g, 2)
+
+
+@pytest.mark.parametrize("name", ["ElementaryAbelian(2,4)", "Symmetric(4)", "SL2(3)"])
+def test_a_registry_never_holds_more_than_the_cap(name):
+    # every class, normal subgroups included, costs |H| x orbit size indices;
+    # the registry holds exactly the classes that fit and refuses the first
+    # that does not, at every cap up to the whole list
+    classes = all_subgroup_classes(construct(name))
+    total = sum(c.order * c.orbit_size for c in classes)
+    for cap in range(0, total + 1, 7):
+        registry = _OrbitRegistry(_capped(name, stored_index_cap=cap))
+        held = 0
+        for c in classes:
+            held += c.order * c.orbit_size
+            if held > cap:
+                with pytest.raises(CapExceeded, match="stored indices"):
+                    registry.classify(c.representative.indices)
+                break
+            registry.classify(c.representative.indices)
+            assert registry.stored == held
+
+
+def test_the_cap_counts_the_normal_subgroups_too():
+    # all 67 subgroups of ElementaryAbelian(2,4) are normal, one set per
+    # class, and hold 307 indices: a cap below that refuses the full walk
+    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=307)
+    assert len(all_subgroup_classes(g)) == 67
+    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=306)
+    with pytest.raises(CapExceeded, match="stored indices"):
+        all_subgroup_classes(g)
 
 
 def test_orbit_key_cap_bounds_are_conjugate():
     # <(1,2)> and <(1,2)(3,4)> share a fingerprint, so the walk reads all six
-    # conjugates of <(1,2)> before it can say no
+    # conjugates of <(1,2)>, 12 indices, before it can say no
     def pair(cap):
-        g = _s4(orbit_key_cap=cap)
+        g = _s4(stored_index_cap=cap)
         return g, g.subgroup([P("(1,2)", 4)]), g.subgroup([P("(1,2)(3,4)", 4)])
 
-    assert are_conjugate(*pair(6)) is None
+    assert are_conjugate(*pair(12)) is None
     with pytest.raises(CapExceeded) as info:
-        are_conjugate(*pair(5))
-    assert info.value.kind == "orbit keys"
+        are_conjugate(*pair(11))
+    assert info.value.kind == "stored indices"
 
 
 def test_orbit_key_cap_spares_a_verdict_settled_before_it():
-    # Symmetric(6) has 1455 subgroups, but every one of its verdicts splits
-    # at order 2, which the walk reaches after 242 subgroup sets
-    with pytest.raises(CapExceeded, match="orbit keys"):
-        all_subgroup_classes(_capped("Symmetric(6)", orbit_key_cap=300))
-    g = _capped("Symmetric(6)", orbit_key_cap=300)
+    # Symmetric(6) has 1455 subgroups holding 18421 indices, but every one of
+    # its verdicts splits at order 2, which the walk reaches holding 811
+    with pytest.raises(CapExceeded, match="stored indices"):
+        all_subgroup_classes(_capped("Symmetric(6)", stored_index_cap=1000))
+    g = _capped("Symmetric(6)", stored_index_cap=1000)
     assert decide(g, ClassId.B)[0] == NON_MEMBER
     report = hierarchy_report(g)
     expected = hierarchy_report(construct("Symmetric(6)"))
@@ -326,11 +361,12 @@ def test_orbit_key_cap_spares_a_verdict_settled_before_it():
 
 
 def test_orbit_key_cap_leaves_a_member_walk_undecided():
-    # SL2(8) (386 subgroups) is a member of every class, so each plain
-    # verdict but C needs the whole walk; under the cap it is refused, and
-    # the pi verdicts come from the p-walks, which stay below it.  C reads
-    # the rational classes, one per element order, so it needs no walk
-    report = hierarchy_report(_capped("SL2(8)", orbit_key_cap=300))
+    # SL2(8) (386 subgroups, 3559 indices) is a member of every class, so
+    # each plain verdict but C needs the whole walk; under the cap it is
+    # refused, and the pi verdicts come from the p-walks, which stay below it
+    # (451 indices at most).  C reads the rational classes, one per element
+    # order, so it needs no walk
+    report = hierarchy_report(_capped("SL2(8)", stored_index_cap=1000))
     assert {c: v for c, v in report.verdicts.items() if not c.is_pi} == {
         c: MEMBER if c is ClassId.C else UNDECIDED for c in ClassId if not c.is_pi
     }
@@ -339,10 +375,45 @@ def test_orbit_key_cap_leaves_a_member_walk_undecided():
     }
 
 
-def test_sylow_cap_blocks_p_enumeration():
-    g = construct("ElementaryAbelian(2,9)")  # Sylow order 512 > 256
-    with pytest.raises(CapExceeded, match="sylow"):
-        p_subgroup_classes(g, 2)
+def test_stored_index_cap_bounds_a_p_walk_in_memory():
+    # ElementaryAbelian(2,9) has millions of 2-subgroups: its p-walk is
+    # refused at the cap, within the memory the README states per index
+    g = _capped("ElementaryAbelian(2,9)", stored_index_cap=10_000)
+    g.rational_classes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="stored indices"):
+            p_subgroup_classes(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000 * BYTES_PER_INDEX
+
+
+def test_a_p_walk_stops_at_its_first_split():
+    # the abelian 2-subgroups of order 2 are 511 classes, so A_pi splits at
+    # once, whatever the size of the whole p-walk
+    verdict, w = decide(construct("ElementaryAbelian(2,9)"), ClassId.A_PI)
+    assert verdict == NON_MEMBER
+    assert (w.order, w.prime) == (2, 2)
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_p_must_be_a_prime(p):
+    g = S(4)
+    for fn in (sylow_subgroup, p_subgroup_classes, core_p, o_pprime):
+        with pytest.raises(ValueError) as info:
+            fn(g, p)
+        assert str(info.value) == f"{p} is not a prime"
+
+
+def test_a_sylow_prime_must_divide_the_order():
+    g = S(4)
+    for fn in (sylow_subgroup, p_subgroup_classes):
+        with pytest.raises(ValueError, match="^5 does not divide the group order 24$"):
+            fn(g, 5)
+    # the cores take any prime
+    assert (core_p(g, 5).order, o_pprime(g, 5).order) == (1, 24)
 
 
 @settings(max_examples=20, deadline=None)
