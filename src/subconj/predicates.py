@@ -247,8 +247,8 @@ def _decide_pi(group, class_id):
     capped = False
     for p in prime_factors(n):
         try:
-            # a cyclic Sylow subgroup: one class per p-power order, read
-            # before any walk
+            # a cyclic Sylow subgroup: one class per p-power order, so no
+            # walk is needed
             if p_part(n, p) in group.rational_classes():
                 continue
             if class_id.kind == "cyclic":
