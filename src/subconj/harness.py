@@ -15,7 +15,6 @@ from functools import partial
 from itertools import compress
 from math import gcd
 
-from .caps import CapExceeded
 from .fields import prime_powers
 from .groups import Group, center, is_normal, quotient
 from .predicates import (
@@ -287,9 +286,9 @@ def analyze_group(group, name, classes=tuple(ClassId)):
 def analyze_entry(entry):
     """Build and fully analyze one corpus entry into a GroupRecord.
 
-    A cap that stops the whole entry is re-raised with the entry's name; any
-    other exception gets a note naming the entry and the stage (build,
-    verdicts or facts).  Both survive pickling out of a ``--jobs`` worker.
+    An exception that stops the entry, a cap hit included, gets a note
+    naming the entry and the stage (build, verdicts or facts), which
+    survives pickling out of a ``--jobs`` worker.
     """
     stage = "build"
     try:
@@ -298,9 +297,6 @@ def analyze_entry(entry):
         record = analyze_group(group, entry.name)
         stage = "facts"
         record.facts = _collect_facts(group, record)
-    except CapExceeded as exc:
-        exc.entry = entry.name
-        raise
     except Exception as exc:
         exc.add_note(f"in corpus entry {entry.name}, stage {stage}")
         raise

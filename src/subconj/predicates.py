@@ -21,13 +21,14 @@ by taking x from N_G(H) only, which are every solvable class: supersolvable,
 nilpotent and abelian subgroups are all solvable, so their kind filters keep
 the same classes from either list, and that walk never builds the
 non-solvable classes that none of them reads.  B_pi, H_pi, N_pi and A_pi
-read one graded ``p_subgroup_classes`` walk per prime, or the solvable list
-of the plain walk once a plain verdict has started it.  C and C_pi walk no
-subgroups: <x> and <y> are conjugate exactly when x is conjugate to y^k for
-some k prime to |y|, so the cyclic classes of each order come from the
-rational classes of the elements, which ``Group.rational_classes`` merges
-from the conjugacy classes.  A prime whose Sylow subgroup is cyclic is
-skipped by every pi verdict, since it has one class of each p-power order.
+read ``p_subgroup_classes`` per prime, which alone picks the walk that
+answers, so a pi verdict never depends on the verdicts asked before it.  C
+and C_pi walk no subgroups: <x> and <y> are conjugate exactly when x is
+conjugate to y^k for some k prime to |y|, so the cyclic classes of each
+order come from the rational classes of the elements, which
+``Group.rational_classes`` merges from the conjugacy classes.  A prime
+whose Sylow subgroup is cyclic is skipped by every pi verdict, since it
+has one class of each p-power order.
 
 Verdicts are "member", "non-member" or "undecided" (a cap was hit); membership
 is never guessed.  Every non-member verdict carries a witness pair that is
@@ -50,7 +51,6 @@ from .caps import CapExceeded
 from .fields import divisors
 from .structure import is_nilpotent, is_supersolvable, p_part, prime_factors
 from .subgroups import (
-    WALK_KEY,
     _OrbitRegistry,
     _walk_classes,
     all_subgroup_classes,
@@ -187,12 +187,9 @@ def _walk_buckets(group, orders, complete=True):
 
 
 def _p_buckets(group, p):
-    """The p-subgroup classes of each order p, p^2, ..., |G|_p: read off the
-    graded walk's solvable list once a plain verdict has started it (B is
-    decided before B_pi), else off the graded p-walk."""
+    """The p-subgroup classes of each order p, p^2, ..., |G|_p, read off
+    ``p_subgroup_classes``, which picks the walk that answers them."""
     orders = divisors(p_part(group.order(), p))[1:]
-    if WALK_KEY in group.analysis_cache:
-        return _walk_buckets(group, orders, complete=False)
     return _read_buckets(
         group, ("p buckets", p), lambda d: p_subgroup_classes(group, p, d), orders
     )
@@ -394,11 +391,14 @@ def hierarchy_report(group, group_id="", classes=tuple(ClassId)):
     """All ten verdicts with chain consistency enforced.
 
     Only the classes in ``classes`` are decided; the others are reported
-    "undecided".  Bounds come from ``group.caps`` alone, as in :func:`decide`.
+    "undecided".  Ids may be ``ClassId`` members or their values, as in
+    :func:`decide`; an unknown id raises ValueError.  Bounds come from
+    ``group.caps`` alone, as in :func:`decide`.
     The pi computation is shared across B_pi/H_pi/N_pi by construction; their
     verdict equality is asserted anyway, as is every definitional containment
     (member of a smaller class forces member of each decided larger class).
     """
+    classes = set(map(ClassId, classes))
     report = ClassReport(group_id=group_id, order=group.order())
     for cid in ClassId:
         if cid not in classes:

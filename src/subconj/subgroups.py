@@ -337,6 +337,14 @@ def p_subgroup_classes(group, p, max_order=None):
     ``group.analysis_cache`` for the next call that asks for more, and is
     dropped when it hits a cap.  A p that is not a prime dividing |G| raises
     ValueError.
+
+    This function alone picks the walk that answers: once a plain verdict
+    has started the walk of ``all_subgroup_classes``, its classes of p-power
+    order are returned instead, since its solvable list holds every
+    p-subgroup class, with the same representatives and orbit sizes.  That
+    read stores more than the p-walk would, so when a cap refuses it the
+    p-walk runs after all, and the answer never depends on which walk was
+    started first.
     """
     sylow_order = _sylow_order(group, p)
 
@@ -348,8 +356,17 @@ def p_subgroup_classes(group, p, max_order=None):
 
         return _GradedWalk(group, sylow_order, True, wanted)
 
-    d = sylow_order if max_order is None else max_order
-    classes = _resumed(group, ("p walk", p), start, d)[1:]
+    d = sylow_order if max_order is None else min(max_order, sylow_order)
+    classes = None
+    if WALK_KEY in group.analysis_cache:
+        try:
+            # the orders dividing |G|_p are the powers of p
+            walked = _walk_classes(group, d)[1:]
+            classes = [c for c in walked if sylow_order % c.order == 0]
+        except CapExceeded:
+            pass  # the p-walk stores less, so it may still answer
+    if classes is None:
+        classes = _resumed(group, ("p walk", p), start, d)[1:]
     if d >= sylow_order and classes[-1].order != sylow_order:  # pragma: no cover
         # contradicts Sylow theory
         raise RuntimeError(f"no subgroups of order {sylow_order} found")

@@ -139,9 +139,9 @@ def test_corpus_cap_hit_names_the_entry(tmp_path):
     for jobs in ("1", "2"):
         result = run_cli("corpus", "run", "--jobs", jobs, "--manifest", str(manifest))
         assert result.returncode == 2
-        assert result.stderr.count("\n") == 1
-        assert result.stderr.startswith(
-            "error: Symmetric(9): element enumeration cap exceeded: order 362880"
+        assert result.stderr == (
+            "error: element enumeration cap exceeded: order 362880 > 200000\n"
+            "note: in corpus entry Symmetric(9), stage verdicts\n"
         )
 
 

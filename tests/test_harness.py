@@ -518,9 +518,8 @@ def test_cap_error_names_the_entry_and_pickles():
         analyze_entry(CorpusEntry("Symmetric(9)"))
     exc = pickle.loads(pickle.dumps(info.value))
     assert exc.kind == "element enumeration"
-    assert str(exc) == (
-        "Symmetric(9): element enumeration cap exceeded: order 362880 > 200000"
-    )
+    assert str(exc) == "element enumeration cap exceeded: order 362880 > 200000"
+    assert exc.__notes__ == ["in corpus entry Symmetric(9), stage verdicts"]
 
 
 def test_t5_remark_reads_only_records(monkeypatch, records):

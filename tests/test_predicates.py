@@ -21,7 +21,7 @@ from subconj import (
     verify_witness,
 )
 from subconj.fields import divisors
-from subconj.harness import CorpusManifest
+from subconj.harness import CorpusManifest, analyze_group
 from subconj.predicates import (
     _cyclic_buckets,
     _first_split_bucket,
@@ -222,6 +222,22 @@ def test_m11_is_in_c_pi_only():
     assert report.verdicts[ClassId.A_PI] == NON_MEMBER
 
 
+def test_class_ids_may_be_given_as_strings():
+    # as in decide: a string id is its ClassId, and an unknown one is refused
+    members = (ClassId.B, ClassId.A_PI)
+    by_member = hierarchy_report(construct("Symmetric(4)"), classes=members)
+    by_string = hierarchy_report(construct("Symmetric(4)"), classes=("B", "A_pi"))
+    assert by_string.verdicts == by_member.verdicts
+    assert by_string.verdicts[ClassId.B] == NON_MEMBER
+    # the records carry the serialised witnesses too
+    record = analyze_group(construct("Symmetric(4)"), "S4", classes=("B", "A_pi"))
+    assert record == analyze_group(construct("Symmetric(4)"), "S4", classes=members)
+    assert record.verdicts["B"] == NON_MEMBER
+    for run in (hierarchy_report, lambda g, classes: analyze_group(g, "S4", classes)):
+        with pytest.raises(ValueError, match="'X' is not a valid ClassId"):
+            run(construct("Symmetric(4)"), classes=("X",))
+
+
 def test_witness_prime_marks_pi_buckets():
     _, w = decide(construct("PSL2(9)"), ClassId.A_PI)
     assert w.prime is not None
@@ -278,7 +294,8 @@ def test_p_classes_read_off_the_walk_match_the_p_walk(corpus_walks):
     for name, g, walk in corpus_walks:
         for p in prime_factors(g.order()):
             read = [c for bucket in _p_buckets(g, p) for c in bucket]
-            assert _keyed(read) == _keyed(p_subgroup_classes(g, p)), (name, p)
+            p_walk = p_subgroup_classes(_fresh(g), p)
+            assert _keyed(read) == _keyed(p_walk), (name, p)
             assert _keyed(read) == _keyed(p_classes_of(walk, p)), (name, p)
 
 
@@ -345,6 +362,36 @@ def test_graded_p_walk_lists_a_prefix_of_the_p_classes(corpus_walks):
                 prefix = [c for c in whole if c.order <= d]
                 assert _keyed(p_subgroup_classes(fresh, p, d)) == _keyed(prefix)
             assert fresh.analysis_cache["p walk", p].registry is None
+
+
+def _verdict_keys(result):
+    verdict, w = result
+    return verdict, w and (w.prime, w.order, w.sub_a.key(), w.sub_b.key())
+
+
+def test_pi_verdicts_do_not_depend_on_what_was_asked_first():
+    # under a lowered cap B's plain walk may be refused where a p-walk is
+    # not, or split before it is refused; p_subgroup_classes picks the walk
+    # either way, so a pi verdict and its witness are a fresh group's
+    names = [
+        "SL2(7)",
+        "Symmetric(5)",
+        "PSL2(7)",
+        "SL2(8)",
+        "SL2(3)",
+        "GeneralizedQuaternion(16)",
+        "Alternating(6)",
+    ]
+    for name in names:
+        g = construct(name)
+        for cap in (100, 300, 700, 1000, 1500, 2298, 3000):
+            caps = replace(g.caps, stored_index_cap=cap)
+            for cid in (ClassId.B_PI, ClassId.A_PI):
+                fresh = Group(g.generators, degree=g.degree, caps=caps)
+                after_b = Group(g.generators, degree=g.degree, caps=caps)
+                decide(after_b, ClassId.B)
+                expected = _verdict_keys(decide(fresh, cid))
+                assert _verdict_keys(decide(after_b, cid)) == expected, (name, cap, cid)
 
 
 def test_a_cyclic_sylow_subgroup_has_one_class_per_order():

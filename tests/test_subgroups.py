@@ -182,18 +182,59 @@ def test_class_tests_leave_the_class_as_built():
 def test_walks_list_the_registry_objects():
     # while a walk keeps its registry, each class it lists is the registry's
     # own object, not a copy
-    g = S(5)
+    g, h = S(5), S(5)
     lists = {
         # S5 is not solvable, so its walk inside normalisers keeps the registry
-        WALK_KEY: subgroups._walk_classes(g, g.order()),
-        # below |Syl_2| = 8 the p-walk is unfinished
-        ("p walk", 2): p_subgroup_classes(g, 2, 4),
+        WALK_KEY: (g, subgroups._walk_classes(g, g.order())),
+        # below |Syl_2| = 8 the p-walk is unfinished; a fresh group, since
+        # g's plain walk would answer the p-subgroup read
+        ("p walk", 2): (h, p_subgroup_classes(h, 2, 4)),
     }
-    for key, classes in lists.items():
-        registry = g.analysis_cache[key].registry
+    for key, (group, classes) in lists.items():
+        registry = group.analysis_cache[key].registry
         assert registry is not None and classes, key
         for c in classes:
             assert any(c is own for own in registry.classes), (key, c)
+
+
+def test_a_kept_plain_walk_answers_the_p_subgroup_reads(monkeypatch):
+    # every p-subgroup is solvable, so once the plain walk is kept its list
+    # holds the p-subgroup classes: read off it, they match a fresh copy's
+    # p-walk, prefixes included, and no walk starts
+    for name in ["Symmetric(5)", "PSL2(7)", "SL2(3)"]:
+        g = construct(name)
+        primes = prime_factors(g.order())
+        fresh = Group(g.generators, degree=g.degree)
+        expected = {p: p_subgroup_classes(fresh, p) for p in primes}
+        all_subgroup_classes(g, 1)
+        started = []
+        init = subgroups._GradedWalk.__init__
+
+        def recording_init(self, *args):
+            started.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(subgroups._GradedWalk, "__init__", recording_init)
+        for p in primes:
+            order_p = [c for c in expected[p] if c.order == p]
+            assert _keyed(p_subgroup_classes(g, p, p)) == _keyed(order_p), (name, p)
+            assert _keyed(p_subgroup_classes(g, p)) == _keyed(expected[p]), (name, p)
+        monkeypatch.undo()
+        assert not started, name
+
+
+def test_a_refused_plain_read_falls_back_to_the_p_walk():
+    # B splits before this cap refuses SL2(7)'s plain walk, which is kept;
+    # reading the 2-subgroups off it is refused, and the p-walk, which
+    # stores less, answers as it does on a fresh copy
+    g = _capped("SL2(7)", stored_index_cap=1500)
+    assert decide(g, ClassId.B)[0] == NON_MEMBER
+    assert WALK_KEY in g.analysis_cache
+    classes = p_subgroup_classes(g, 2)
+    assert WALK_KEY not in g.analysis_cache and ("p walk", 2) in g.analysis_cache
+    fresh = _capped("SL2(7)", stored_index_cap=1500)
+    assert _keyed(classes) == _keyed(p_subgroup_classes(fresh, 2))
+    assert classes[-1].order == 16
 
 
 def test_orbit_sizes_divide_group_order():
@@ -434,11 +475,14 @@ def _keyed(classes):
 
 
 def _assert_walks_agree(g):
+    fresh = Group(g.generators, degree=g.degree)
     assert _keyed(all_subgroup_classes(g)) == _keyed(unpruned_all_subgroup_classes(g))
     for p in prime_factors(g.order()):
-        pruned = _keyed(p_subgroup_classes(g, p))
+        # the p-walk of a fresh copy; g's own read is served by its plain walk
+        pruned = _keyed(p_subgroup_classes(fresh, p))
         assert pruned == _keyed(unpruned_p_subgroup_classes(g, p))
         assert pruned[0][0] != (g.identity_idx,)
+        assert _keyed(p_subgroup_classes(g, p)) == pruned
 
 
 @pytest.mark.parametrize(
@@ -492,8 +536,9 @@ def test_trivial_class_takes_one_closure_per_element_class(monkeypatch):
     assert sorted(next(c for c in pp if s[0] in c) for s in seeds) == sorted(pp)
     for p in (2, 3, 5):
         order_p = [c for c in classes if order(c[0]) == p]
+        # a fresh group each time, so a p-walk answers, not g's plain walk
         seeds = _closures_from_trivial(
-            monkeypatch, g, lambda g: p_subgroup_classes(g, p)
+            monkeypatch, S(5), lambda g: p_subgroup_classes(g, p)
         )
         assert len(seeds) == len(order_p)
         assert {next(c for c in order_p if s[0] in c) for s in seeds} == set(order_p)
@@ -513,8 +558,10 @@ def test_the_first_level_reads_the_rational_classes(monkeypatch, name):
 
     monkeypatch.setattr(subgroups, "_coset_orbit_reps", recording)
     all_subgroup_classes(g)
+    # a fresh copy, so that p-walks answer, not g's plain walk
+    fresh = Group(g.generators, degree=g.degree)
     for p in prime_factors(g.order()):
-        p_subgroup_classes(g, p)
+        p_subgroup_classes(fresh, p)
     assert bases and 1 not in bases
 
 
@@ -532,8 +579,10 @@ def test_one_extension_per_cyclic_subgroup(monkeypatch, name):
 
     monkeypatch.setattr(subgroups, "_coset_orbit_reps", recording)
     all_subgroup_classes(g)
+    # a fresh copy, so that p-walks answer, not g's plain walk
+    fresh = Group(g.generators, degree=g.degree)
     for p in prime_factors(g.order()):
-        p_subgroup_classes(g, p)
+        p_subgroup_classes(fresh, p)
     assert sum(map(len, calls)) > len(calls)
     for yielded in calls:
         seen = set(yielded)
