@@ -561,6 +561,21 @@ class Group:
         mul = form.mul
         return lambda x: by[pre(mul(elts[x], gt))]
 
+    def conjugates_by(self, x, gs):
+        """The index of x_g^-1 * x * x_g for each g in the sequence ``gs``,
+        in that order, in C-level map chains: x * x_g read off x's key, then
+        x_g^-1 times that off the key of x_g^-1, called through
+        ``itemgetter.__call__`` as ``_Tuples.right`` calls its getters."""
+        if self._invs is None:
+            self.conjugacy_classes_idx()
+        if not self._base:  # the trivial group keys by no points at all
+            return [x] * len(gs)
+        elts, keys, by = self._elts0, self._keys, self._by_bimg
+        xg = map(by.__getitem__, map(keys[x], map(elts.__getitem__, gs)))
+        left = map(keys.__getitem__, map(self._invs.__getitem__, gs))
+        xg_elts = map(elts.__getitem__, xg)
+        return list(map(by.__getitem__, map(itemgetter.__call__, left, xg_elts)))
+
     def conjugacy_classes_idx(self):
         """Element conjugacy classes as sorted tuples of indices, with the
         element orders and inverses.

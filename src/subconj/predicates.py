@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice
 from operator import attrgetter, methodcaller
 
 from .caps import CapExceeded
@@ -357,12 +357,15 @@ def _non_conjugacy(group, a, b):
         mul = group.mul_idx
         inv = group.inv_idx
         target = b.indices
-        agens = a.gens_idx()
-        for g in range(group.order()):
+        # every g, narrowed to those that conjugate each generator of A into B
+        gs = range(group.order())
+        for x in a.gens_idx():
+            inside = map(target.__contains__, group.conjugates_by(x, gs))
+            gs = list(compress(gs, inside))
+        for g in gs:
             gi = inv(g)
-            if all(mul(mul(gi, x), g) in target for x in agens):
-                if frozenset(mul(mul(gi, x), g) for x in a.indices) == target:
-                    return False, "conjugate after all"
+            if frozenset(mul(mul(gi, x), g) for x in a.indices) == target:
+                return False, "conjugate after all"
         return True, "exhaustive-scan"
     if are_conjugate(group, a, b) is not None:
         return False, "conjugate after all"

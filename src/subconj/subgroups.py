@@ -35,7 +35,9 @@ d >= ``low``, the least order a non-solvable subgroup of G can have; below
 it every subgroup is solvable, so the walk inside normalisers is complete
 there.  Each class it extended before then gets only the cosets outside
 N_G(H), so no extension is tried twice.  In a solvable G it never reaches
-outside.
+outside, nor where ``low`` exceeds the largest order a proper subgroup can
+have (``Group._closure_bound``): every proper subgroup is then solvable, and
+the complete list is the walk's list with G's class added.
 """
 
 from __future__ import annotations
@@ -209,7 +211,11 @@ def _nonsolvable_floor(group):
     Sylow 2-subgroup gives a normal 2-complement by Burnside's transfer
     theorem, solvable by Feit-Thompson) and when d has at most two prime
     divisors (Burnside's p^a q^b theorem).  |G| itself passes all three
-    tests when G is not solvable."""
+    tests when G is not solvable.  No order below ``low`` passes them, so a
+    proper subgroup can be non-solvable only when ``low`` is at most the
+    largest order a proper subgroup can have, ``Group._closure_bound()``;
+    where it is not, a complete read adds G and never reaches outside
+    normalisers."""
     if is_solvable(group):
         return None
     return next(
@@ -228,13 +234,16 @@ class _GradedWalk:
     up to d.  Pending classes wait in a heap keyed by (order, representative
     key), so they are listed in the order of the final class list.
 
-    A walk ``in_normalizer`` takes x from N_G(H) only.  Given ``low``, it
-    reaches outside at the first ``through(d, complete=True)`` with d >=
-    ``low``: listed classes of order >= ``low`` go back to the heap, as
-    classes it had not reached may fall between them, and every class it
-    has extended is extended again by the orbits outside N_G(H) alone, which
-    it kept on the class.  From then on it takes x from all of G.  Until
-    then its registry is kept, since a complete read may still need it."""
+    A walk ``in_normalizer`` takes x from N_G(H) only.  Given ``low``, the
+    first ``through(d, complete=True)`` with d >= ``low`` completes it.
+    When ``low`` exceeds the largest order a proper subgroup can have,
+    every proper subgroup is solvable, so the walk only registers G, orbit
+    size 1, and goes on inside normalisers.  Otherwise it reaches outside:
+    listed classes of order >= ``low`` go back to the heap, as classes it
+    had not reached may fall between them, and every class it has extended
+    is extended again by the orbits outside N_G(H) alone, which it kept on
+    the class.  From then on it takes x from all of G.  Until that read its
+    registry is kept, since a complete read may still need it."""
 
     def __init__(self, group, top, in_normalizer, wanted, low=None):
         self.group = group
@@ -264,6 +273,14 @@ class _GradedWalk:
         self.extended = min(self.extended, 1)
         self.in_normalizer, self.low = False, None
 
+    def _add_the_group(self):
+        # every proper subgroup is solvable, so the walk inside normalisers
+        # reaches them all, and G is the one class it misses
+        self.low = None
+        for c in self.classes:
+            c._normalizer = None
+        self._register(self.group._whole_set())
+
     def _extensions(self, c):
         group, rep = self.group, c.representative
         if rep.order == 1:
@@ -287,7 +304,10 @@ class _GradedWalk:
         reaches ``low``)."""
         d = min(d, self.top)
         if complete and self.low is not None and d >= self.low:
-            self._reach_outside()
+            if self.low <= self.group._closure_bound():
+                self._reach_outside()
+            else:
+                self._add_the_group()
         group, pending, classes = self.group, self.pending, self.classes
         while True:
             if self.extended < len(classes) and classes[self.extended].order < d:
@@ -386,7 +406,8 @@ def all_subgroup_classes(group, max_order=None):
     ``_coset_orbit_reps``).  The walk takes x from N_G(H) alone up to
     ``low`` (see ``_nonsolvable_floor``), which finds every solvable class,
     and from all of G from there on, so perfect subgroups are found too (a
-    pure normalizer-driven cyclic extension would miss them).
+    pure normalizer-driven cyclic extension would miss them).  When no
+    proper subgroup can be non-solvable, G alone is added instead.
 
     The walk runs in order of subgroup order and stops once every class of
     order < d is extended: a subgroup K of order d has a maximal subgroup H,

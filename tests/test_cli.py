@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -251,3 +253,17 @@ def test_unreadable_or_unwritable_file_exits_2_with_one_error_line(tmp_path, mis
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("error: [Errno 2] No such file or directory")
     assert "Traceback" not in result.stderr
+
+
+# sha256 of ``corpus run --json`` with the full subgroup and isomorphism caps
+# raised to 8000: the one run in which M11, SL2(13) and E32x(C31xC5) list
+# their whole subgroup lattice; a deliberate change to the report updates it
+RAISED_CAP_SHA256 = "7fbdb9d6b56f2c91ed24269c18e6b7d12248d7b1792f23c66088c61ec3c9f092"
+
+
+def test_raised_cap_corpus_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    env = dict(os.environ, SUBCONJ_FULL_SUBGROUP_CAP="8000", SUBCONJ_ISO_CAP="8000")
+    result = run_cli("corpus", "run", "--json", str(out), env=env)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RAISED_CAP_SHA256

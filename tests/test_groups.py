@@ -421,6 +421,25 @@ def test_element_cap_is_enforced():
         g.elements()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct("Cyclic(1)"),
+        lambda: construct("Cyclic(6)"),
+        lambda: relabelled(construct("SL2(3)")),
+        lambda: relabelled(construct("Symmetric(5)")),
+    ],
+    ids=["Cyclic(1)", "Cyclic(6)", "SL2(3)-relabelled", "Symmetric(5)-relabelled"],
+)
+def test_conjugates_by_matches_the_products(build):
+    # bases of no, one and several points; any sequence of g, in its order
+    g = build()
+    mul, inv = g.mul_idx, g.inv_idx
+    gs = list(range(g.order()))[::-1]
+    for x in range(g.order()):
+        assert g.conjugates_by(x, gs) == [mul(mul(inv(y), x), y) for y in gs]
+
+
 def test_conjugator_oracle_agreement():
     g = S(4)
     h = g.subgroup([P("(1,2)", 4)])
@@ -1054,6 +1073,9 @@ def test_byte_tables_and_tuples_list_the_same_group(monkeypatch, name):
         )
     assert tuples.conjugacy_classes_idx() == tables.conjugacy_classes_idx()
     assert tuples.rational_classes() == tables.rational_classes()
+    everything = range(tables.order())
+    for x in (1, tables.order() // 2):
+        assert tuples.conjugates_by(x, everything) == tables.conjugates_by(x, everything)
 
 
 @pytest.mark.parametrize("name", ["Symmetric(4)", "SL2(3)"])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -566,3 +567,34 @@ def test_proved_pairs_do_not_pass_other_pairs(name):
         _verified_witness(g, ClassId.A_PI, 3, w.order, w.sub_a, w.sub_b)
     again = _verified_witness(g, ClassId.A, w.prime, w.order, w.sub_a, w.sub_b)
     assert again.method == w.method
+
+
+def _scan_one_element_at_a_time(group, a, b):
+    """The exhaustive non-conjugacy scan by products, one g at a time: the
+    reference for the scan narrowed by ``Group.conjugates_by``."""
+    mul, inv, target = group.mul_idx, group.inv_idx, b.indices
+    for g in range(group.order()):
+        gi = inv(g)
+        if all(mul(mul(gi, x), g) in target for x in a.gens_idx()):
+            if frozenset(mul(mul(gi, x), g) for x in a.indices) == target:
+                return False, "conjugate after all"
+    return True, "exhaustive-scan"
+
+
+@pytest.mark.parametrize(
+    "name", ["Symmetric(4)", "SL2(3)", "Alternating(5)", "Dihedral(6)"]
+)
+def test_the_exhaustive_scan_matches_the_one_element_scan(name):
+    # every pair of equal-order subgroups, conjugate or not (SL2(3) is a B
+    # member, so its pairs are all conjugate)
+    g = construct(name)
+    subs = []
+    for c in all_subgroup_classes(g):
+        orbit, _ = g.conjugates(c.representative.indices)
+        subs += [(c, Subgroup(g, key)) for key in orbit]
+    pairs = [(x, y) for x, y in combinations(subs, 2) if x[1].order == y[1].order]
+    assert pairs
+    for (ca, a), (cb, b) in pairs:
+        got = predicates._non_conjugacy(g, a, b)
+        assert got == _scan_one_element_at_a_time(g, a, b), (a.indices, b.indices)
+        assert got[0] == (ca is not cb)

@@ -2,9 +2,10 @@
 
 The walk kept by ``all_subgroup_classes`` takes x from N_G(H) until a
 complete read reaches ``low``, the least order a non-solvable subgroup can
-have.  Its inside list must be exactly the solvable classes, its complete
-list the oracle's, in any order of reads, and the verdicts read off it those
-of the full walk."""
+have, and reaches outside them only where a proper subgroup can be
+non-solvable.  Its inside list must be exactly the solvable classes, its
+complete list the oracle's, in any order of reads, and the verdicts read off
+it those of the full walk."""
 
 import random
 
@@ -107,9 +108,66 @@ def test_a_complete_read_below_a_nonsolvable_order_reaches_outside(nonsolvable_2
     assert _keyed(got) == _keyed(c for c in classes if c.order <= 72)
 
 
+# the non-solvable groups among them with no order d of G, low <= d <=
+# Group._closure_bound(), that passes the tests of _nonsolvable_floor: every
+# proper subgroup is solvable, so a complete read adds G and reaches no further
+ONLY_G_NONSOLVABLE = {
+    "Alternating(5)",
+    "SL2(4)",
+    "SL2(5)",
+    "SL2(7)",
+    "SL2(8)",
+    "PSL2(4)",
+    "PSL2(5)",
+    "PSL2(7)",
+    "PSL2(8)",
+}
+REACHING_OUTSIDE = {
+    "Symmetric(5)",
+    "Symmetric(6)",
+    "Alternating(6)",
+    "PSL2(9)",
+    "PSL2(11)",
+    "PSL2(13)",
+    "SL2(9)",
+    "SL2(11)",
+    "Alternating(5)*Cyclic(7)",
+    "SL2(5)*Cyclic(7)",
+}
+
+
+def test_only_g_is_nonsolvable_where_no_proper_order_can_be(nonsolvable_2000):
+    for name, g, classes, solvable in nonsolvable_2000:
+        if name in ONLY_G_NONSOLVABLE:
+            rest = [(c.order, c.orbit_size) for c, s in zip(classes, solvable) if not s]
+            assert rest == [(g.order(), 1)], name
+
+
+def test_a_complete_read_reaches_outside_where_a_proper_order_can_be_nonsolvable(
+    nonsolvable_2000, monkeypatch
+):
+    calls = []
+    reach = _GradedWalk._reach_outside
+
+    def counted(self):
+        calls.append(self)
+        reach(self)
+
+    monkeypatch.setattr(_GradedWalk, "_reach_outside", counted)
+    names = {name for name, *_ in nonsolvable_2000}
+    assert names == ONLY_G_NONSOLVABLE | REACHING_OUTSIDE
+    for name, g, classes, _ in nonsolvable_2000:
+        calls.clear()
+        fresh = _fresh(g)
+        assert _keyed(all_subgroup_classes(fresh)) == _keyed(classes), name
+        assert len(calls) == (name in REACHING_OUTSIDE), name
+        assert fresh.analysis_cache[WALK_KEY].registry is None
+
+
 def test_b_reads_the_complete_list_and_h_the_solvable_one():
-    # PSL2(8) is a member of every class, so both read every order; only B
-    # needs the walk to reach outside, for the group itself
+    # PSL2(8) is a member of every class, so both read every order; B's
+    # complete list adds only the group itself, since no proper subgroup of
+    # PSL2(8) can be non-solvable (bound 72 < low = 84)
     g = construct("PSL2(8)")
     assert decide(g, ClassId.H)[0] == MEMBER
     assert g.analysis_cache["solvable buckets"][504] == []
@@ -190,14 +248,15 @@ def test_small_random_groups_match_the_brute_force_classes(random_groups):
 
 
 # closure_idx calls of analyze_entry on the full-enum benchmark entries: 801
-# with the full walk, 589 inside normalisers; the B members PSL2(8) and
-# SL2(8) walk everything either way, and pay nothing for the split
+# with the full walk, 553 inside normalisers, 399 once the B members PSL2(8)
+# and SL2(8), whose proper subgroups are all solvable, add the group itself
+# instead of walking outside normalisers
 FULL_ENUM = {
     "Symmetric(6)": None,
-    "SL2(8)": 133,
+    "SL2(8)": 47,
     "PSL2(11)": None,
     "SL2(7)": None,
-    "PSL2(8)": 125,
+    "PSL2(8)": 47,
     "Alternating(6)": None,
     "PSL2(9)": None,
 }
@@ -215,7 +274,7 @@ def test_full_enum_entries_keep_their_closure_count(monkeypatch):
     monkeypatch.setattr(Group, "closure_idx", counted)
     for entry in FULL_ENUM:
         analyze_entry(CorpusEntry(entry))
-    assert sum(counts.values()) <= 620, counts
+    assert sum(counts.values()) <= 400, counts
     for name, bound in FULL_ENUM.items():
         if bound is not None:
             assert counts[name] <= bound, (name, counts)
