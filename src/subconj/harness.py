@@ -298,7 +298,9 @@ def analyze_entry(entry):
         stage = "facts"
         record.facts = _collect_facts(group, record)
     except Exception as exc:
-        exc.add_note(f"in corpus entry {entry.name}, stage {stage}")
+        # what exc.add_note (Python 3.11+) appends to
+        note = f"in corpus entry {entry.name}, stage {stage}"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
         raise
     return record
 

@@ -26,23 +26,23 @@ one, and x any element of K outside it that the walk may take), so once every
 class of order < d is extended, every class of order <= d is registered.  A
 verdict that splits at order d therefore never builds the larger classes.
 
-The kept walk of ``all_subgroup_classes`` first takes x from N_G(H) only.
-<H, x> is then H extended by a cyclic group, so that walk reaches exactly the
-solvable classes: a solvable K has a normal subgroup of prime index (Holt,
-Eick & O'Brien, Handbook of Computational Group Theory, 2005).  It reaches
-outside N_G(H) only when a caller asks for the complete list up to an order
-d >= ``low``, the least order a non-solvable subgroup of G can have; below
-it every subgroup is solvable, so the walk inside normalisers is complete
-there.  Each class it extended before then gets only the cosets outside
-N_G(H), so no extension is tried twice.  In a solvable G it never reaches
-outside, nor where ``low`` exceeds the largest order a proper subgroup can
-have (``Group._closure_bound``): every proper subgroup is then solvable, and
-the complete list is the walk's list with G's class added.
+A walk picks its mode when it starts and keeps it.  The plain walk kept
+under ``WALK_KEY`` takes x from N_G(H) only.  <H, x> is then H extended by
+a cyclic group, so that walk reaches exactly the solvable classes: a
+solvable K has a normal subgroup of prime index (Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005).  Below ``low``, the least
+order a non-solvable subgroup of G can have, every subgroup is solvable, so
+its list is complete there, and in a solvable G everywhere.  Where ``low``
+exceeds the largest order a proper subgroup can have
+(``Group._closure_bound``), every proper subgroup is solvable, and a
+complete read from ``low`` on adds G's class to that walk.  Otherwise a
+complete read from ``low`` on is served by a second walk, which takes x
+from all of G from the start.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import gcd
@@ -83,9 +83,6 @@ class SubgroupClass:
     # (edges, root) of the registry's walk, H = orbit[root], kept until a
     # subgroup walk builds N_G(H) from it (see ``_OrbitRegistry.classify``)
     _walk: object = field(default=None, repr=False, compare=False)
-    # N_G(H), kept by a walk that extended H inside it and may still reach
-    # outside it (see ``_GradedWalk``)
-    _normalizer: object = field(default=None, repr=False, compare=False)
 
     @property
     def order(self):
@@ -143,28 +140,22 @@ class _OrbitRegistry:
         return cid, True
 
 
-def _coset_orbit_reps(group, rep, nz, in_normalizer, wanted, outside=False):
+def _coset_orbit_reps(group, rep, nz, in_normalizer, wanted):
     """One x per orbit of N = ``nz`` = N_G(H) on the left cosets xH of H, in
-    index order, skipping x with ``wanted(H, x)`` false.  x runs over G,
-    over N alone when ``in_normalizer``, or over G outside N when
-    ``outside``: N is then marked as covered, as after a pass inside it.
-    The walks call it for H > 1 only: for the trivial H these orbits are the
-    rational classes of the elements, which the group keeps
-    (``Group.rational_classes``).
+    index order, skipping x with ``wanted(H, x)`` false.  x runs over G, or
+    over N alone when ``in_normalizer``.  The walks call it for H > 1 only:
+    for the trivial H these orbits are the rational classes of the
+    elements, which the group keeps (``Group.rational_classes``).
 
     For g in N, (xH)^g = x^g H and <H, x^g> = <H, x>^g, and <H, x^k h> =
     <H, x> for h in H and k prime to |x|, since x^k generates <x>; so once x
     is yielded, the N-orbits of the cosets x^k H add only conjugates of
     <H, x> and are marked as a whole, each coset by one ``left_coset`` call
     and each conjugation by the generator's map or ``Group.conjugator``.
-    Those cosets lie in N exactly when x does, so a pass inside N and a pass
-    outside it together yield what one pass over G yields.
     """
     n = group.order()
     hset = rep.indices
     if nz.order == n:
-        if outside:
-            return
         conj = [m.__getitem__ for m in group.conj_maps()]
         domain = range(n)
     else:
@@ -173,7 +164,7 @@ def _coset_orbit_reps(group, rep, nz, in_normalizer, wanted, outside=False):
         conj = list(map(group.conjugator, nz.gens_idx()))
         domain = sorted(nz.indices) if in_normalizer else range(n)
     covered = bytearray(n)
-    for h in nz.indices if outside else hset:
+    for h in hset:
         covered[h] = 1
     mul = group.mul_idx
     for x in domain:
@@ -214,8 +205,8 @@ def _nonsolvable_floor(group):
     tests when G is not solvable.  No order below ``low`` passes them, so a
     proper subgroup can be non-solvable only when ``low`` is at most the
     largest order a proper subgroup can have, ``Group._closure_bound()``;
-    where it is not, a complete read adds G and never reaches outside
-    normalisers."""
+    where it is not, a complete read adds G to the walk inside normalisers
+    (see ``_walk_classes``)."""
     if is_solvable(group):
         return None
     return next(
@@ -234,16 +225,13 @@ class _GradedWalk:
     up to d.  Pending classes wait in a heap keyed by (order, representative
     key), so they are listed in the order of the final class list.
 
-    A walk ``in_normalizer`` takes x from N_G(H) only.  Given ``low``, the
-    first ``through(d, complete=True)`` with d >= ``low`` completes it.
-    When ``low`` exceeds the largest order a proper subgroup can have,
-    every proper subgroup is solvable, so the walk only registers G, orbit
-    size 1, and goes on inside normalisers.  Otherwise it reaches outside:
-    listed classes of order >= ``low`` go back to the heap, as classes it
-    had not reached may fall between them, and every class it has extended
-    is extended again by the orbits outside N_G(H) alone, which it kept on
-    the class.  From then on it takes x from all of G.  Until that read its
-    registry is kept, since a complete read may still need it."""
+    A walk ``in_normalizer`` takes x from N_G(H) only, any other from all
+    of G, and no walk changes that once started.  ``low`` is given only to
+    a walk inside normalisers whose group has no non-solvable proper
+    subgroup: the first ``through(d, complete=True)`` with d >= ``low``
+    registers G, orbit size 1, the one class that walk misses.  A walk
+    frees its registry once a read reaches ``top``, unless it still waits
+    for that complete read."""
 
     def __init__(self, group, top, in_normalizer, wanted, low=None):
         self.group = group
@@ -264,23 +252,6 @@ class _GradedWalk:
             c = self.registry.classes[cid]
             heappush(self.pending, (c.order, c.representative.key(), c))
 
-    def _reach_outside(self):
-        cut = bisect_left(self.classes, self.low, key=_ORDER)
-        for c in self.classes[cut:]:
-            heappush(self.pending, (c.order, c.representative.key(), c))
-        del self.classes[cut:]
-        # the rational classes extend H = 1 by all of G = N_G(1) already
-        self.extended = min(self.extended, 1)
-        self.in_normalizer, self.low = False, None
-
-    def _add_the_group(self):
-        # every proper subgroup is solvable, so the walk inside normalisers
-        # reaches them all, and G is the one class it misses
-        self.low = None
-        for c in self.classes:
-            c._normalizer = None
-        self._register(self.group._whole_set())
-
     def _extensions(self, c):
         group, rep = self.group, c.representative
         if rep.order == 1:
@@ -288,26 +259,19 @@ class _GradedWalk:
             # and both walks want an x by its order alone
             hset = rep.indices
             return [x for x in _rational_reps(group) if self.wanted(hset, x)]
-        nz, c._normalizer = c._normalizer, None
-        if nz is not None:
-            return _coset_orbit_reps(group, rep, nz, False, self.wanted, True)
         nz = _walk_normalizer(group, rep, c.orbit_size, *c._walk)
         c._walk = None
-        if self.low is not None:
-            c._normalizer = nz
         return _coset_orbit_reps(group, rep, nz, self.in_normalizer, self.wanted)
 
     def through(self, d, complete=False):
         """The classes of order at most d, in (order, key) order: all of
         them when ``complete``, else those the walk has reached (for the
-        walk inside normalisers, the solvable ones until a complete read
-        reaches ``low``)."""
+        walk inside normalisers, the solvable ones, and G once a complete
+        read has added it)."""
         d = min(d, self.top)
         if complete and self.low is not None and d >= self.low:
-            if self.low <= self.group._closure_bound():
-                self._reach_outside()
-            else:
-                self._add_the_group()
+            self.low = None
+            self._register(self.group._whole_set())
         group, pending, classes = self.group, self.pending, self.classes
         while True:
             if self.extended < len(classes) and classes[self.extended].order < d:
@@ -327,16 +291,22 @@ class _GradedWalk:
 def _resumed(group, key, start, d, complete=False):
     """``through(d, complete)`` of the walk kept in
     ``group.analysis_cache[key]``, begun by ``start()`` when none is kept.
-    A walk that hits a cap is dropped, so the next call starts afresh and
-    stops at the same cap."""
+    A walk that hits a cap is replaced by its refusal, (order, complete,
+    kind, detail).  A later read of that order or more is refused again
+    with no walk when it is complete or the refused read was not, since it
+    then does all the refused read did; any other read starts afresh."""
     cache = group.analysis_cache
     walk = cache.get(key)
-    if walk is None:
+    if isinstance(walk, tuple):
+        order, was_complete, kind, detail = walk
+        if d >= order and (complete or not was_complete):
+            raise CapExceeded(kind, detail)
+    if not isinstance(walk, _GradedWalk):
         walk = cache[key] = start()
     try:
         return walk.through(d, complete)
-    except CapExceeded:
-        del cache[key]
+    except CapExceeded as exc:
+        cache[key] = (min(d, walk.top), complete, exc.kind, exc.detail)
         raise
 
 
@@ -355,8 +325,8 @@ def p_subgroup_classes(group, p, max_order=None):
     The walk is graded and resumable like that of ``all_subgroup_classes``:
     it stops once every class of order < d is extended, is kept in
     ``group.analysis_cache`` for the next call that asks for more, and is
-    dropped when it hits a cap.  A p that is not a prime dividing |G| raises
-    ValueError.
+    replaced by its refusal when it hits a cap (see ``_resumed``).  A p that
+    is not a prime dividing |G| raises ValueError.
 
     This function alone picks the walk that answers: once a plain verdict
     has started the walk of ``all_subgroup_classes``, its classes of p-power
@@ -378,7 +348,7 @@ def p_subgroup_classes(group, p, max_order=None):
 
     d = sylow_order if max_order is None else min(max_order, sylow_order)
     classes = None
-    if WALK_KEY in group.analysis_cache:
+    if isinstance(group.analysis_cache.get(WALK_KEY), _GradedWalk):
         try:
             # the orders dividing |G|_p are the powers of p
             walked = _walk_classes(group, d)[1:]
@@ -403,11 +373,12 @@ def all_subgroup_classes(group, max_order=None):
     prime-power element at a time through conjugates of known classes, the
     walk is complete.  Of the cosets xH, one per N_G(H)-orbit is tried: a
     coset and its conjugates under N_G(H) give conjugate extensions (see
-    ``_coset_orbit_reps``).  The walk takes x from N_G(H) alone up to
-    ``low`` (see ``_nonsolvable_floor``), which finds every solvable class,
-    and from all of G from there on, so perfect subgroups are found too (a
-    pure normalizer-driven cyclic extension would miss them).  When no
-    proper subgroup can be non-solvable, G alone is added instead.
+    ``_coset_orbit_reps``).  Up to ``low`` (see ``_nonsolvable_floor``) the
+    walk takes x from N_G(H) alone, which finds every solvable class; a
+    read from ``low`` on runs a walk that takes x from all of G, so perfect
+    subgroups are found too (a pure normalizer-driven cyclic extension
+    would miss them).  When no proper subgroup can be non-solvable, G alone
+    is added to the walk inside normalisers instead.
 
     The walk runs in order of subgroup order and stops once every class of
     order < d is extended: a subgroup K of order d has a maximal subgroup H,
@@ -415,30 +386,46 @@ def all_subgroup_classes(group, max_order=None):
     those elements generate K; then K = <H, x>, and the walk extends a
     conjugate of H by a conjugate of x, or by an x' whose extension is
     conjugate to it.  The walk is kept in ``group.analysis_cache`` and
-    resumed by the next call that asks for more; a walk that hits a cap is
-    dropped, so the next call starts afresh and stops at the same cap.
+    resumed by the next call that asks for more; a walk that hits a cap
+    keeps its refusal, so a later call that asks for as much is refused
+    without walking again (see ``_resumed``).
     """
     n = group.order()
     return _walk_classes(group, n if max_order is None else max_order, True)
 
 
 def _walk_classes(group, d, complete=False):
-    """The classes of order at most d off the walk kept under ``WALK_KEY``:
-    all of them when ``complete``, as ``all_subgroup_classes`` lists them;
-    else those its walk inside normalisers has reached, a superset of the
-    solvable classes (exactly those until a complete read reaches ``low``).
-    Both reads are refused above ``full_subgroup_cap``."""
+    """The classes of order at most d: all of them when ``complete``, as
+    ``all_subgroup_classes`` lists them; else the solvable ones, off the
+    walk inside normalisers kept under ``WALK_KEY`` (with G, once a
+    complete read has added it there).
+
+    A complete read of order below ``low`` reads that walk too.  From
+    ``low`` on, where no proper subgroup can be non-solvable, it reads that
+    walk and adds G to it; elsewhere it reads a walk over all of G, kept
+    under (``WALK_KEY``, "all").  ``low``, and which of the two holds, is
+    computed once per group.  Every read is refused above
+    ``full_subgroup_cap``."""
     n = group.order()
     cap = group.caps.full_subgroup_cap
     if n > cap:
         raise CapExceeded("full subgroup enumeration", f"order {n} > {cap}")
+    cache = group.analysis_cache
+    if "nonsolvable floor" not in cache:
+        low = _nonsolvable_floor(group)
+        # whether a proper subgroup can be non-solvable
+        reaching = low is not None and low <= group._closure_bound()
+        cache["nonsolvable floor"] = low, reaching
+    low, reaching = cache["nonsolvable floor"]
+    whole = complete and reaching and d >= low
 
     def start():
         pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
-        low = _nonsolvable_floor(group)
-        return _GradedWalk(group, n, True, lambda hset, x: pp_element[x], low)
+        adds_g = None if reaching else low
+        return _GradedWalk(group, n, not whole, lambda h, x: pp_element[x], adds_g)
 
-    return _resumed(group, WALK_KEY, start, d, complete)
+    key = (WALK_KEY, "all") if whole else WALK_KEY
+    return _resumed(group, key, start, d, complete)
 
 
 def are_conjugate(group, sub_a, sub_b):

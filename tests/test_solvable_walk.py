@@ -1,11 +1,11 @@
 """The plain walk inside normalisers, against the full walk it replaced.
 
-The walk kept by ``all_subgroup_classes`` takes x from N_G(H) until a
-complete read reaches ``low``, the least order a non-solvable subgroup can
-have, and reaches outside them only where a proper subgroup can be
-non-solvable.  Its inside list must be exactly the solvable classes, its
-complete list the oracle's, in any order of reads, and the verdicts read off
-it those of the full walk."""
+The walk kept under ``WALK_KEY`` takes x from N_G(H) only.  A complete read
+from ``low``, the least order a non-solvable subgroup can have, adds G to
+it where no proper subgroup can be non-solvable, and is served by a second
+walk over all of G elsewhere.  The inside list must be exactly the solvable
+classes, the complete list the oracle's, in any order of reads, and the
+verdicts read off them those of the full walk."""
 
 import random
 
@@ -68,14 +68,16 @@ def test_the_walk_inside_normalisers_lists_the_solvable_classes(nonsolvable_2000
         fresh = _fresh(g)
         expected = [c for c, s in zip(classes, solvable) if s]
         assert _keyed(_walk_classes(fresh, g.order())) == _keyed(expected), name
-        # a complete read may still reach outside, so the registry is kept
-        assert fresh.analysis_cache[WALK_KEY].registry is not None
+        # the registry is kept only where a complete read still adds G to
+        # this walk; elsewhere a complete read takes the walk over all of G
+        walk = fresh.analysis_cache[WALK_KEY]
+        assert (walk.registry is None) == (name in REACHING_OUTSIDE), name
 
 
 def test_interleaved_reads_keep_the_complete_list(nonsolvable_2000):
     # each read of either kind at a random divisor: a complete read lists
-    # the oracle's classes of order <= d, an inside read those in between
-    # the solvable ones and all, in the oracle's order
+    # the oracle's classes of order <= d, an inside read the solvable ones
+    # (and G once a complete read has added it), in the oracle's order
     rng = random.Random(29)
     for name, g, classes, solvable in nonsolvable_2000:
         fresh = _fresh(g)
@@ -91,8 +93,10 @@ def test_interleaved_reads_keep_the_complete_list(nonsolvable_2000):
             assert {
                 k for k, s in zip(_keyed(classes), solvable) if s and k[0] <= d
             } <= set(got), (name, d)
+            nonsolvable = {k for k, s in zip(_keyed(classes), solvable) if not s}
+            assert {k[0] for k in nonsolvable & set(got)} <= {g.order()}, (name, d)
         assert _keyed(all_subgroup_classes(fresh)) == _keyed(classes), name
-        assert fresh.analysis_cache[WALK_KEY].registry is None
+        assert _complete_walk(fresh, name).registry is None
 
 
 def test_a_complete_read_below_a_nonsolvable_order_reaches_outside(nonsolvable_2000):
@@ -143,25 +147,32 @@ def test_only_g_is_nonsolvable_where_no_proper_order_can_be(nonsolvable_2000):
             assert rest == [(g.order(), 1)], name
 
 
+def _complete_walk(g, name):
+    """The walk that answers g's complete reads from ``low`` on: the walk
+    over all of G where a proper subgroup can be non-solvable, else the
+    walk inside normalisers, which has added G."""
+    if name in REACHING_OUTSIDE:
+        return g.analysis_cache[WALK_KEY, "all"]
+    return g.analysis_cache[WALK_KEY]
+
+
 def test_a_complete_read_reaches_outside_where_a_proper_order_can_be_nonsolvable(
-    nonsolvable_2000, monkeypatch
+    nonsolvable_2000,
 ):
-    calls = []
-    reach = _GradedWalk._reach_outside
-
-    def counted(self):
-        calls.append(self)
-        reach(self)
-
-    monkeypatch.setattr(_GradedWalk, "_reach_outside", counted)
+    # the walk over all of G is started exactly where a proper subgroup can
+    # be non-solvable; no walk changes its mode once started
     names = {name for name, *_ in nonsolvable_2000}
     assert names == ONLY_G_NONSOLVABLE | REACHING_OUTSIDE
     for name, g, classes, _ in nonsolvable_2000:
-        calls.clear()
         fresh = _fresh(g)
+        all_subgroup_classes(fresh, 2)  # starts the walk inside normalisers
         assert _keyed(all_subgroup_classes(fresh)) == _keyed(classes), name
-        assert len(calls) == (name in REACHING_OUTSIDE), name
-        assert fresh.analysis_cache[WALK_KEY].registry is None
+        cache = fresh.analysis_cache
+        assert ((WALK_KEY, "all") in cache) == (name in REACHING_OUTSIDE), name
+        assert cache[WALK_KEY].in_normalizer, name
+        if name in REACHING_OUTSIDE:
+            assert not cache[WALK_KEY, "all"].in_normalizer, name
+        assert _complete_walk(fresh, name).registry is None
 
 
 def test_b_reads_the_complete_list_and_h_the_solvable_one():

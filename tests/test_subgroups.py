@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from math import gcd
 
@@ -182,9 +183,10 @@ def test_class_tests_leave_the_class_as_built():
 def test_walks_list_the_registry_objects():
     # while a walk keeps its registry, each class it lists is the registry's
     # own object, not a copy
-    g, h = S(5), S(5)
+    g, h = construct("Alternating(5)"), S(5)
     lists = {
-        # S5 is not solvable, so its walk inside normalisers keeps the registry
+        # every proper subgroup of A5 is solvable, so its walk inside
+        # normalisers keeps the registry for the complete read that adds A5
         WALK_KEY: (g, subgroups._walk_classes(g, g.order())),
         # below |Syl_2| = 8 the p-walk is unfinished; a fresh group, since
         # g's plain walk would answer the p-subgroup read
@@ -225,16 +227,133 @@ def test_a_kept_plain_walk_answers_the_p_subgroup_reads(monkeypatch):
 
 def test_a_refused_plain_read_falls_back_to_the_p_walk():
     # B splits before this cap refuses SL2(7)'s plain walk, which is kept;
-    # reading the 2-subgroups off it is refused, and the p-walk, which
-    # stores less, answers as it does on a fresh copy
+    # reading the 2-subgroups off it is refused, the refusal is kept in the
+    # walk's place, and the p-walk, which stores less, answers as it does
+    # on a fresh copy
     g = _capped("SL2(7)", stored_index_cap=1500)
     assert decide(g, ClassId.B)[0] == NON_MEMBER
-    assert WALK_KEY in g.analysis_cache
+    assert isinstance(g.analysis_cache[WALK_KEY], subgroups._GradedWalk)
     classes = p_subgroup_classes(g, 2)
-    assert WALK_KEY not in g.analysis_cache and ("p walk", 2) in g.analysis_cache
+    order, complete, kind, _ = g.analysis_cache[WALK_KEY]
+    assert (order, complete, kind) == (16, False, "stored indices")
+    assert ("p walk", 2) in g.analysis_cache
     fresh = _capped("SL2(7)", stored_index_cap=1500)
     assert _keyed(classes) == _keyed(p_subgroup_classes(fresh, 2))
     assert classes[-1].order == 16
+    # a later p-subgroup read goes to the p-walk, not the refusal
+    assert _keyed(p_subgroup_classes(g, 2)) == _keyed(classes)
+
+
+def _counting_walk_starts(monkeypatch):
+    """The ``_GradedWalk`` started from now on, as a list that grows."""
+    started = []
+    init = subgroups._GradedWalk.__init__
+
+    def recording_init(self, *args):
+        started.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(subgroups._GradedWalk, "__init__", recording_init)
+    return started
+
+
+def test_a_report_frees_the_registry_of_the_walk_inside_normalisers():
+    # PSL2(11) has non-solvable proper subgroups (A5), so its complete reads
+    # take the walk over all of G, and the walk inside normalisers frees its
+    # registry once a solvable read reaches |G|.  The group's classes and
+    # conjugation maps are built first, so only what the report keeps counts
+    g0 = construct("PSL2(11)")
+    g = Group(g0.generators, degree=g0.degree, caps=g0.caps)
+    g.rational_classes()
+    g.conj_maps()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hierarchy_report(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.analysis_cache[WALK_KEY].registry is None
+    # 72 KB measured; 449 KB while the registry was kept for a complete read
+    assert retained <= 150_000
+
+
+def test_a_refused_walk_keeps_its_refusal(monkeypatch):
+    # under this cap SL2(7)'s solvable read of order 16 is refused; a read of
+    # as much is refused again with no walk, a complete one too, while a
+    # smaller read starts the walk afresh
+    g = _capped("SL2(7)", stored_index_cap=1500)
+    started = _counting_walk_starts(monkeypatch)
+    with pytest.raises(CapExceeded) as first:
+        subgroups._walk_classes(g, 16)
+    assert len(started) == 1
+    for d, complete in [(16, False), (48, False), (16, True), (336, True)]:
+        with pytest.raises(CapExceeded) as again:
+            subgroups._walk_classes(g, d, complete)
+        assert again.value.args == first.value.args, (d, complete)
+    assert len(started) == 1
+    fresh = _capped("SL2(7)", stored_index_cap=1500)
+    assert _keyed(subgroups._walk_classes(g, 8)) == _keyed(
+        subgroups._walk_classes(fresh, 8)
+    )
+    assert len(started) == 3 and g.analysis_cache[WALK_KEY] is started[1]
+
+
+def test_a_refused_complete_read_does_not_refuse_a_solvable_one(monkeypatch):
+    # SL2(7)'s solvable read of every order stores 2 971 indices, and the
+    # complete read from low = 84 on adds the group itself, 336 more
+    g = _capped("SL2(7)", stored_index_cap=3000)
+    with pytest.raises(CapExceeded):
+        all_subgroup_classes(g)
+    order, complete, _, _ = g.analysis_cache[WALK_KEY]
+    assert (order, complete) == (336, True)
+    started = _counting_walk_starts(monkeypatch)
+    fresh = _capped("SL2(7)", stored_index_cap=3000)
+    assert _keyed(subgroups._walk_classes(g, 336)) == _keyed(
+        subgroups._walk_classes(fresh, 336)
+    )
+    assert len(started) == 2
+
+
+def test_a_capped_report_restarts_no_refused_plain_walk(monkeypatch):
+    # under this cap SL2(8)'s plain walk is refused at order 4: B's complete
+    # read, then H's solvable read, which B's refusal does not settle, and
+    # N's and A's solvable reads by H's refusal; dropping each refused walk
+    # started it 4 times
+    g = _capped("SL2(8)", stored_index_cap=1000)
+    started = _counting_walk_starts(monkeypatch)
+    report = hierarchy_report(g)
+    plain = [w for w in started if w.top == g.order()]
+    assert len(plain) == 2
+    for cid in (ClassId.B, ClassId.H, ClassId.N, ClassId.A):
+        assert report.verdicts[cid] == UNDECIDED, cid
+
+
+CAPPED_GROUPS = ["SL2(7)", "Symmetric(5)", "SL2(8)", "PSL2(7)", "Alternating(6)"]
+
+
+@pytest.mark.parametrize("name", CAPPED_GROUPS)
+def test_a_capped_report_matches_each_verdict_on_a_fresh_group(name):
+    # the report shares its walks and their refusals across the ten
+    # verdicts; each verdict and witness is a fresh group's
+    for cap in (300, 1000, 1500, 2298, 3000, 8000):
+        report = hierarchy_report(_capped(name, stored_index_cap=cap))
+        for cid in ClassId:
+            verdict, w = decide(_capped(name, stored_index_cap=cap), cid)
+            assert report.verdicts[cid] == verdict, (cap, cid)
+            got = report.witnesses.get(cid)
+            assert (got is None) == (w is None), (cap, cid)
+            if w is not None:
+                expected = (w.prime, w.order, w.method, w.sub_a.key(), w.sub_b.key())
+                assert (
+                    got.prime,
+                    got.order,
+                    got.method,
+                    got.sub_a.key(),
+                    got.sub_b.key(),
+                ) == expected, (cap, cid)
 
 
 def test_orbit_sizes_divide_group_order():
