@@ -412,14 +412,17 @@ def analyze_corpus(manifest, jobs=1):
     """Analyze every entry; order of the result follows the manifest."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
+    # a fork pool starts all its workers at once, so it gets no more than
+    # there are entries
+    workers = min(jobs, len(manifest.entries))
+    if workers <= 1:
         return [analyze_entry(e) for e in manifest.entries]
     # imported here: the pool loads multiprocessing, which a serial run
     # never needs
     from concurrent.futures import ProcessPoolExecutor
 
     args = [(e.name, e.full_cap) for e in manifest.entries]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, args))
 
 

@@ -15,6 +15,11 @@ report still carries all three verdicts and asserts their equality.
 
 Each verdict reads its subgroup classes one order at a time, smallest first,
 and stops at the first order holding two non-conjugate quantified subgroups.
+It reads only the orders that can hold two classes: not 1 or |G|, which
+hold one subgroup each, no order past the largest a proper subgroup can have
+(``Group._closure_bound``), and no |G|_p, since the Sylow p-subgroups are
+all conjugate.  A cyclic G has one subgroup of each order, so its plain
+verdicts are members with no walk.
 B, H, N and A read the one order-graded walk that ``all_subgroup_classes``
 keeps.  B reads its complete list.  H, N and A read the classes it reaches
 by taking x from N_G(H) only, which are every solvable class: supersolvable,
@@ -186,10 +191,31 @@ def _walk_buckets(group, orders, complete=True):
     )
 
 
+def _p_orders(group, p):
+    """The p-power orders at which a pi verdict can split: p, p^2, ... below
+    |G|_p, since the Sylow p-subgroups are all conjugate (Sylow)."""
+    return divisors(p_part(group.order(), p))[1:-1]
+
+
+def _split_orders(group):
+    """The orders at which a plain verdict can split: those that can hold
+    two classes of subgroups.  Left out are 1 and |G|, which hold one
+    subgroup each, every order above ``Group._closure_bound()``, which no
+    proper subgroup reaches, and every |G|_p, whose Sylow subgroups are all
+    conjugate.  The rational classes are built first, so that the bound
+    comes from the class sizes."""
+    n = group.order()
+    group.rational_classes()
+    bound = group._closure_bound()
+    sylow = {p_part(n, p) for p in prime_factors(n)}
+    return [d for d in divisors(n)[1:] if d <= bound and d not in sylow]
+
+
 def _p_buckets(group, p):
-    """The p-subgroup classes of each order p, p^2, ..., |G|_p, read off
-    ``p_subgroup_classes``, which picks the walk that answers them."""
-    orders = divisors(p_part(group.order(), p))[1:]
+    """The p-subgroup classes of each order p, p^2, ... below |G|_p (see
+    ``_p_orders``), read off ``p_subgroup_classes``, which picks the walk
+    that answers them."""
+    orders = _p_orders(group, p)
     return _read_buckets(
         group, ("p buckets", p), lambda d: p_subgroup_classes(group, p, d), orders
     )
@@ -249,7 +275,7 @@ def _decide_pi(group, class_id):
             if p_part(n, p) in group.rational_classes():
                 continue
             if class_id.kind == "cyclic":
-                orders = divisors(p_part(n, p))[1:]
+                orders = _p_orders(group, p)
                 split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
             else:
                 split = _first_split_bucket(_p_buckets(group, p), keep)
@@ -268,8 +294,13 @@ def _decide_pi(group, class_id):
 
 
 def _decide_plain(group, class_id):
-    orders = divisors(group.order())
+    """The verdict of a plain class, read at ``_split_orders`` alone.  A
+    cyclic G, with one subgroup of each order, is a member with no walk."""
+    n = group.order()
     try:
+        if n == 1 or n in group.rational_classes():
+            return MEMBER, None
+        orders = _split_orders(group)
         if class_id.kind == "cyclic":
             buckets = _cyclic_buckets(group, orders)
         else:

@@ -25,6 +25,11 @@ subgroup K > 1 is <H, x> for a proper subgroup H of smaller order (a maximal
 one, and x any element of K outside it that the walk may take), so once every
 class of order < d is extended, every class of order <= d is registered.  A
 verdict that splits at order d therefore never builds the larger classes.
+The top order of a walk, |G| or |G|_p, holds one class, G or the Sylow
+p-subgroups, and no other class lies past the walk's bound (the largest
+order a proper subgroup can have, ``Group._closure_bound``, or |G|_p / p).
+So no class of the bound's order or more is extended: a read that reaches
+the bound frees the registry, and the top class is listed directly.
 
 A walk picks its mode when it starts and keeps it.  The plain walk kept
 under ``WALK_KEY`` takes x from N_G(H) only.  <H, x> is then H extended by
@@ -35,7 +40,7 @@ order a non-solvable subgroup of G can have, every subgroup is solvable, so
 its list is complete there, and in a solvable G everywhere.  Where ``low``
 exceeds the largest order a proper subgroup can have
 (``Group._closure_bound``), every proper subgroup is solvable, and a
-complete read from ``low`` on adds G's class to that walk.  Otherwise a
+complete read from ``low`` on makes that walk list G's class.  Otherwise a
 complete read from ``low`` on is served by a second walk, which takes x
 from all of G from the start.
 """
@@ -60,6 +65,7 @@ from .structure import (
     is_supersolvable,
     p_part,
     prime_factors,
+    sylow_subgroup,
 )
 
 # where ``all_subgroup_classes`` keeps its walk in ``group.analysis_cache``
@@ -205,8 +211,8 @@ def _nonsolvable_floor(group):
     tests when G is not solvable.  No order below ``low`` passes them, so a
     proper subgroup can be non-solvable only when ``low`` is at most the
     largest order a proper subgroup can have, ``Group._closure_bound()``;
-    where it is not, a complete read adds G to the walk inside normalisers
-    (see ``_walk_classes``)."""
+    where it is not, a complete read makes the walk inside normalisers list
+    G (see ``_walk_classes``)."""
     if is_solvable(group):
         return None
     return next(
@@ -219,19 +225,22 @@ def _nonsolvable_floor(group):
 class _GradedWalk:
     """The cyclic-extension walk from the trivial class, in order of subgroup
     order, resumable: ``through(d)`` extends every class of order below d
-    (below ``top`` at most; classes of order ``top`` are never extended),
-    the trivial class by the wanted rational-class representatives and every
-    other by the x of ``_coset_orbit_reps``, and lists the classes of order
-    up to d.  Pending classes wait in a heap keyed by (order, representative
-    key), so they are listed in the order of the final class list.
+    and below the bound (see ``_bound``), the trivial class by the wanted
+    rational-class representatives and every other by the x of
+    ``_coset_orbit_reps``, and lists the classes of order up to d.  Pending
+    classes wait in a heap keyed by (order, representative key), so they are
+    listed in the order of the final class list.  A read that reaches the
+    bound has listed every class the walk reaches below ``top`` and frees
+    the registry; a read of ``top`` lists the one class of that order
+    directly (see ``_top_class``), where the walk reaches it.
 
     A walk ``in_normalizer`` takes x from N_G(H) only, any other from all
-    of G, and no walk changes that once started.  ``low`` is given only to
-    a walk inside normalisers whose group has no non-solvable proper
-    subgroup: the first ``through(d, complete=True)`` with d >= ``low``
-    registers G, orbit size 1, the one class that walk misses.  A walk
-    frees its registry once a read reaches ``top``, unless it still waits
-    for that complete read."""
+    of G, and no walk changes that once started.  ``low`` is given to the
+    walk inside normalisers of a non-solvable G, which never reaches G by
+    extension: it lists G, orbit size 1, only after a
+    ``through(d, complete=True)`` with d >= ``low``.  Where a proper
+    subgroup can be non-solvable, ``_walk_classes`` sends such reads to the
+    walk over all of G instead, so that walk never lists G."""
 
     def __init__(self, group, top, in_normalizer, wanted, low=None):
         self.group = group
@@ -240,7 +249,9 @@ class _GradedWalk:
         self.wanted = wanted
         self.low = low
         self.registry = _OrbitRegistry(group)
-        self.registry.top = top
+        # a class of the bound's order or more extends to the top class
+        # alone, so it is never extended and keeps no orbit walk
+        self.bound = self.registry.top = self._bound()
         self.pending = []  # (order, key, class) of registered, unlisted classes
         self.classes = []  # listed classes, in (order, key) order
         self.extended = 0  # classes[:extended] are extended
@@ -266,15 +277,16 @@ class _GradedWalk:
     def through(self, d, complete=False):
         """The classes of order at most d, in (order, key) order: all of
         them when ``complete``, else those the walk has reached (for the
-        walk inside normalisers, the solvable ones, and G once a complete
-        read has added it)."""
+        walk inside normalisers, the solvable ones, and G after a complete
+        read from ``low`` on)."""
+        group, pending, classes = self.group, self.pending, self.classes
         d = min(d, self.top)
         if complete and self.low is not None and d >= self.low:
             self.low = None
-            self._register(self.group._whole_set())
-        group, pending, classes = self.group, self.pending, self.classes
+        bound = self.bound
+        below = min(d, bound)
         while True:
-            if self.extended < len(classes) and classes[self.extended].order < d:
+            if self.extended < len(classes) and classes[self.extended].order < below:
                 c = classes[self.extended]
                 self.extended += 1
                 for x in self._extensions(c):
@@ -283,30 +295,55 @@ class _GradedWalk:
                 classes.append(heappop(pending)[2])
             else:
                 break
-        if d == self.top and self.low is None:
-            self.registry = None  # it holds every subgroup's key; only classes are read
+        if d >= bound:
+            # every class the walk reaches below the top is listed, so the
+            # registry, which holds every subgroup's key, is read no more
+            self.registry = None
+            if d == self.top and self.low is None and classes[-1].order < d:
+                classes.append(self._top_class())
         return classes[: bisect_right(classes, d, key=_ORDER)]
+
+    def _bound(self):
+        """The largest order below ``top`` that a class can have: that of a
+        proper subgroup for a walk up to |G|, read off the class sizes
+        (``Group._closure_bound``), else |G|_p / p for a walk up to |G|_p."""
+        group = self.group
+        if self.top == group.order():
+            group.rational_classes()
+            return group._closure_bound()
+        return self.top // prime_factors(self.top)[0]
+
+    def _top_class(self):
+        """The one class of order ``top``: G, orbit size 1, or the Sylow
+        p-subgroups, which are all conjugate (Sylow)."""
+        group = self.group
+        if self.top == group.order():
+            return SubgroupClass(group.subgroup_from_indices(group._whole_set()), 1)
+        registry = _OrbitRegistry(group)
+        sylow = sylow_subgroup(group, prime_factors(self.top)[0])
+        return registry.classes[registry.classify(sylow.indices)[0]]
 
 
 def _resumed(group, key, start, d, complete=False):
     """``through(d, complete)`` of the walk kept in
     ``group.analysis_cache[key]``, begun by ``start()`` when none is kept.
-    A walk that hits a cap is replaced by its refusal, (order, complete,
-    kind, detail).  A later read of that order or more is refused again
-    with no walk when it is complete or the refused read was not, since it
-    then does all the refused read did; any other read starts afresh."""
+    A walk that hits a cap is replaced by its refusal, (order, kind,
+    detail).  A later read of that order or more is refused again with no
+    walk, since it does all the refused read did: a complete read of a walk
+    adds G with no stored index, so it does no more than any other read of
+    the same order.  A smaller read starts afresh."""
     cache = group.analysis_cache
     walk = cache.get(key)
     if isinstance(walk, tuple):
-        order, was_complete, kind, detail = walk
-        if d >= order and (complete or not was_complete):
+        order, kind, detail = walk
+        if d >= order:
             raise CapExceeded(kind, detail)
     if not isinstance(walk, _GradedWalk):
         walk = cache[key] = start()
     try:
         return walk.through(d, complete)
     except CapExceeded as exc:
-        cache[key] = (min(d, walk.top), complete, exc.kind, exc.detail)
+        cache[key] = (min(d, walk.top), exc.kind, exc.detail)
         raise
 
 
@@ -325,8 +362,10 @@ def p_subgroup_classes(group, p, max_order=None):
     The walk is graded and resumable like that of ``all_subgroup_classes``:
     it stops once every class of order < d is extended, is kept in
     ``group.analysis_cache`` for the next call that asks for more, and is
-    replaced by its refusal when it hits a cap (see ``_resumed``).  A p that
-    is not a prime dividing |G| raises ValueError.
+    replaced by its refusal when it hits a cap (see ``_resumed``).  No class
+    of order |G|_p / p is extended: the Sylow p-subgroups, all conjugate,
+    are one class, classified on its own when |G|_p is read.  A p that is
+    not a prime dividing |G| raises ValueError.
 
     This function alone picks the walk that answers: once a plain verdict
     has started the walk of ``all_subgroup_classes``, its classes of p-power
@@ -377,18 +416,19 @@ def all_subgroup_classes(group, max_order=None):
     walk takes x from N_G(H) alone, which finds every solvable class; a
     read from ``low`` on runs a walk that takes x from all of G, so perfect
     subgroups are found too (a pure normalizer-driven cyclic extension
-    would miss them).  When no proper subgroup can be non-solvable, G alone
-    is added to the walk inside normalisers instead.
+    would miss them).  When no proper subgroup can be non-solvable, the walk
+    inside normalisers lists G alone instead.
 
     The walk runs in order of subgroup order and stops once every class of
-    order < d is extended: a subgroup K of order d has a maximal subgroup H,
-    of smaller order, and some prime-power element x of K outside H, since
-    those elements generate K; then K = <H, x>, and the walk extends a
-    conjugate of H by a conjugate of x, or by an x' whose extension is
-    conjugate to it.  The walk is kept in ``group.analysis_cache`` and
-    resumed by the next call that asks for more; a walk that hits a cap
-    keeps its refusal, so a later call that asks for as much is refused
-    without walking again (see ``_resumed``).
+    order < d is extended, and no class of the largest order a proper
+    subgroup can have, or more, is extended at all: a subgroup K of order d
+    has a maximal subgroup H, of smaller order, and some prime-power element
+    x of K outside H, since those elements generate K; then K = <H, x>, and
+    the walk extends a conjugate of H by a conjugate of x, or by an x' whose
+    extension is conjugate to it.  The walk is kept in
+    ``group.analysis_cache`` and resumed by the next call that asks for
+    more; a walk that hits a cap keeps its refusal, so a later call that
+    asks for as much is refused without walking again (see ``_resumed``).
     """
     n = group.order()
     return _walk_classes(group, n if max_order is None else max_order, True)
@@ -397,12 +437,12 @@ def all_subgroup_classes(group, max_order=None):
 def _walk_classes(group, d, complete=False):
     """The classes of order at most d: all of them when ``complete``, as
     ``all_subgroup_classes`` lists them; else the solvable ones, off the
-    walk inside normalisers kept under ``WALK_KEY`` (with G, once a
-    complete read has added it there).
+    walk inside normalisers kept under ``WALK_KEY`` (with G after a
+    complete read from ``low`` on, where that walk lists G).
 
     A complete read of order below ``low`` reads that walk too.  From
     ``low`` on, where no proper subgroup can be non-solvable, it reads that
-    walk and adds G to it; elsewhere it reads a walk over all of G, kept
+    walk, which then lists G; elsewhere it reads a walk over all of G, kept
     under (``WALK_KEY``, "all").  ``low``, and which of the two holds, is
     computed once per group.  Every read is refused above
     ``full_subgroup_cap``."""
@@ -421,7 +461,7 @@ def _walk_classes(group, d, complete=False):
 
     def start():
         pp_element = group.order_mask(lambda o: len(prime_factors(o)) == 1)
-        adds_g = None if reaching else low
+        adds_g = None if whole else low
         return _GradedWalk(group, n, not whole, lambda h, x: pp_element[x], adds_g)
 
     key = (WALK_KEY, "all") if whole else WALK_KEY

@@ -9,17 +9,35 @@ labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
 verdicts, the coset sweep that ``Group.rational_classes`` replaced, the
 normaliser-driven Sylow growth that element tests replaced, and, in
 the last sections, the unpruned subgroup walks that the
-N_G(H)-orbit walks in ``subconj.subgroups`` replaced and the eager reads of
-a full class list that the order-graded walk replaced.
+N_G(H)-orbit walks in ``subconj.subgroups`` replaced, the eager reads of
+a full class list that the order-graded walk replaced, and the verdicts
+read at every order, which reading only the orders that can split replaced.
 """
 
 import random
 from math import gcd
 
 from subconj import Group, Permutation
+from subconj.caps import CapExceeded
+from subconj.fields import divisors
 from subconj.groups import normalizer
+from subconj.predicates import (
+    MEMBER,
+    NON_MEMBER,
+    UNDECIDED,
+    ClassId,
+    _cyclic_buckets,
+    _first_split_bucket,
+    _kind_filter,
+)
 from subconj.structure import p_part, prime_factors
-from subconj.subgroups import _coset_orbit_reps, _OrbitRegistry
+from subconj.subgroups import (
+    _coset_orbit_reps,
+    _OrbitRegistry,
+    _walk_classes,
+    all_subgroup_classes,
+    p_subgroup_classes,
+)
 
 
 def hand_compose(f, g):
@@ -34,20 +52,25 @@ def hand_inverse(f):
     return Permutation([m[i] for i in range(1, f.degree + 1)])
 
 
-def relabelled(g):
-    """A copy of g with its points relabelled by the first seeded shuffle
-    that moves its base off 0..k-1."""
+def relabelled_by(g, seed):
+    """A copy of g with its points relabelled by the shuffle of ``seed``."""
+    pi = list(range(g.degree))
+    random.Random(seed).shuffle(pi)
 
-    def relabel(perm, pi):
+    def relabel(perm):
         images = [0] * g.degree
         for i, j in enumerate(perm.images):
             images[pi[i]] = pi[j - 1] + 1
         return Permutation(images)
 
+    return Group([relabel(x) for x in g.generators], degree=g.degree)
+
+
+def relabelled(g):
+    """A copy of g with its points relabelled by the first seeded shuffle
+    that moves its base off 0..k-1."""
     for seed in range(1, 100):
-        pi = list(range(g.degree))
-        random.Random(seed).shuffle(pi)
-        copy = Group([relabel(x, pi) for x in g.generators], degree=g.degree)
+        copy = relabelled_by(g, seed)
         if copy._base != tuple(range(len(copy._base))):
             return copy
     raise AssertionError("no seed moves the base")
@@ -410,3 +433,71 @@ def eager_first_split_bucket(classes, keep):
             bucket.sort(key=lambda c: c.representative.key())
             return order, bucket[0], bucket[1]
     return None
+
+
+# ----------------------------------------------------------------------
+# verdicts read at every order: every divisor of |G| for a plain verdict,
+# every p-power up to |G|_p for a pi verdict, with no skip for a cyclic G or
+# a cyclic Sylow subgroup
+
+
+def every_order_verdicts(group):
+    """{ClassId: (verdict, witness)} as ``predicates.decide`` gave them
+    before it read only the orders that can split, with a witness as
+    (class, order, prime, key of A, key of B), or None.  Each verdict reads
+    its full class list, bucket by bucket, through
+    ``predicates._first_split_bucket``; a plain verdict whose list is
+    refused by a cap falls back to its pi counterpart."""
+    n = group.order()
+
+    def buckets(classes, orders):
+        return [[c for c in classes if c.order == d] for d in orders]
+
+    def pi(cid):
+        keep = _kind_filter(cid.kind, pi=True)
+        capped = False
+        for p in prime_factors(n):
+            orders = divisors(p_part(n, p))[1:]
+            try:
+                if cid.kind == "cyclic":
+                    split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
+                else:
+                    classes = p_subgroup_classes(group, p)
+                    split = _first_split_bucket(buckets(classes, orders), keep)
+            except CapExceeded:
+                capped = True
+                continue
+            if split is not None:
+                return NON_MEMBER, (cid, split[0], p) + split[1:]
+        return (UNDECIDED, None) if capped else (MEMBER, None)
+
+    def plain(cid):
+        orders = divisors(n)
+        keep = _kind_filter(cid.kind)
+        try:
+            if cid.kind == "cyclic":
+                split = _first_split_bucket(_cyclic_buckets(group, orders), keep)
+            else:
+                if cid.kind == "any":
+                    classes = all_subgroup_classes(group)
+                else:
+                    classes = _walk_classes(group, n)
+                split = _first_split_bucket(buckets(classes, orders), keep)
+        except CapExceeded:
+            verdict, witness = pi(cid.pi_counterpart)
+            if verdict == NON_MEMBER:
+                return verdict, (cid,) + witness[1:]
+            return UNDECIDED, None
+        if split is None:
+            return MEMBER, None
+        return NON_MEMBER, (cid, split[0], None) + split[1:]
+
+    out = {}
+    for cid in ClassId:
+        verdict, w = pi(cid) if cid.is_pi else plain(cid)
+        if w is not None:
+            cls, order, prime, ca, cb = w
+            keys = ca.representative.key(), cb.representative.key()
+            w = (cls, order, prime) + keys
+        out[cid] = verdict, w
+    return out

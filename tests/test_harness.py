@@ -493,6 +493,38 @@ def test_parallel_analysis_matches_serial(records):
     assert serial_doc == parallel_doc
 
 
+def test_the_pool_gets_no_more_workers_than_entries(monkeypatch):
+    # a fork pool starts all its workers at once: one per entry at most,
+    # and none for a single entry.  The stand-in pool records max_workers
+    # and maps in this process, so no worker starts
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    one = CorpusManifest([CorpusEntry("Cyclic(6)")])
+    two = CorpusManifest([CorpusEntry("Cyclic(6)"), CorpusEntry("Symmetric(3)")])
+    assert analyze_corpus(one, jobs=64) == analyze_corpus(one)
+    assert analyze_corpus(CorpusManifest([]), jobs=8) == []
+    assert sizes == []
+    assert analyze_corpus(two, jobs=64) == analyze_corpus(two)
+    assert analyze_corpus(two, jobs=2) == analyze_corpus(two)
+    assert sizes == [2, 2]
+
+
 _COLD_START = """
 import sys
 from subconj import harness

@@ -34,16 +34,29 @@ from subconj.predicates import (
 from subconj.structure import p_part, prime_factors
 from subconj.subgroups import WALK_KEY, _OrbitRegistry
 
-from oracles import eager_first_split_bucket, p_classes_of, relabelled
+from oracles import (
+    eager_first_split_bucket,
+    every_order_verdicts,
+    p_classes_of,
+    relabelled,
+    relabelled_by,
+    unpruned_all_subgroup_classes,
+)
 
 PI_IDS = [c for c in ClassId if c.is_pi]
 PLAIN_IDS = [c for c in ClassId if not c.is_pi]
 
 
-@pytest.mark.parametrize("n", [5, 8, 12, 30])
+@pytest.mark.parametrize("n", [1, 5, 8, 12, 30])
 def test_cyclic_groups_belong_everywhere(n):
-    report = hierarchy_report(construct(f"Cyclic({n})"))
+    # one subgroup of each order: every verdict is read off the rational
+    # classes, with no subgroup walk and no bucket
+    g = construct(f"Cyclic({n})")
+    report = hierarchy_report(g)
     assert set(report.verdicts.values()) == {MEMBER}
+    assert WALK_KEY not in g.analysis_cache and not _p_walks(g)
+    for key in ("order buckets", "solvable buckets", "cyclic buckets"):
+        assert key not in g.analysis_cache
 
 
 def test_e4_fails_already_for_cyclic_pi():
@@ -193,14 +206,30 @@ def test_capped_plain_class_still_detects_non_membership():
 
 def test_cyclic_sylow_subgroups_need_no_sylow_order_cap():
     # every Sylow subgroup of Cyclic(4) is cyclic, so no pi verdict walks
-    # p-subgroups, and a stored-index cap that refuses every walk refuses
-    # none of them; it leaves the plain verdicts but C undecided
+    # p-subgroups, and the group is cyclic, so no plain verdict walks
+    # subgroups: a stored-index cap that refuses every walk refuses none of
+    # the ten verdicts
     g0 = construct("Cyclic(4)")
     g = Group(g0.generators, degree=g0.degree, caps=Caps(stored_index_cap=0))
-    walked = {ClassId.B, ClassId.H, ClassId.N, ClassId.A}
-    assert hierarchy_report(g).verdicts == {
-        c: UNDECIDED if c in walked else MEMBER for c in ClassId
-    }
+    assert hierarchy_report(g).verdicts == dict.fromkeys(ClassId, MEMBER)
+    assert WALK_KEY not in g.analysis_cache and not _p_walks(g)
+
+
+def test_plain_verdicts_read_only_the_orders_that_can_split():
+    # Symmetric(4) reads 2, 4, 6 and 12, the bound past which no proper
+    # subgroup lies, but not 8 = |G|_2, 3 = |G|_3 nor 24 = |G|
+    g = construct("Symmetric(4)")
+    assert predicates._split_orders(g) == [2, 4, 6, 12]
+    assert g._closure_bound() == 12
+    # SL2(3) has no subgroup of order 12, but the bound from its class
+    # sizes does not rule it out: the bucket is read, and empty
+    h = construct("SL2(3)")
+    assert predicates._split_orders(h) == [2, 4, 6, 12]
+    assert decide(h, ClassId.H)[0] == MEMBER
+    buckets = h.analysis_cache["solvable buckets"]
+    assert sorted(buckets) == [2, 4, 6, 12] and buckets[12] == []
+    assert predicates._p_orders(h, 2) == [2, 4]
+    assert predicates._p_orders(h, 3) == []
 
 
 def test_cyclic_sylow_test_keeps_the_element_cap():
@@ -292,12 +321,18 @@ def corpus_walks(corpus_walks_2000):
 
 
 def test_p_classes_read_off_the_walk_match_the_p_walk(corpus_walks):
+    # the p buckets stop below |G|_p, which holds the one class of Sylow
+    # subgroups
     for name, g, walk in corpus_walks:
         for p in prime_factors(g.order()):
+            sylow = p_part(g.order(), p)
             read = [c for bucket in _p_buckets(g, p) for c in bucket]
             p_walk = p_subgroup_classes(_fresh(g), p)
-            assert _keyed(read) == _keyed(p_walk), (name, p)
-            assert _keyed(read) == _keyed(p_classes_of(walk, p)), (name, p)
+            assert [c.order for c in p_walk].count(sylow) == 1, (name, p)
+            below = [c for c in p_walk if c.order < sylow]
+            assert _keyed(read) == _keyed(below), (name, p)
+            below = [c for c in p_classes_of(walk, p) if c.order < sylow]
+            assert _keyed(read) == _keyed(below), (name, p)
 
 
 def test_graded_walk_lists_a_prefix_of_the_full_walk(corpus_walks):
@@ -313,6 +348,52 @@ def test_graded_walk_lists_a_prefix_of_the_full_walk(corpus_walks):
         # has freed its registry
         cache = fresh.analysis_cache
         assert cache.get((WALK_KEY, "all"), cache[WALK_KEY]).registry is None
+
+
+@pytest.fixture(scope="module", params=["default", "seed 1", "seed 2"])
+def split_order_groups(request):
+    """(name, group) for every default-manifest entry at or below
+    ``full_subgroup_cap``, or for seeded relabellings of those of order at
+    most 120, the small-sweep groups."""
+    out = []
+    for entry in CorpusManifest.default().entries:
+        g = construct(entry.name)
+        if request.param == "default":
+            if g.order() <= g.caps.full_subgroup_cap:
+                out.append((entry.name, g))
+        elif g.order() <= 120:
+            out.append((entry.name, relabelled_by(g, int(request.param[-1]))))
+    assert len(out) == (89 if request.param == "default" else 73)
+    return out
+
+
+def _report_keys(report):
+    out = {}
+    for cid in ClassId:
+        w = report.witnesses.get(cid)
+        if w is not None:
+            w = w.class_id, w.order, w.prime, w.sub_a.key(), w.sub_b.key()
+        out[cid] = report.verdicts[cid], w
+    return out
+
+
+def test_split_orders_give_the_verdicts_of_every_order(split_order_groups):
+    # every verdict and witness of the report, read at the orders that can
+    # split, against a fresh copy read at every order with no cyclic skip
+    for name, g in split_order_groups:
+        expected = every_order_verdicts(_fresh(g))
+        assert _report_keys(hierarchy_report(_fresh(g))) == expected, name
+
+
+def test_the_bound_is_at_least_every_proper_subgroup_order(split_order_groups):
+    # the plain verdicts read no order past the bound, so no proper subgroup
+    # may lie past it
+    for name, g in split_order_groups:
+        classes = unpruned_all_subgroup_classes(g)
+        g.rational_classes()
+        proper = max((c.order for c in classes[:-1]), default=0)
+        assert g._closure_bound() >= proper, name
+        assert classes[-1].order == g.order(), name
 
 
 def test_lazy_split_bucket_matches_the_eager_one(corpus_walks):
@@ -436,14 +517,14 @@ def test_cyclic_verdict_above_the_cap_matches_the_raised_walk(name):
 
 
 @pytest.mark.parametrize(
-    "name,top", [("M11", 4), ("SL2(13)", 8), ("E32x(C31xC5)", 32)]
+    "name,top", [("M11", 4), ("SL2(13)", 4), ("E32x(C31xC5)", 16)]
 )
 def test_above_cap_groups_walk_only_their_2_subgroups(name, top):
     # M11's B_pi splits at order 4 (C4 against E4), so nothing of order 8 is
-    # built; the other two are pi members, walked up to their Sylow
-    # 2-subgroup.  C and C_pi read the rational classes, and every other
-    # Sylow subgroup of these groups that could split is never reached or
-    # is cyclic
+    # built; the other two are pi members, walked up to half their Sylow
+    # 2-subgroup, since the Sylow subgroups are all conjugate.  C and C_pi
+    # read the rational classes, and every other Sylow subgroup of these
+    # groups that could split is never reached or is cyclic
     g = construct(name)
     assert hierarchy_report(g).verdicts[ClassId.C] == MEMBER
     walks = _p_walks(g)
@@ -451,7 +532,7 @@ def test_above_cap_groups_walk_only_their_2_subgroups(name, top):
     walk = walks["p walk", 2]
     assert max(c.order for c in walk.classes) == top
     assert all(order <= top for order, _, _ in walk.pending)
-    assert (walk.registry is None) == (top == p_part(g.order(), 2))
+    assert top < p_part(g.order(), 2)
 
 
 def _run_counting_classes(monkeypatch, run):

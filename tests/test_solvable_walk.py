@@ -68,10 +68,14 @@ def test_the_walk_inside_normalisers_lists_the_solvable_classes(nonsolvable_2000
         fresh = _fresh(g)
         expected = [c for c, s in zip(classes, solvable) if s]
         assert _keyed(_walk_classes(fresh, g.order())) == _keyed(expected), name
-        # the registry is kept only where a complete read still adds G to
-        # this walk; elsewhere a complete read takes the walk over all of G
+        # past the bound every class the walk reaches is listed, and the
+        # registry is freed; where no proper subgroup can be non-solvable, a
+        # complete read still adds G, with no registry
         walk = fresh.analysis_cache[WALK_KEY]
-        assert (walk.registry is None) == (name in REACHING_OUTSIDE), name
+        assert walk.registry is None, name
+        if name in ONLY_G_NONSOLVABLE:
+            assert _keyed(all_subgroup_classes(fresh)) == _keyed(classes), name
+            assert fresh.analysis_cache[WALK_KEY] is walk, name
 
 
 def test_interleaved_reads_keep_the_complete_list(nonsolvable_2000):
@@ -176,16 +180,24 @@ def test_a_complete_read_reaches_outside_where_a_proper_order_can_be_nonsolvable
 
 
 def test_b_reads_the_complete_list_and_h_the_solvable_one():
-    # PSL2(8) is a member of every class, so both read every order; B's
-    # complete list adds only the group itself, since no proper subgroup of
-    # PSL2(8) can be non-solvable (bound 72 < low = 84)
+    # PSL2(8) is a member of every class, so both read every order that can
+    # split: none past the bound 72, where H's read frees the registry, and
+    # no Sylow order.  B's complete reads stop below low = 84, so they add
+    # nothing to the solvable list; a complete read of every order adds only
+    # the group itself, since no proper subgroup can be non-solvable
     g = construct("PSL2(8)")
+    orders = [2, 3, 4, 6, 12, 14, 18, 21, 24, 28, 36, 42, 56, 63, 72]
     assert decide(g, ClassId.H)[0] == MEMBER
-    assert g.analysis_cache["solvable buckets"][504] == []
-    assert g.analysis_cache[WALK_KEY].registry is not None
+    assert sorted(g.analysis_cache["solvable buckets"]) == orders
+    walk = g.analysis_cache[WALK_KEY]
+    assert walk.registry is None
     assert decide(g, ClassId.B)[0] == MEMBER
-    assert [c.order for c in g.analysis_cache["order buckets"][504]] == [504]
-    assert g.analysis_cache[WALK_KEY].registry is None
+    assert sorted(g.analysis_cache["order buckets"]) == orders
+    assert max(c.order for c in walk.classes) == 56
+    last = all_subgroup_classes(g)[-1]
+    assert (last.order, last.orbit_size) == (504, 1)
+    assert g.analysis_cache[WALK_KEY] is walk
+    assert (WALK_KEY, "all") not in g.analysis_cache
 
 
 def _full_walk(group):

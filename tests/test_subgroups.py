@@ -24,7 +24,7 @@ from subconj.predicates import (
     decide,
     hierarchy_report,
 )
-from subconj.structure import core_p, o_pprime, prime_factors, sylow_subgroup
+from subconj.structure import core_p, o_pprime, p_part, prime_factors, sylow_subgroup
 from subconj import subgroups
 from subconj.subgroups import WALK_KEY, SubgroupClass, _OrbitRegistry
 
@@ -185,12 +185,12 @@ def test_walks_list_the_registry_objects():
     # own object, not a copy
     g, h = construct("Alternating(5)"), S(5)
     lists = {
-        # every proper subgroup of A5 is solvable, so its walk inside
-        # normalisers keeps the registry for the complete read that adds A5
-        WALK_KEY: (g, subgroups._walk_classes(g, g.order())),
-        # below |Syl_2| = 8 the p-walk is unfinished; a fresh group, since
-        # g's plain walk would answer the p-subgroup read
-        ("p walk", 2): (h, p_subgroup_classes(h, 2, 4)),
+        # below the largest order a proper subgroup of A5 can have (12), the
+        # walk inside normalisers keeps its registry
+        WALK_KEY: (g, subgroups._walk_classes(g, 10)),
+        # below |Syl_2| / 2 = 4 the p-walk keeps its registry; a fresh
+        # group, since g's plain walk would answer the p-subgroup read
+        ("p walk", 2): (h, p_subgroup_classes(h, 2, 2)),
     }
     for key, (group, classes) in lists.items():
         registry = group.analysis_cache[key].registry
@@ -234,8 +234,8 @@ def test_a_refused_plain_read_falls_back_to_the_p_walk():
     assert decide(g, ClassId.B)[0] == NON_MEMBER
     assert isinstance(g.analysis_cache[WALK_KEY], subgroups._GradedWalk)
     classes = p_subgroup_classes(g, 2)
-    order, complete, kind, _ = g.analysis_cache[WALK_KEY]
-    assert (order, complete, kind) == (16, False, "stored indices")
+    order, kind, _ = g.analysis_cache[WALK_KEY]
+    assert (order, kind) == (16, "stored indices")
     assert ("p walk", 2) in g.analysis_cache
     fresh = _capped("SL2(7)", stored_index_cap=1500)
     assert _keyed(classes) == _keyed(p_subgroup_classes(fresh, 2))
@@ -299,29 +299,47 @@ def test_a_refused_walk_keeps_its_refusal(monkeypatch):
         subgroups._walk_classes(fresh, 8)
     )
     assert len(started) == 3 and g.analysis_cache[WALK_KEY] is started[1]
+    # a refused complete read refuses a solvable read of as much, which does
+    # the same work, with no walk
+    h = _capped("SL2(7)", stored_index_cap=1500)
+    with pytest.raises(CapExceeded):
+        subgroups._walk_classes(h, 16, True)
+    with pytest.raises(CapExceeded) as again:
+        subgroups._walk_classes(h, 48)
+    assert again.value.args == first.value.args
+    assert len(started) == 4
 
 
 def test_a_refused_complete_read_does_not_refuse_a_solvable_one(monkeypatch):
-    # SL2(7)'s solvable read of every order stores 2 971 indices, and the
-    # complete read from low = 84 on adds the group itself, 336 more
-    g = _capped("SL2(7)", stored_index_cap=3000)
+    # Symmetric(5) has a non-solvable proper subgroup (A5), so its complete
+    # read from low = 60 on takes the walk over all of G, which stores 1 211
+    # indices; the walk inside normalisers stores 1 031 for every order
+    g = _capped("Symmetric(5)", stored_index_cap=1100)
     with pytest.raises(CapExceeded):
         all_subgroup_classes(g)
-    order, complete, _, _ = g.analysis_cache[WALK_KEY]
-    assert (order, complete) == (336, True)
+    order, _, _ = g.analysis_cache[WALK_KEY, "all"]
+    assert order == 120
     started = _counting_walk_starts(monkeypatch)
-    fresh = _capped("SL2(7)", stored_index_cap=3000)
-    assert _keyed(subgroups._walk_classes(g, 336)) == _keyed(
-        subgroups._walk_classes(fresh, 336)
+    fresh = _capped("Symmetric(5)", stored_index_cap=1100)
+    assert _keyed(subgroups._walk_classes(g, 120)) == _keyed(
+        subgroups._walk_classes(fresh, 120)
     )
     assert len(started) == 2
+    # SL2(7) has none: its complete read adds G to the walk inside
+    # normalisers with no stored index, so it passes every cap the solvable
+    # read of every order passes (2 971 indices)
+    assert _keyed(all_subgroup_classes(_capped("SL2(7)", stored_index_cap=2971))) == (
+        _keyed(all_subgroup_classes(construct("SL2(7)")))
+    )
+    with pytest.raises(CapExceeded):
+        all_subgroup_classes(_capped("SL2(7)", stored_index_cap=2970))
 
 
 def test_a_capped_report_restarts_no_refused_plain_walk(monkeypatch):
     # under this cap SL2(8)'s plain walk is refused at order 4: B's complete
-    # read, then H's solvable read, which B's refusal does not settle, and
-    # N's and A's solvable reads by H's refusal; dropping each refused walk
-    # started it 4 times
+    # read, then H's solvable read, which starts at order 2, below the
+    # refusal; N's and A's reads of order 4 are refused by H's refusal with
+    # no walk.  Dropping each refused walk started it 4 times
     g = _capped("SL2(8)", stored_index_cap=1000)
     started = _counting_walk_starts(monkeypatch)
     report = hierarchy_report(g)
@@ -421,10 +439,12 @@ def test_full_enumeration_cap():
 
 # The orbit keys a registry stores are bounded by the indices they hold:
 # stored_index_cap counts |H| x orbit size for every class registered, the
-# first set of a class included.  p_subgroup_classes(S4, 2) registers 20
-# subgroup sets over seven classes (the trivial one included), holding 71
-# indices, and 71 is the smallest cap the enumeration passes
-S4_TWO_SUBGROUP_INDICES = 71
+# first set of a class included.  p_subgroup_classes(S4, 2) registers 17
+# subgroup sets over six classes below the Sylow order (the trivial one
+# included), holding 47 indices; the three Sylow subgroups, 24 more, are
+# classified in a registry of their own once that one is freed, and 47 is
+# the smallest cap the enumeration passes
+S4_TWO_SUBGROUP_INDICES = 47
 # bytes a registry takes per stored index on small sets, as the README states
 BYTES_PER_INDEX = 250
 
@@ -479,10 +499,11 @@ def test_a_registry_never_holds_more_than_the_cap(name):
 
 def test_the_cap_counts_the_normal_subgroups_too():
     # all 67 subgroups of ElementaryAbelian(2,4) are normal, one set per
-    # class, and hold 307 indices: a cap below that refuses the full walk
-    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=307)
+    # class; the 66 proper ones hold 291 indices (G, listed past the bound,
+    # stores none): a cap below that refuses the full walk
+    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=291)
     assert len(all_subgroup_classes(g)) == 67
-    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=306)
+    g = _capped("ElementaryAbelian(2,4)", stored_index_cap=290)
     with pytest.raises(CapExceeded, match="stored indices"):
         all_subgroup_classes(g)
 
@@ -653,13 +674,20 @@ def test_trivial_class_takes_one_closure_per_element_class(monkeypatch):
     seeds = _closures_from_trivial(monkeypatch, g, all_subgroup_classes)
     assert len(seeds) == len(pp) == 5
     assert sorted(next(c for c in pp if s[0] in c) for s in seeds) == sorted(pp)
-    for p in (2, 3, 5):
-        order_p = [c for c in classes if order(c[0]) == p]
-        # a fresh group each time, so a p-walk answers, not g's plain walk
+    for n, p in ((5, 2), (5, 3), (5, 5), (6, 3)):
+        g = S(n)
+        classes = g.conjugacy_classes_idx()
+        order_p = [c for c in classes if g.order_of_idx(c[0]) == p]
+        # a fresh group each time, so a p-walk answers, not a plain walk; it
+        # extends the trivial class only below |G|_p / p, so where |G|_p = p
+        # the one class of order p is the Sylow class, built with no closure
         seeds = _closures_from_trivial(
-            monkeypatch, S(5), lambda g: p_subgroup_classes(g, p)
+            monkeypatch, g, lambda g: p_subgroup_classes(g, p)
         )
-        assert len(seeds) == len(order_p)
+        if p_part(g.order(), p) == p:
+            assert seeds == [], (n, p)
+            continue
+        assert len(seeds) == len(order_p), (n, p)
         assert {next(c for c in order_p if s[0] in c) for s in seeds} == set(order_p)
 
 
@@ -715,7 +743,8 @@ def test_one_extension_per_cyclic_subgroup(monkeypatch, name):
 def test_one_orbit_walk_per_class(monkeypatch, name, p):
     # the walk that registers a class also gives its normaliser, so the
     # conjugation orbits walked are exactly the classes registered, in the
-    # full walk (on relabelled points) and in a p-walk
+    # full walk (on relabelled points) and in a p-walk, which classifies its
+    # Sylow subgroups in a registry of their own once its own is freed
     g = relabelled(construct(name)) if p is None else construct(name)
     registries, walks = [], []
     init, conjugates = _OrbitRegistry.__init__, Group.conjugates
@@ -732,5 +761,5 @@ def test_one_orbit_walk_per_class(monkeypatch, name, p):
     monkeypatch.setattr(Group, "conjugates", counted)
     all_subgroup_classes(g) if p is None else p_subgroup_classes(g, p)
     monkeypatch.undo()
-    assert len(registries) == 1
-    assert len(walks) == len(registries[0].classes) > 5
+    assert len(registries) == (1 if p is None else 2)
+    assert len(walks) == sum(len(r.classes) for r in registries) > 5
