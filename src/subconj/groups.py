@@ -653,7 +653,8 @@ class Group:
     def conjugates(self, hset, cap=None):
         """The one orbit walk on subgroups: the conjugates of the index set
         ``hset``, breadth-first along the generators' ``conj_maps()``, as
-        (orbit, edges).
+        (orbit, edges).  Each conjugate k gets one ``itemgetter`` over its
+        indices, and k^g is that getter read once on g's map.
 
         Conjugates are numbered as found, orbit[0] = ``hset``, and with r
         generators, ``edges[i * r + j]`` is m when orbit[i]^g_j = orbit[m].
@@ -668,8 +669,11 @@ class Group:
         orbit = [hset]
         edges = array("I")
         for k in orbit:
+            # a one-element set is read twice: a getter of one item returns
+            # the bare value, not a tuple
+            read = itemgetter(*k) if len(k) > 1 else itemgetter(*k, *k)
             for cmap in maps:
-                kg = frozenset(map(cmap.__getitem__, k))
+                kg = frozenset(read(cmap))
                 m = number.get(kg)
                 if m is None:
                     m = number[kg] = len(orbit)

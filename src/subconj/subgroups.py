@@ -21,15 +21,20 @@ Schreier's lemma and with no second walk.
 
 The walk runs in order of subgroup order: it always extends the listed class
 of least order, and it can stop after any order and resume later.  Every
-subgroup K > 1 is <H, x> for a proper subgroup H of smaller order (a maximal
-one, and x any element of K outside it that the walk may take), so once every
-class of order < d is extended, every class of order <= d is registered.  A
-verdict that splits at order d therefore never builds the larger classes.
-The top order of a walk, |G| or |G|_p, holds one class, G or the Sylow
-p-subgroups, and no other class lies past the walk's bound (the largest
-order a proper subgroup can have, ``Group._closure_bound``, or |G|_p / p).
-So no class of the bound's order or more is extended: a read that reaches
-the bound frees the registry, and the top class is listed directly.
+subgroup K > 1 is <H, x> for a maximal subgroup H of K, and x any element
+of K outside it that the walk may take.  |H| properly divides |K|, so
+2|H| <= |K|, and once every class of order at most d / 2 is extended, every
+class of order <= d is registered.  A read of order d extends no other
+class, and a verdict that splits at order d never builds the larger
+classes.  The walk inside normalisers takes for H a normal subgroup of
+prime index, and a p-walk a maximal subgroup of a p-group, of index p; both
+have 2|H| <= |K| as well.  The top order of a walk, |G| or |G|_p, holds one
+class, G or the Sylow p-subgroups, and no other class lies past the walk's
+bound (the largest order a proper subgroup can have,
+``Group._closure_bound``, or |G|_p / p).  So no class of the bound's order
+or more is extended, and a read that reaches the bound frees the registry:
+no class it left unextended is extended later, and the top class is listed
+directly.
 
 A walk picks its mode when it starts and keeps it.  The plain walk kept
 under ``WALK_KEY`` takes x from N_G(H) only.  <H, x> is then H extended by
@@ -50,6 +55,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from math import gcd
 from operator import attrgetter
 
@@ -82,12 +88,13 @@ class SubgroupClass:
     nilpotent and supersolvable tests run each time they are asked, and
     only the representative keeps its abelian flag.  A class that a
     subgroup walk may still extend keeps its orbit walk until N_G(H) is
-    built from it."""
+    built from it, or until the walk frees its registry."""
 
     representative: object  # Subgroup
     orbit_size: int
     # (edges, root) of the registry's walk, H = orbit[root], kept until a
-    # subgroup walk builds N_G(H) from it (see ``_OrbitRegistry.classify``)
+    # subgroup walk extends the class or frees its registry (see
+    # ``_OrbitRegistry.classify``)
     _walk: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -127,9 +134,11 @@ class _OrbitRegistry:
         refused when its |H| x orbit size indices would take the registry
         past ``stored_index_cap``, normal subgroups included; it gets its
         ``SubgroupClass``, on the lexicographically least key of its orbit,
-        in ``classes``.  Below order ``top``, the class a subgroup
-        walk may still extend, it keeps that walk's edges and the least
-        key's place, from which the walk builds N_G(H)."""
+        in ``classes``.  Every conjugate holds the identity, index 0, so the
+        least key holds the least other index of the orbit, and only the
+        conjugates that hold it are sorted.  Below order ``top``, the class
+        a subgroup walk may still extend, it keeps that walk's edges and the
+        least key's place, from which the walk builds N_G(H)."""
         cid = self.class_of.get(key)
         if cid is not None:
             return cid, False
@@ -137,8 +146,11 @@ class _OrbitRegistry:
         orbit, edges = self.group.conjugates(key, self.cap - self.stored)
         self.stored += len(key) * len(orbit)
         self.class_of.update(dict.fromkeys(orbit, cid))
-        keys = list(map(sorted, orbit))
-        root = keys.index(min(keys))
+        root = 0
+        if len(orbit) > 1:
+            least = min(filter(None, chain.from_iterable(orbit)))
+            held = [i for i, k in enumerate(orbit) if least in k]
+            root = min(held, key=lambda i: sorted(orbit[i]))
         c = SubgroupClass(self.group.subgroup_from_indices(orbit[root]), len(orbit))
         if c.order < self.top:
             c._walk = edges, root
@@ -224,15 +236,16 @@ def _nonsolvable_floor(group):
 
 class _GradedWalk:
     """The cyclic-extension walk from the trivial class, in order of subgroup
-    order, resumable: ``through(d)`` extends every class of order below d
-    and below the bound (see ``_bound``), the trivial class by the wanted
-    rational-class representatives and every other by the x of
+    order, resumable: ``through(d)`` extends every class of order at most
+    d / 2 and below the bound (see ``_bound``), the trivial class by the
+    wanted rational-class representatives and every other by the x of
     ``_coset_orbit_reps``, and lists the classes of order up to d.  Pending
     classes wait in a heap keyed by (order, representative key), so they are
     listed in the order of the final class list.  A read that reaches the
     bound has listed every class the walk reaches below ``top`` and frees
-    the registry; a read of ``top`` lists the one class of that order
-    directly (see ``_top_class``), where the walk reaches it.
+    the registry, and no later read extends a class; a read of ``top``
+    lists the one class of that order directly (see ``_top_class``), where
+    the walk reaches it.
 
     A walk ``in_normalizer`` takes x from N_G(H) only, any other from all
     of G, and no walk changes that once started.  ``low`` is given to the
@@ -265,26 +278,30 @@ class _GradedWalk:
 
     def _extensions(self, c):
         group, rep = self.group, c.representative
+        walk, c._walk = c._walk, None
         if rep.order == 1:
             # for H = 1 the orbit of the cosets x^k H is x's rational class,
             # and both walks want an x by its order alone
             hset = rep.indices
             return [x for x in _rational_reps(group) if self.wanted(hset, x)]
-        nz = _walk_normalizer(group, rep, c.orbit_size, *c._walk)
-        c._walk = None
+        nz = _walk_normalizer(group, rep, c.orbit_size, *walk)
         return _coset_orbit_reps(group, rep, nz, self.in_normalizer, self.wanted)
 
     def through(self, d, complete=False):
         """The classes of order at most d, in (order, key) order: all of
         them when ``complete``, else those the walk has reached (for the
         walk inside normalisers, the solvable ones, and G after a complete
-        read from ``low`` on)."""
+        read from ``low`` on).  Only the classes H with 2|H| <= d are
+        extended."""
         group, pending, classes = self.group, self.pending, self.classes
         d = min(d, self.top)
         if complete and self.low is not None and d >= self.low:
             self.low = None
         bound = self.bound
-        below = min(d, bound)
+        # a class of order k is <H, x> for an H of order at most k / 2 (see
+        # the module docstring); once the registry is freed, nothing is
+        # extended
+        below = min(d // 2 + 1, bound) if self.registry is not None else 0
         while True:
             if self.extended < len(classes) and classes[self.extended].order < below:
                 c = classes[self.extended]
@@ -295,12 +312,15 @@ class _GradedWalk:
                 classes.append(heappop(pending)[2])
             else:
                 break
-        if d >= bound:
+        if d >= bound and self.registry is not None:
             # every class the walk reaches below the top is listed, so the
-            # registry, which holds every subgroup's key, is read no more
+            # registry, which holds every subgroup's key, is read no more,
+            # and no class left unextended needs its orbit walk's edges
             self.registry = None
-            if d == self.top and self.low is None and classes[-1].order < d:
-                classes.append(self._top_class())
+            for c in classes[self.extended :]:
+                c._walk = None
+        if d == self.top and self.low is None and classes[-1].order < d:
+            classes.append(self._top_class())
         return classes[: bisect_right(classes, d, key=_ORDER)]
 
     def _bound(self):
@@ -360,7 +380,7 @@ def p_subgroup_classes(group, p, max_order=None):
     ``_coset_orbit_reps``).  The trivial class is not returned.
 
     The walk is graded and resumable like that of ``all_subgroup_classes``:
-    it stops once every class of order < d is extended, is kept in
+    it extends only the classes of order at most d / 2, is kept in
     ``group.analysis_cache`` for the next call that asks for more, and is
     replaced by its refusal when it hits a cap (see ``_resumed``).  No class
     of order |G|_p / p is extended: the Sylow p-subgroups, all conjugate,
@@ -419,10 +439,10 @@ def all_subgroup_classes(group, max_order=None):
     would miss them).  When no proper subgroup can be non-solvable, the walk
     inside normalisers lists G alone instead.
 
-    The walk runs in order of subgroup order and stops once every class of
-    order < d is extended, and no class of the largest order a proper
-    subgroup can have, or more, is extended at all: a subgroup K of order d
-    has a maximal subgroup H, of smaller order, and some prime-power element
+    The walk runs in order of subgroup order and extends only the classes
+    of order at most d / 2, and no class of the largest order a proper
+    subgroup can have, or more: a subgroup K of order at most d has a
+    maximal subgroup H, of order at most d / 2, and some prime-power element
     x of K outside H, since those elements generate K; then K = <H, x>, and
     the walk extends a conjugate of H by a conjugate of x, or by an x' whose
     extension is conjugate to it.  The walk is kept in

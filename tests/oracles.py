@@ -7,14 +7,16 @@ be compared with the fast paths key for key: the element walk that the coset
 walk of ``Group.closure_idx`` replaced, the min-key coset BFS that the coset
 labels of ``Quotient`` replaced, the rational-class check of the C and C_pi
 verdicts, the coset sweep that ``Group.rational_classes`` replaced, the
-normaliser-driven Sylow growth that element tests replaced, and, in
-the last sections, the unpruned subgroup walks that the
+normaliser-driven Sylow growth that element tests replaced, the orbit
+walk that read each conjugate once per generator, and, in the last
+sections, the unpruned subgroup walks that the
 N_G(H)-orbit walks in ``subconj.subgroups`` replaced, the eager reads of
 a full class list that the order-graded walk replaced, and the verdicts
 read at every order, which reading only the orders that can split replaced.
 """
 
 import random
+from array import array
 from math import gcd
 
 from subconj import Group, Permutation
@@ -341,6 +343,29 @@ def normalizer_sylow_growth(group, p):
         ext = min((nz.indices & p_set) - current.indices)
         current = current.join([ext])
     return current
+
+
+# ----------------------------------------------------------------------
+# the orbit walk on subgroups with one map read per (conjugate, generator)
+
+
+def reference_conjugates(group, hset):
+    """(orbit, edges) as ``Group.conjugates`` gave them before it read each
+    conjugate through one getter: breadth-first, uncapped, each conjugate
+    k^g built by one ``map`` of g's conjugation map over k."""
+    maps = group.conj_maps()
+    number = {hset: 0}
+    orbit = [hset]
+    edges = array("I")
+    for k in orbit:
+        for cmap in maps:
+            kg = frozenset(map(cmap.__getitem__, k))
+            m = number.get(kg)
+            if m is None:
+                m = number[kg] = len(orbit)
+                orbit.append(kg)
+            edges.append(m)
+    return orbit, edges
 
 
 # ----------------------------------------------------------------------

@@ -273,15 +273,18 @@ def test_small_random_groups_match_the_brute_force_classes(random_groups):
 # closure_idx calls of analyze_entry on the full-enum benchmark entries: 801
 # with the full walk, 553 inside normalisers, 399 once the B members PSL2(8)
 # and SL2(8), whose proper subgroups are all solvable, add the group itself
-# instead of walking outside normalisers
+# instead of walking outside normalisers, and 383 once a read of order d
+# extends only the classes of order at most d / 2: the pi verdicts of
+# Alternating(6) and PSL2(9) split at order 4, and their classes of order 3
+# are no longer extended
 FULL_ENUM = {
     "Symmetric(6)": None,
     "SL2(8)": 47,
     "PSL2(11)": None,
     "SL2(7)": None,
     "PSL2(8)": 47,
-    "Alternating(6)": None,
-    "PSL2(9)": None,
+    "Alternating(6)": 37,
+    "PSL2(9)": 35,
 }
 
 
@@ -297,7 +300,7 @@ def test_full_enum_entries_keep_their_closure_count(monkeypatch):
     monkeypatch.setattr(Group, "closure_idx", counted)
     for entry in FULL_ENUM:
         analyze_entry(CorpusEntry(entry))
-    assert sum(counts.values()) <= 400, counts
+    assert sum(counts.values()) <= 383, counts
     for name, bound in FULL_ENUM.items():
         if bound is not None:
             assert counts[name] <= bound, (name, counts)
