@@ -7,10 +7,10 @@ their (sorted) element list; all subgroup machinery in this package works on
 frozensets of element indices, which keeps orbit walks and closures cheap.
 
 Inside a group of degree at most 256, a listed element is its 0-based
-image tuple as ``degree`` bytes, and every generator, transversal element,
-Schreier generator and coset representative is a 256-byte table: those
-bytes, then the points degree..255 fixed.  A byte holds a point only up to
-255, so a larger degree keeps 0-based image tuples.  The group picks that
+image tuple as ``degree`` bytes, and every generator, transversal element
+and Schreier generator is a 256-byte table: those bytes, then the points
+degree..255 fixed.  A byte holds a point only up to 255, so a larger
+degree keeps 0-based image tuples.  The group picks that
 form once, from its degree, and every product, inverse and coset goes
 through it: ``a.translate(b)`` is a * b in one C loop when b is a table,
 whichever length a has.  Elements are packed and unpacked only at the
@@ -36,16 +36,19 @@ once, as strided columns of one flat buffer of the listed elements, and
 passes each column through g's table; ``conjugator`` does the same one
 element at a time, x * g read at the points g^-1(b).
 
-Subgroups are closed coset by coset (Dimino), both the element list of the
-group and every ``closure_idx``: adjoining x to a closed subgroup K walks one
-representative t per coset, and adds each new coset whole in one C-level
-pass.  ``closure_idx`` takes left cosets tK, K read through t's getter; the
-element list takes right cosets Kt, each listed element of K translated
-through the table t.  That walk needs generators of K, so
-its base is a :class:`Subgroup`, which carries them, and subgroups grow
-through ``Subgroup.join``: <H, seed> with H's generators and the new seeds.
-Normal closures join each round's generators to the subgroup of the round
-before.
+The element list of the group is read off its stabiliser chain, the
+product of the transversals of its levels: from the deepest level up, each
+transversal element u of a level takes the listing so far to its right
+coset, every listed element translated through the table u in one C-level
+pass.  That u * s is listed for every u and every strong generator s of each
+level, the group's own generators at the top, proves the listing is the
+group.  Subgroups are closed coset by coset (Dimino) by ``closure_idx``:
+adjoining x to a closed subgroup K walks one representative t per left coset
+tK, and adds each new coset whole, K read through t's getter in one C-level
+pass.  That walk needs generators of K, so its base is a :class:`Subgroup`,
+which carries them, and subgroups grow through ``Subgroup.join``: <H, seed>
+with H's generators and the new seeds.  Normal closures join each round's
+generators to the subgroup of the round before.
 
 Element orders and inverses come with the conjugacy classes: only the
 first element x of each class walks its powers x, x^2, ..., x^m = 1, one key
@@ -87,9 +90,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import chain, repeat, starmap
+from itertools import chain, product, repeat, starmap, tee
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .caps import CapExceeded, default_caps
 from .fields import divisors, prime_powers
@@ -171,22 +174,18 @@ _POINTS = bytes(range(256))
 
 class _Tables:
     """The element form of degree <= 256.  A listed element is its image
-    tuple as ``degree`` bytes; a generator, a chain element or a coset
-    representative is a 256-byte table, those bytes and then the fixed
-    points degree..255.  ``a.translate(b)`` is a * b, a's points mapped
-    through the table b, so it is a table or a listed element as a is;
-    ``maketrans(a, points)`` sends a's image of i back to i, so it is a^-1."""
+    tuple as ``degree`` bytes; a generator or a chain element is a 256-byte
+    table, those bytes and then the fixed points degree..255.
+    ``a.translate(b)`` is a * b, a's points mapped through the table b, so
+    it is a table or a listed element as a is; ``maketrans(a, points)``
+    sends a's image of i back to i, so it is a^-1."""
 
     def __init__(self, degree):
         self.identity = _POINTS
-        self._degree = degree
         self._fixed = _POINTS[degree:]
 
     def pack(self, t):
         return bytes(t) + self._fixed
-
-    def element(self, a):
-        return a[: self._degree]
 
     unpack = tuple
     mul = staticmethod(bytes.translate)
@@ -214,7 +213,7 @@ class _Tuples:
     def pack(t):
         return t
 
-    element = unpack = pack
+    unpack = pack
     mul = staticmethod(_mult)
     inv = staticmethod(invert)
 
@@ -244,10 +243,15 @@ class _Level:
 
 
 class _Chain:
-    """Base and strong generating set, built deterministically."""
+    """Base and strong generating set, built deterministically.
 
-    def __init__(self, gens0, form, degree):
+    ``order``, when given, is the group's proven order: the product of the
+    basic orbit lengths never exceeds it, and once it is reached every orbit
+    is whole, so the Schreier generators left unsifted are skipped."""
+
+    def __init__(self, gens0, form, degree, order=None):
         self.degree = degree
+        self._known = order
         self.levels = []
         self.identity = form.identity
         self._mul, self._inv = form.mul, form.inv
@@ -299,8 +303,10 @@ class _Chain:
 
     def _complete_level(self, i):
         # Levels below i are complete; make every Schreier generator of level
-        # i sift to the identity through them.
+        # i sift to the identity through them, or stop at the known order.
         self._orbit(i)
+        if self.order() == self._known:
+            return
         level = self.levels[i]
         mul, inv = self._mul, self._inv
         for gamma in sorted(level.transversal):
@@ -320,6 +326,8 @@ class _Chain:
                     self.levels[l].gens.append(residue)
                 for l in range(j, i, -1):
                     self._complete_level(l)
+                if self.order() == self._known:
+                    return
 
     def order(self):
         n = 1
@@ -335,7 +343,7 @@ class _Chain:
 class Group:
     """A finite permutation group given by generators."""
 
-    def __init__(self, generators, degree=None, caps=None):
+    def __init__(self, generators, degree=None, caps=None, *, _known_order=None):
         generators = tuple(generators)
         if degree is None:
             if not generators:
@@ -356,7 +364,7 @@ class Group:
         # every element inside the group is held in one form, chosen here
         self._form = form = _form(degree)
         self._gens = [form.pack(g._t) for g in self.generators]
-        self._chain = _Chain(self._gens, form, degree)
+        self._chain = _Chain(self._gens, form, degree, _known_order)
         self._order = self._chain.order()
         self._base = tuple(lvl.point for lvl in self._chain.levels)
         self._read_base = _getter(self._base)
@@ -395,16 +403,23 @@ class Group:
     # indexed element view
 
     def _materialize(self):
-        """List the elements coset by coset (Dimino), sort them and key them.
+        """List the elements off the stabiliser chain, sort them and key them.
 
-        With H = <g_1..g_{k-1}> listed, a generator g_k already in H is
-        skipped; otherwise K = <H, g_k> is the union of the right cosets Ht
-        reached from H under right multiplication by g_1..g_k.  The
-        representatives t are kept in the group's form (256-byte tables at
-        degree <= 256) and each new coset is H times t, one C call per
-        element; the listed elements themselves are only ``degree`` bytes
-        (or tuples).  The walk uses the generators only, so its size is
-        checked against the chain order.
+        Every element of G is h * u, with h in the stabiliser G_1 of the first
+        base point and u in that point's transversal T_1, and G_1 splits the
+        same way down the levels, so G = T_k * ... * T_1 over the k levels of
+        the chain (Seress, Permutation Group Algorithms, 2003).  The listing
+        starts from the deepest transversal T_k, cut to ``degree`` points,
+        and each level above takes it to h * u for every u in its transversal
+        and every listed h: one C-level map per u.  It is then checked to be
+        the group: at each level i, u * s is listed for every u in T_i and
+        every strong generator s of the level, the group's own generators at
+        the top.  By induction up the levels, the listing of levels i..k is
+        then closed under the strong generators of level i, so it is the
+        group they generate, and the whole listing is <generators>; the check
+        reads sum |T_i| |S_i| products, not n.  A listing of another length
+        than the chain order, one whose base images collide, or one that
+        fails the check raises RuntimeError.
         """
         if self._elts0 is not None:
             return
@@ -412,25 +427,18 @@ class Group:
         if self._order > cap:
             raise CapExceeded("element enumeration", f"order {self._order} > {cap}")
         form = self._form
-        identity = form.identity
-        seen = {form.element(identity)}
-        gens = self._gens
-        for k, g in enumerate(gens):
-            if form.element(g) in seen:
-                continue
-            coset = form.right(tuple(seen))
-            reps = [identity]
-            for r in reps:
-                for s in gens[: k + 1]:
-                    t = form.mul(r, s)
-                    if form.element(t) not in seen:
-                        reps.append(t)
-                        seen.update(coset(t))
-        if len(seen) != self._order:
+        cut = itemgetter(slice(0, self.degree))
+        levels = self._chain.levels
+        transversals = [list(lvl.transversal.values()) for lvl in levels]
+        transversals = transversals or [[form.identity]]
+        listed = list(map(cut, transversals[-1]))
+        for level in reversed(transversals[:-1]):
+            listed = list(chain.from_iterable(map(form.right(listed), level)))
+        if len(listed) != self._order:
             raise RuntimeError(
-                f"stabilizer chain order {self._order} != closure size {len(seen)}"
+                f"stabilizer chain order {self._order} != closure size {len(listed)}"
             )
-        elts = sorted(seen)
+        elts = sorted(listed)
         # key every element by its base image, read once; the keys must
         # separate the elements, and each is also that element's getter
         read_base = self._read_base
@@ -440,6 +448,19 @@ class Group:
             raise RuntimeError(
                 f"base images separate {len(by_bimg)} of {self._order} elements"
             )
+        # each u * s of a level, u cut to ``degree`` points, must be listed:
+        # read its base image, and compare the element keyed by it; the two
+        # reads of the products run in step, so one product is held at a time
+        gens = [self._gens, *(lvl.gens for lvl in levels[1:])]
+        pairs = (product(map(cut, t), s) for t, s in zip(transversals, gens))
+        products, compared = tee(starmap(form.mul, chain.from_iterable(pairs)))
+        try:
+            keyed = map(by_bimg.__getitem__, map(read_base, products))
+            closed = all(map(eq, map(elts.__getitem__, keyed), compared))
+        except KeyError:
+            closed = False
+        if not closed:
+            raise RuntimeError("the listing is not closed under the chain's generators")
         # a one-point base keys by the bare point, which itemgetter takes as
         # is; a longer one by a tuple, unpacked by starmap in the same C loop
         k = len(self._base)
@@ -448,7 +469,7 @@ class Group:
         else:
             self._keys = list(map(itemgetter if k else _getter, bimgs))
         self._by_bimg = by_bimg
-        self._identity_idx = by_bimg[read_base(identity)]
+        self._identity_idx = by_bimg[read_base(form.identity)]
         self._elts0 = elts
 
     def elements(self):
@@ -1020,8 +1041,9 @@ class Quotient:
     """Action of G on the cosets of a normal subgroup N.
 
     ``group`` is that action as a permutation group on the cosets, a faithful
-    image of G/N, generated by ``_coset_images``.  Only the action is kept:
-    there is no map from G's elements to their cosets.
+    image of G/N, generated by ``_coset_images``.  Its order is the index
+    |G:N|, so its stabiliser chain stops once its orbits reach it.  Only the
+    action is kept: there is no map from G's elements to their cosets.
     """
 
     def __init__(self, group, normal_sub):
@@ -1030,7 +1052,7 @@ class Quotient:
         images = _coset_images(group, normal_sub)
         perms = [Permutation._from0(img) for img in images]
         index = group.order() // normal_sub.order
-        self.group = Group(perms, degree=index, caps=group.caps)
+        self.group = Group(perms, degree=index, caps=group.caps, _known_order=index)
         if self.group.order() * normal_sub.order != group.order():
             raise RuntimeError("coset action order mismatch")
 

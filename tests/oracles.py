@@ -79,10 +79,11 @@ def relabelled(g):
 
 
 def naive_closure(gens, degree=None):
-    """All products of the generators, by plain breadth-first search."""
+    """All products of the generators, by plain breadth-first search, at
+    any degree (a quotient or a product can act on more than 256 points)."""
+    identity = Permutation._from0(tuple(range(gens[0].degree if gens else degree)))
     if not gens:
-        return {Permutation.identity(degree)}
-    identity = Permutation.identity(gens[0].degree)
+        return {identity}
     seen = {identity}
     frontier = [identity]
     while frontier:

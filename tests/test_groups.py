@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
@@ -18,6 +20,7 @@ from subconj import (
     construct,
     direct_product,
     is_normal,
+    normal_subgroups,
     normalizer,
     parse_permutation,
     quotient,
@@ -1035,6 +1038,12 @@ def _redundant(name):
     return Group([a, b, a * b])
 
 
+def _repeated(name):
+    # the generators given twice, with the identity among them
+    a, b = construct(name).generators[:2]
+    return Group([a, Permutation.identity(a.degree), b, a, b, b])
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -1042,14 +1051,38 @@ def _redundant(name):
         lambda: _redundant("SL2(3)"),
         lambda: _redundant("Symmetric(5)"),
         lambda: construct("Cyclic(1)"),
+        lambda: Group([], degree=6),
+        lambda: Group([Permutation.identity(5)] * 3),
+        lambda: _repeated("SL2(3)"),
+        lambda: _repeated("M11"),
+        lambda: direct_product(construct("Symmetric(4)"), construct("Cyclic(253)")),
     ],
-    ids=["E32x(C31xC5)-relabelled", "SL2(3)-redundant", "Symmetric(5)-redundant", "Cyclic(1)"],
+    ids=[
+        "E32x(C31xC5)-relabelled",
+        "SL2(3)-redundant",
+        "Symmetric(5)-redundant",
+        "Cyclic(1)",
+        "no-generators",
+        "only-identities",
+        "SL2(3)-repeats",
+        "M11-repeats",
+        "degree-257-product",
+    ],
 )
 def test_materialize_lists_the_naive_closure(build):
-    # the coset-by-coset listing against a breadth-first search over products
+    # the listing off the chain against a breadth-first search over products;
+    # the product acts on 257 points, so it lists image tuples off a
+    # four-level chain
     g = build()
     naive = naive_closure(list(g.generators), g.degree)
     assert g.elements() == tuple(sorted(naive))
+
+
+def test_chain_listing_matches_the_naive_closure_over_the_corpus():
+    # every default-manifest group of order <= 2000, and its relabelled copy
+    for name, g in _corpus_groups(2000):
+        naive = naive_closure(list(g.generators), g.degree)
+        assert g.elements() == tuple(sorted(naive)), name
 
 
 def _in_tuples(monkeypatch, g):
@@ -1134,6 +1167,90 @@ def test_materialize_checks_the_closure_against_the_chain_order(delta):
     g._order += delta
     with pytest.raises(RuntimeError, match="closure size 24"):
         g._materialize()
+
+
+def _fresh(name):
+    built = construct(name)
+    return Group(built.generators, degree=built.degree)
+
+
+@pytest.mark.parametrize("name", ["SL2(3)", "Symmetric(5)", "M11", "E32x(C31xC5)"])
+def test_materialize_refuses_a_chain_without_its_deepest_level(name):
+    # the listing falls short of the chain order; told that shorter order,
+    # the closure check alone finds the listing is not the group
+    g = _fresh(name)
+    g._chain.levels.pop()
+    short = g._chain.order()
+    with pytest.raises(RuntimeError, match=f"closure size {short}"):
+        g._materialize()
+    g._order = short
+    with pytest.raises(RuntimeError, match="not closed"):
+        g._materialize()
+
+
+@pytest.mark.parametrize("drop,short", [(0, 12), (1, 9)])
+def test_materialize_refuses_a_chain_short_of_a_generator(drop, short):
+    # a generator of SL2(3) taken from the first level, whose orbit is then
+    # walked again without it: the chain reads 12 or 9 against 24
+    g = _fresh("SL2(3)")
+    del g._chain.levels[0].gens[drop]
+    g._chain._orbit(0)
+    assert g._chain.order() == short
+    with pytest.raises(RuntimeError, match=f"closure size {short}"):
+        g._materialize()
+    g._order = short
+    with pytest.raises(RuntimeError, match="not closed"):
+        g._materialize()
+
+
+@pytest.mark.parametrize("name,known", [("Symmetric(4)", 12), ("M11", 3960)])
+def test_a_chain_stopped_at_a_wrong_known_order_does_not_list(name, known):
+    # the chain stops once its orbits multiply to the order it is given, so a
+    # wrong one stops it short; the closure check then refuses the listing
+    built = construct(name)
+    g = Group(built.generators, degree=built.degree, _known_order=known)
+    assert g.order() == known
+    with pytest.raises(RuntimeError, match="not closed"):
+        g._materialize()
+
+
+@pytest.mark.parametrize("name", ["SL2(3)", "SL2(11)", "SL2(5)*Cyclic(7)", "E25xSL(2,3)"])
+def test_quotients_stop_at_their_index_and_list_the_same_group(name):
+    # each G/N built from its proven index against the same action built
+    # without it: same order, base, orbits and elements, and no more strong
+    # generators
+    g = construct(name)
+    for n in normal_subgroups(g):
+        if n.order in (1, g.order()):
+            continue
+        q = quotient(g, n)
+        perms = [Permutation._from0(img) for img in _coset_images(g, n)]
+        full = Group(perms, degree=q.degree)
+        assert q.order() == full.order() == g.order() // n.order
+        assert q._base == full._base
+        orbits = [sorted(lvl.transversal) for lvl in q._chain.levels]
+        assert orbits == [sorted(lvl.transversal) for lvl in full._chain.levels]
+        strong = sum(len(lvl.gens) for lvl in q._chain.levels)
+        assert strong <= sum(len(lvl.gens) for lvl in full._chain.levels)
+        assert q.elements() == full.elements()
+
+
+def test_listing_a_regular_quotient_holds_no_copy_of_its_elements():
+    # SL2(13)/Z acts regularly on its 1092 cosets: one chain level, whose
+    # transversal is the listing, so listing and checking it copies no image
+    # tuple (9.5 MB for the 1092 of them, twice that for the checked
+    # products held at once); 0.6 MB measured
+    g = construct("SL2(13)")
+    q = quotient(g, center(g))
+    assert q.degree == q.order() == 1092 and len(q._chain.levels) == 1
+    gc.collect()
+    tracemalloc.start()
+    try:
+        q._materialize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def _corpus_groups(top):
