@@ -5,9 +5,8 @@ these limits and raises :class:`CapExceeded` instead of silently degrading.
 The limits are read only from the group's own ``caps`` (no function takes a
 bound as an argument): :data:`DEFAULT_CAPS`, whose fields the ``SUBCONJ_*``
 environment variables override, or ``Group(..., caps=Caps(...))``.
-Quotients and products inherit the caps of their source group, and a corpus
-manifest's per-entry ``full_cap`` builds the entry's group with
-``dataclasses.replace(caps, full_subgroup_cap=full_cap)``.
+Quotients and products inherit the caps of their source group.  A corpus
+manifest sets no cap: its entries are names, built at the default caps.
 """
 
 from __future__ import annotations

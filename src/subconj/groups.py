@@ -245,9 +245,11 @@ class _Level:
 class _Chain:
     """Base and strong generating set, built deterministically.
 
-    ``order``, when given, is the group's proven order: the product of the
-    basic orbit lengths never exceeds it, and once it is reached every orbit
-    is whole, so the Schreier generators left unsifted are skipped."""
+    ``gens0`` holds no identity (``Group`` drops it).  ``order``, when
+    given, is the group's proven order (a quotient's index, a product's
+    |A|·|B|): the product of the basic orbit lengths never exceeds it, and
+    once it is reached every orbit is whole, so the Schreier generators left
+    unsifted are skipped."""
 
     def __init__(self, gens0, form, degree, order=None):
         self.degree = degree
@@ -255,7 +257,6 @@ class _Chain:
         self.levels = []
         self.identity = form.identity
         self._mul, self._inv = form.mul, form.inv
-        gens0 = [g for g in gens0 if g != self.identity]
         for g in gens0:
             self._ensure_base_point(g)
         for i, level in enumerate(self.levels):
@@ -1103,15 +1104,17 @@ def quotient(group, normal_sub):
 
 
 def direct_product(a, b):
-    """A x B acting on the disjoint union of the two point sets."""
+    """A x B acting on the disjoint union of the two point sets; its chain
+    stops once it reaches the order |A|·|B|."""
     na, nb = a.degree, b.degree
     ga = [Permutation._from0(g._t + tuple(range(na, na + nb))) for g in a.generators]
     gb = [
         Permutation._from0(tuple(range(na)) + tuple(x + na for x in g._t))
         for g in b.generators
     ]
-    prod = Group(ga + gb, degree=na + nb, caps=a.caps)
-    if prod.order() != a.order() * b.order():  # pragma: no cover
+    order = a.order() * b.order()
+    prod = Group(ga + gb, degree=na + nb, caps=a.caps, _known_order=order)
+    if prod.order() != order:  # pragma: no cover
         raise RuntimeError("direct product order mismatch")
     return prod
 

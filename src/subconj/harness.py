@@ -10,13 +10,13 @@ mathematical discovery; failures therefore carry re-verifiable witnesses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
 from math import gcd
 
 from .fields import prime_powers
-from .groups import Group, center, is_normal, quotient
+from .groups import center, is_normal, quotient
 from .predicates import (
     MEMBER,
     NON_MEMBER,
@@ -44,16 +44,13 @@ from .zoo import SEMIDIRECT_DATASETS, SUPPORTED_Q, _split_product, construct
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    # when set, build() gives the group (and so its quotients) this
-    # full_subgroup_cap in place of the default
-    full_cap: int | None = None
 
     def build(self):
-        group = construct(self.name)
-        if self.full_cap is None:
-            return group
-        caps = replace(group.caps, full_subgroup_cap=self.full_cap)
-        return Group(group.generators, degree=group.degree, caps=caps)
+        return construct(self.name)
+
+
+# manifest keys that once set a cap, and where that cap is set now
+_REMOVED_KEYS = {"full_cap": "set SUBCONJ_FULL_SUBGROUP_CAP instead"}
 
 
 @dataclass
@@ -86,9 +83,10 @@ class CorpusManifest:
 
     @classmethod
     def from_json(cls, path):
-        """Read ``{"entries": [{"id": name, "full_cap": n}, ...]}``, where
-        ``full_cap`` is optional; malformed input raises ValueError naming
-        the file and the entry index."""
+        """Read ``{"entries": [{"id": name}, ...]}``.  Malformed input, an
+        entry key other than ``id`` included, raises ValueError naming the
+        file and the entry index.  Caps come from ``SUBCONJ_*``, not from
+        the manifest."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -101,12 +99,11 @@ class CorpusManifest:
         for i, item in enumerate(items):
             if not isinstance(item, dict) or not isinstance(item.get("id"), str):
                 raise ValueError(f"{path}: entry {i} has no string 'id'")
-            cap = item.get("full_cap")
-            if cap is not None and (type(cap) is not int or cap < 0):  # not bool
-                raise ValueError(
-                    f"{path}: entry {i}: full_cap={cap!r} is not a non-negative integer"
-                )
-            entries.append(CorpusEntry(name=item["id"], full_cap=cap))
+            for key in item:
+                if key != "id":
+                    hint = _REMOVED_KEYS.get(key, 'an entry is {"id": NAME}')
+                    raise ValueError(f"{path}: entry {i}: key {key!r} is not allowed; {hint}")
+            entries.append(CorpusEntry(item["id"]))
         return cls(entries)
 
 
@@ -404,8 +401,8 @@ def _quotient_a_pi(group, n):
 
 
 def _worker(args):
-    name, full_cap = args
-    return analyze_entry(CorpusEntry(name, full_cap))
+    # a tuple, not a bare name: bench/tracing.py labels spans with args[0]
+    return analyze_entry(CorpusEntry(*args))
 
 
 def analyze_corpus(manifest, jobs=1):
@@ -421,7 +418,7 @@ def analyze_corpus(manifest, jobs=1):
     # never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    args = [(e.name, e.full_cap) for e in manifest.entries]
+    args = [(e.name,) for e in manifest.entries]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, args))
 

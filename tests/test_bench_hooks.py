@@ -9,8 +9,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 from subconj import harness  # noqa: E402
+from subconj.caps import Caps  # noqa: E402
+from subconj.groups import Group  # noqa: E402
+from subconj.zoo import construct  # noqa: E402
 from probes import probe_group  # noqa: E402
-from tracing import Tracer, install, uninstall  # noqa: E402
+from tracing import Tracer, install, take_worker_run, uninstall, worker_hook  # noqa: E402
+from workloads import PrebuiltEntry  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
@@ -43,19 +47,40 @@ def test_tracer_installs_and_uninstalls():
 
 def test_tracer_sees_the_subgroup_walks():
     # Symmetric(4) is enumerated in full, and its p-classes are read off that
-    # walk; with the full walk refused (full_cap 12 < 24) they come from the
-    # per-prime walk.  Either way p_subgroup_classes answers the p-class
-    # reads, so each entry shows its span
-    for full_cap in (None, 12):
+    # walk; with the full walk refused (full_subgroup_cap 12 < 24) they come
+    # from the per-prime walk.  Either way p_subgroup_classes answers the
+    # p-class reads, so each entry shows its span
+    s4 = construct("Symmetric(4)")
+    for caps in (None, Caps(full_subgroup_cap=12)):
+        group = Group(s4.generators, degree=s4.degree, caps=caps)
         tracer = Tracer()
         saved = install(tracer)
         try:
-            harness.analyze_entry(harness.CorpusEntry("Symmetric(4)", full_cap=full_cap))
+            harness.analyze_entry(PrebuiltEntry("Symmetric(4)", group=group))
         finally:
             uninstall(saved)
         names = {span[0] for span in tracer.spans}
-        assert {"subgroups.full_enum", "subgroups.p_classes"} <= names, full_cap
+        assert {"subgroups.full_enum", "subgroups.p_classes"} <= names, caps
         assert tracer.counters["subgroups.classes_found"] > 0
+
+
+def test_pool_workers_label_their_spans_with_the_entry_name():
+    # analyze_corpus hands each worker the tuple (name,), and timed_worker
+    # labels the spans with its first item; a bare name would label them
+    # with the name's first letter
+    names = ("Cyclic(6)", "Symmetric(4)")
+    manifest = harness.CorpusManifest([harness.CorpusEntry(n) for n in names])
+    tracer = Tracer()
+    saved = install(tracer)
+    try:
+        with worker_hook(tracer):
+            records = harness.analyze_corpus(manifest, jobs=2)
+    finally:
+        uninstall(saved)
+    assert [r.name for r in records] == list(names)
+    for record in records:
+        spans = take_worker_run(record)["trace"]["spans"]
+        assert spans and {span[4] for span in spans} == {record.name}
 
 
 def test_tracer_sees_the_untabled_key_path():

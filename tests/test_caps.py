@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from subconj import Caps
+from subconj import Caps, ClassId, Group, construct, direct_product, quotient
+from subconj.predicates import MEMBER, UNDECIDED, decide
+from subconj.structure import fitting_subgroup
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -86,3 +88,15 @@ def test_default_caps_stay_importable():
 
     assert DEFAULT_CAPS is caps_default is default_caps()
     assert isinstance(DEFAULT_CAPS, Caps)
+
+
+def test_quotients_and_products_inherit_the_caps_of_their_source():
+    # G/F(G) of E25xSL(2,3) has order 24, so a full_subgroup_cap of 10 that
+    # it inherits leaves its B verdict undecided
+    g = construct("E25xSL(2,3)")
+    capped = Group(g.generators, degree=g.degree, caps=Caps(full_subgroup_cap=10))
+    for group, verdict in ((g, MEMBER), (capped, UNDECIDED)):
+        q = quotient(group, fitting_subgroup(group))
+        assert q.order() == 24 and q.caps is group.caps
+        assert decide(q, ClassId.B)[0] == verdict
+    assert direct_product(capped, construct("Cyclic(7)")).caps is capped.caps

@@ -191,21 +191,18 @@ def test_corpus_failure_names_the_entry_and_stage(tmp_path, exc, code, jobs):
             "entry 1 has no string 'id'",
         ),
         ({"entries": ["Cyclic(4)"]}, "entry 0 has no string 'id'"),
+        # a manifest sets no cap, and a key it does not read is refused
         (
-            {"entries": [{"id": "Cyclic(4)", "full_cap": "abc"}]},
-            "entry 0: full_cap='abc' is not a non-negative integer",
+            {"entries": [{"id": "Cyclic(4)", "full_cap": 0}]},
+            "entry 0: key 'full_cap' is not allowed; set SUBCONJ_FULL_SUBGROUP_CAP instead",
         ),
         (
-            {"entries": [{"id": "Cyclic(4)"}, {"id": "Cyclic(6)", "full_cap": -3}]},
-            "entry 1: full_cap=-3 is not a non-negative integer",
+            {"entries": [{"id": "Cyclic(4)"}, {"id": "Cyclic(6)", "fullcap": 10}]},
+            """entry 1: key 'fullcap' is not allowed; an entry is {"id": NAME}""",
         ),
         (
-            {"entries": [{"id": "Cyclic(4)", "full_cap": 2.5}]},
-            "entry 0: full_cap=2.5 is not a non-negative integer",
-        ),
-        (
-            {"entries": [{"id": "Cyclic(4)", "full_cap": True}]},
-            "entry 0: full_cap=True is not a non-negative integer",
+            {"entries": [{"name": "x", "id": "Cyclic(4)", "full_cap": 10}]},
+            """entry 0: key 'name' is not allowed; an entry is {"id": NAME}""",
         ),
     ],
 )
@@ -217,18 +214,6 @@ def test_malformed_manifest_exits_2_naming_file_and_entry(tmp_path, doc, message
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {manifest}: {message}\n"
-
-
-def test_manifest_full_cap_zero_is_accepted(tmp_path):
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(
-        json.dumps({"entries": [{"id": "Cyclic(4)", "full_cap": 0}]}), encoding="utf-8"
-    )
-    result = run_cli("corpus", "run", "--manifest", str(manifest))
-    # a one-entry corpus fails the checks that need a witness elsewhere (1)
-    assert result.returncode in (0, 1)
-    assert result.stderr == ""
-    assert json.loads(result.stdout)["groups"][0]["id"] == "Cyclic(4)"
 
 
 def test_corpus_json_file_and_markdown_exclude_each_other(tmp_path):

@@ -1235,6 +1235,24 @@ def test_quotients_stop_at_their_index_and_list_the_same_group(name):
         assert q.elements() == full.elements()
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ("SL2(5)", "Cyclic(7)"),
+        ("Alternating(4)", "Cyclic(5)"),
+        ("Symmetric(4)", "Cyclic(253)"),  # degree 257: the tuple form
+    ],
+)
+def test_products_stop_at_their_order_and_list_the_same_group(a, b):
+    # A x B built from its proven order |A|·|B| against the same generators
+    # built without it: same order, base and elements
+    p = direct_product(construct(a), construct(b))
+    full = Group(p.generators, degree=p.degree)
+    assert p.order() == full.order() == construct(a).order() * construct(b).order()
+    assert p._base == full._base
+    assert p.elements() == full.elements()
+
+
 def test_listing_a_regular_quotient_holds_no_copy_of_its_elements():
     # SL2(13)/Z acts regularly on its 1092 cosets: one chain level, whose
     # transversal is the listing, so listing and checking it copies no image

@@ -455,24 +455,31 @@ def test_q8_entry_carries_order_four_witness(records):
     assert len(w["subgroup_a"]) == 4 and len(w["subgroup_b"]) == 4
 
 
+@dataclass(frozen=True)
+class _CappedEntry(CorpusEntry):
+    """The entry's group built under ``Caps(full_subgroup_cap=10)``, so its
+    quotients are capped too."""
+
+    def build(self):
+        g = super().build()
+        return Group(g.generators, degree=g.degree, caps=Caps(full_subgroup_cap=10))
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(
-        json.dumps(
-            {"entries": [{"id": "Cyclic(6)"}, {"id": "Symmetric(4)", "full_cap": 10}]}
-        ),
+        json.dumps({"entries": [{"id": "Cyclic(6)"}, {"id": "Symmetric(4)"}]}),
         encoding="utf-8",
     )
     manifest = CorpusManifest.from_json(path)
-    assert [e.name for e in manifest.entries] == ["Cyclic(6)", "Symmetric(4)"]
-    assert manifest.entries[1].full_cap == 10
-    records = analyze_corpus(manifest)
+    assert manifest.entries == [CorpusEntry("Cyclic(6)"), CorpusEntry("Symmetric(4)")]
+    records = analyze_corpus(CorpusManifest([_CappedEntry(e.name) for e in manifest.entries]))
     # the capped entry cannot decide its plain classes positively
     assert records[1].verdicts["B"] in ("undecided", NON_MEMBER)
 
 
 def test_per_entry_cap_degrades_gracefully():
-    entry = CorpusEntry("Alternating(5)", full_cap=10)
+    entry = _CappedEntry("Alternating(5)")
     assert entry.build().caps.full_subgroup_cap == 10
     record = analyze_entry(entry)
     assert record.verdicts["B"] == "undecided"
@@ -481,7 +488,7 @@ def test_per_entry_cap_degrades_gracefully():
 
 def test_c14_skips_a_capped_b_verdict():
     # an undecided B verdict is a cap hit, not evidence against C14
-    record = analyze_entry(CorpusEntry("E25xSL(2,3)", full_cap=10))
+    record = analyze_entry(_CappedEntry("E25xSL(2,3)"))
     assert record.verdicts["B"] == "undecided"
     assert run_checks([record], only=["C14"])[0].status == "skipped"
 
